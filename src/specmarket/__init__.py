@@ -15,6 +15,7 @@ from .market import (
     settle,
     step,
     run,
+    run_batch,
     uniform_weights,
 )
 

@@ -43,6 +43,18 @@ def var_r0(n_speculators: int) -> float:
     return 8.0 / (n_speculators * LN10 * LN10)
 
 
+def _line_aligned(n: int) -> np.ndarray:
+    """Zeroed float64 array starting on a 64-byte cache-line boundary.
+
+    The recursion below runs up to 1.6x slower on arrays that start off a
+    line boundary, and where the allocator places them depends on everything
+    the process allocated before.
+    """
+    buf = np.zeros(n + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + n]
+
+
 def dim_distribution(
     dimension: int, n_vectors: int, increment: str = "full"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,11 +84,11 @@ def dim_distribution(
         step = p1 + (1.0 - p1) * 0.5
 
     dims = np.minimum(1.0 + step * np.arange(n_vectors), float(dimension))
-    probs = np.zeros(n_vectors)
+    probs, escape, moved = (_line_aligned(n_vectors) for _ in range(3))
     probs[0] = 1.0
-    escape = np.maximum(0.0, 1.0 - np.exp2(dims - dimension))
+    np.maximum(0.0, 1.0 - np.exp2(dims - dimension), out=escape)
     for _ in range(n_vectors - 1):
-        moved = probs * escape
+        np.multiply(probs, escape, out=moved)
         probs -= moved
         probs[1:] += moved[:-1]
     # mass cannot pass the first cell capped at D; drop the unreachable zeros

@@ -399,26 +399,32 @@ def read_run_csv(path) -> dict:
     version = lines[0].split(":", 1)[1].strip()
     if version != str(FORMAT_VERSION):
         raise DataFormatError(f"{path}: unknown format version {version!r}")
-    chash = lines[1].split(":", 1)[1].strip() if lines[1].startswith("# config-hash:") else ""
+    has_hash = len(lines) > 1 and lines[1].startswith("# config-hash:")
+    chash = lines[1].split(":", 1)[1].strip() if has_hash else ""
     body = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = body[0].split(",")
+    header = body[0].split(",") if body else []
     if header != ["t", "mu", "tau", "price", "log_return"]:
         raise DataFormatError(f"{path}: unexpected columns {header}")
     n = len(body) - 1
+    if n < 1:
+        raise DataFormatError(f"{path}: no data rows after the column header")
     prices = np.empty(n)
     mus = np.empty(n, dtype=np.int64)
     taus = np.full(n, np.nan)
-    returns = np.empty(max(n - 1, 0))
+    returns = np.empty(n - 1)
     for i, line in enumerate(body[1:]):
         parts = line.split(",")
         if len(parts) != 5:
             raise DataFormatError(f"{path}: row {i + 1}: expected 5 fields, got {len(parts)}")
-        mus[i] = int(parts[1])
-        if parts[2]:
-            taus[i] = float(parts[2])
-        prices[i] = float(parts[3])
-        if i > 0:
-            returns[i - 1] = float(parts[4])
+        try:
+            mus[i] = int(parts[1])
+            if parts[2]:
+                taus[i] = float(parts[2])
+            prices[i] = float(parts[3])
+            if i > 0:
+                returns[i - 1] = float(parts[4])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {i + 1}: {exc}") from exc
     return {"config_hash": chash, "prices": prices, "mus": mus, "taus": taus, "returns": returns}
 
 

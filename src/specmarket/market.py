@@ -12,13 +12,17 @@ this is worth repeating: every return in this package is ``log10 p' - log10 p``)
 
 Randomness comes from one Philox counter-based generator per market, fully
 determined by the config seed, so equal configs replay bit-identically.
+
+``step`` and its four phases are the step-by-step reference; ``run_batch``
+is the engine that ``run`` and the sweeps use, stepping same-shape markets in
+lockstep with the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +61,9 @@ class Endogenous:
     def __eq__(self, other):
         return isinstance(other, Endogenous) and other.memory_bits == self.memory_bits
 
+    def __hash__(self):
+        return hash((Endogenous, self.memory_bits))
+
 
 @dataclass(frozen=True, eq=False)
 class Exogenous:
@@ -81,6 +88,9 @@ class Exogenous:
 
     def __eq__(self, other):
         return isinstance(other, Exogenous) and np.array_equal(other.weights, self.weights)
+
+    def __hash__(self):
+        return hash((Exogenous, _weights_key(self.weights)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +125,16 @@ class Mixed:
             and np.array_equal(other.exo_weights, self.exo_weights)
         )
 
+    def __hash__(self):
+        return hash((Mixed, self.endo_bits, self.exo_bits, _weights_key(self.exo_weights)))
+
 
 InformationMode = Union[Endogenous, Exogenous, Mixed]
+
+
+def _weights_key(weights) -> bytes:
+    # equal under np.array_equal => equal bytes: one dtype, and -0.0 folded into 0.0
+    return (np.asarray(weights, dtype=float) + 0.0).tobytes()
 
 
 def uniform_weights(n_states: int) -> np.ndarray:
@@ -288,11 +306,15 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _refill(state: MarketState) -> np.ndarray:
+    state._exo_queue = np.searchsorted(state._exo_cum, state.rng.random(_EXO_CHUNK), side="right")
+    state._exo_pos = 0
+    return state._exo_queue
+
+
 def _draw_exogenous(state: MarketState) -> int:
     if state._exo_queue is None or state._exo_pos >= len(state._exo_queue):
-        u = state.rng.random(_EXO_CHUNK)
-        state._exo_queue = np.searchsorted(state._exo_cum, u, side="right")
-        state._exo_pos = 0
+        _refill(state)
     value = int(state._exo_queue[state._exo_pos])
     state._exo_pos += 1
     return value
@@ -382,52 +404,265 @@ def step(state: MarketState) -> StepOutput:
     return StepOutput(price, state.last_return, mu, tau)
 
 
+# ---------------------------------------------------------------------------
+# lockstep engine
+# ---------------------------------------------------------------------------
+
+def batch_key(config: MarketConfig) -> tuple:
+    """Configs with equal keys can step together in one :func:`run_batch`.
+
+    They may differ in ``seed`` and in the parameters of their information
+    mode (so in D), and must agree on the mode's kind and every other field.
+    """
+    return type(config.info_mode), replace(config, seed=0, info_mode=None)
+
+
+def record_bytes(config: MarketConfig) -> int:
+    """Bytes of the per-step arrays of one run's record."""
+    per_step = 5 + (config.n_speculators if config.record_agents else 0)
+    return 8 * config.horizon * per_step
+
+
 def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SimulationRecord:
     """Execute ``config.horizon`` steps and return the full record.
 
     Equal configs produce bit-identical records. ``memory_budget`` caps the
-    optional per-agent capital storage.
+    record's per-step arrays, the optional per-agent capitals included.
     """
-    validate_config(config)
-    horizon = config.horizon
-    n_spec = config.n_speculators
-    if config.record_agents:
-        needed = horizon * n_spec * 8
-        if needed > memory_budget:
-            raise MemoryBudgetError(
-                f"record_agents needs {needed} bytes for horizon={horizon}, "
-                f"n_speculators={n_spec}; budget is {memory_budget}"
-            )
-    state = new_market(config)
-    k = config.n_producers
+    return run_batch([config], memory_budget)[0]
 
-    prices = np.empty(horizon)
-    returns = np.empty(max(horizon - 1, 0))
-    mus = np.empty(horizon, dtype=np.int64)
-    taus = np.full(horizon, np.nan)
-    mean_cap = np.empty(horizon)
-    agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
 
-    money = state.money
-    stocks = state.stocks
-    for t in range(horizon):
-        out = step(state)
-        prices[t] = out.price
-        mus[t] = out.mu
-        if out.tau is not None:
-            taus[t] = out.tau
+def run_batch(configs: Sequence[MarketConfig],
+              memory_budget: int = DEFAULT_MEMORY_BUDGET) -> list[SimulationRecord]:
+    """Step configs of one :func:`batch_key` in lockstep; one record per config.
+
+    Record ``r`` is bit-identical to the step-by-step reference for
+    ``configs[r]``: each replica draws from its own Philox stream in the order
+    of :func:`step`, and every reduction runs over one C-contiguous row, as in
+    a single market. ``memory_budget`` caps the records of the whole batch.
+    """
+    configs = list(configs)
+    for config in configs:
+        validate_config(config)
+    if not configs:
+        return []
+    cfg = configs[0]
+    if any(batch_key(c) != batch_key(cfg) for c in configs[1:]):
+        raise ConfigError("run_batch: configs must agree on every field but seed and "
+                          "the parameters of their information mode")
+    needed = sum(map(record_bytes, configs))
+    if needed > memory_budget:
+        raise MemoryBudgetError(
+            f"{len(configs)} record(s) need {needed} bytes for horizon={cfg.horizon}, "
+            f"n_speculators={cfg.n_speculators}, record_agents={cfg.record_agents}; "
+            f"budget is {memory_budget}"
+        )
+    n_rep, horizon, n_spec = len(configs), cfg.horizon, cfg.n_speculators
+    prices = np.empty((n_rep, horizon))
+    mus = np.empty((n_rep, horizon), dtype=np.int64)
+    capital = np.empty((n_rep, horizon))
+    agent_caps = np.empty((n_rep, horizon, n_spec)) if cfg.record_agents else None
+    if n_rep == 1:
+        states = [new_market(cfg)]
+        _step_single(states[0], prices[0], mus[0], capital[0],
+                     None if agent_caps is None else agent_caps[0])
+    else:
+        states, strategies, holdings = _new_batch(configs)
+        _step_lockstep(states, strategies, holdings, prices, mus, capital, agent_caps)
+    capital /= 2.0 * n_spec
+    return [_finish(state, prices[r], mus[r], capital[r],
+                    None if agent_caps is None else agent_caps[r])
+            for r, state in enumerate(states)]
+
+
+def _endo_states(mode: InformationMode) -> int:
+    """States of the mode's endogenous part; 0 for exogenous information."""
+    if isinstance(mode, Endogenous):
+        return mode.n_states
+    return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
+
+
+def _step_single(state, prices, mus, capital, agent_caps) -> None:
+    """One market with Python-float totals and views of the strategy rows."""
+    cfg = state.config
+    k, gamma, eps = cfg.n_producers, cfg.use_param, cfg.epsilon
+    n_random = k if cfg.producer_kind == "random" else 0
+    rng, strategies = state.rng, state.strategies
+    money, stocks = state.money, state.stocks
+    money_s, stocks_s = money[k:], stocks[k:]
+    n = cfg.n_agents
+    m, s, tmp = np.empty(n), np.empty(n), np.empty(n - k)
+    m_s, s_s = m[k:], s[k:]
+    buy, sell = np.empty(n, dtype=np.bool_), np.empty(n, dtype=np.bool_)
+    endo_states, exogenous = _endo_states(cfg.info_mode), state._exo_cum is not None
+    total, queue = np.add.reduce, None
+    mu, price, before = state.mu, 1.0, 1.0
+    for t in range(cfg.horizon):
         if t > 0:
-            returns[t - 1] = out.log_return
-        mean_cap[t] = (money[k:].sum() + stocks[k:].sum()) / (2.0 * n_spec)
+            if endo_states:
+                if price > before:
+                    bit = 1
+                elif price < before:
+                    bit = 0
+                else:
+                    bit = int(rng.random() < 0.5)
+                endo = ((mu % endo_states) << 1 | bit) % endo_states
+            if exogenous:
+                pos = (t - 1) % _EXO_CHUNK
+                if pos == 0:
+                    queue = _refill(state).tolist()
+                mu = queue[pos] * endo_states + endo if endo_states else queue[pos]
+            else:
+                mu = endo
+        mus[t] = mu
+        row = strategies[mu]
+        if n_random:
+            np.copyto(buy, row)
+            np.less(rng.random(n_random), 0.5, out=buy[:n_random])
+            row = buy
+        np.logical_not(row, out=sell)
+        np.multiply(money, gamma, out=m)
+        np.multiply(m, row, out=m)
+        np.multiply(stocks, gamma, out=s)
+        np.multiply(s, sell, out=s)
+        before = price
+        price = (float(total(m)) + eps) / (float(total(s)) + eps)
+        prices[t] = price
+        np.multiply(s_s, price, out=tmp)
+        tmp -= m_s
+        money_s += tmp
+        np.divide(m_s, price, out=tmp)
+        tmp -= s_s
+        stocks_s += tmp
+        capital[t] = total(money_s) + total(stocks_s)
         if agent_caps is not None:
-            agent_caps[t] = (money[k:] + stocks[k:]) / 2.0
+            np.add(money_s, stocks_s, out=agent_caps[t])
+            agent_caps[t] /= 2.0
 
+
+def _new_batch(configs) -> tuple:
+    """Markets whose strategy tables and holdings are rows of shared arrays.
+
+    The tables are stacked into one (sum D, N) array, and money and stocks
+    are the two halves of one (2R, N) array, so that the states end the run
+    as step() leaves them.
+    """
+    n_rep, n = len(configs), configs[0].n_agents
+    strategies = np.empty((sum(c.n_states for c in configs), n), dtype=np.bool_)
+    holdings = np.ones((2 * n_rep, n))
+    states, start = [], 0
+    for r, config in enumerate(configs):
+        state = new_market(config)
+        rows = strategies[start:start + config.n_states]
+        rows[:] = state.strategies
+        state.strategies, state.money, state.stocks = rows, holdings[r], holdings[n_rep + r]
+        states.append(state)
+        start += config.n_states
+    return states, strategies, holdings
+
+
+def _step_lockstep(states, strategies, holdings, prices, mus, capital, agent_caps) -> None:
+    """R markets of :func:`_new_batch` stepped together.
+
+    Orders, totals and capital sums take one call per step for both assets,
+    and each total is the sum over one C-contiguous row.
+    """
+    cfg = states[0].config
+    k, gamma, eps = cfg.n_producers, cfg.use_param, cfg.epsilon
+    n_random = k if cfg.producer_kind == "random" else 0
+    n_rep, n = len(states), cfg.n_agents
+    rngs = [state.rng for state in states]
+    sizes = np.array([state.config.n_states for state in states])
+    offsets = np.cumsum(sizes) - sizes
+    money, stocks = holdings[:n_rep], holdings[n_rep:]
+    orders, sides = np.empty((2 * n_rep, n)), np.empty((2 * n_rep, n), dtype=np.bool_)
+    m, s, buy, sell = orders[:n_rep], orders[n_rep:], sides[:n_rep], sides[n_rep:]
+    money_s, stocks_s, m_s, s_s = money[:, k:], stocks[:, k:], m[:, k:], s[:, k:]
+    holdings_s, tmp = holdings[:, k:], np.empty((n_rep, n - k))
+    totals, sums = np.empty(2 * n_rep), np.empty(2 * n_rep)
+    demand, supply = totals[:n_rep], totals[n_rep:]
+    rows = np.empty(n_rep, dtype=np.intp)
+    up, tie = np.empty(n_rep, dtype=np.bool_), np.empty(n_rep, dtype=np.bool_)
+    endo_states = np.array([_endo_states(state.config.info_mode) for state in states])
+    endogenous, mixed = isinstance(cfg.info_mode, Endogenous), isinstance(cfg.info_mode, Mixed)
+    queues = None if endogenous else np.empty((n_rep, _EXO_CHUNK), dtype=np.int64)
+    mu = np.array([state.mu for state in states])
+    price, before = np.ones(n_rep), np.ones(n_rep)
+    for t in range(cfg.horizon):
+        if t > 0:
+            if endogenous or mixed:
+                np.greater(price, before, out=up)
+                if np.logical_or.reduce(np.equal(price, before, out=tie)):
+                    for r in np.flatnonzero(tie):
+                        up[r] = rngs[r].random() < 0.5
+                if mixed:
+                    mu %= endo_states
+                mu <<= 1
+                mu |= up
+                mu %= endo_states
+            if not endogenous:
+                pos = (t - 1) % _EXO_CHUNK
+                if pos == 0:
+                    for r, state in enumerate(states):
+                        queues[r] = _refill(state)
+                        state._exo_queue = queues[r]
+                if mixed:
+                    mu += queues[:, pos] * endo_states
+                else:
+                    mu[:] = queues[:, pos]
+        mus[:, t] = mu
+        np.add(offsets, mu, out=rows)
+        strategies.take(rows, axis=0, out=buy)
+        if n_random:
+            for r in range(n_rep):
+                np.less(rngs[r].random(n_random), 0.5, out=buy[r, :n_random])
+        np.logical_not(buy, out=sell)
+        np.multiply(holdings, gamma, out=orders)
+        np.multiply(orders, sides, out=orders)
+        np.add.reduce(orders, axis=1, out=totals)
+        totals += eps
+        price, before = before, price
+        np.divide(demand, supply, out=price)
+        prices[:, t] = price
+        column = price[:, None]
+        np.multiply(s_s, column, out=tmp)
+        tmp -= m_s
+        money_s += tmp
+        np.divide(m_s, column, out=tmp)
+        tmp -= s_s
+        stocks_s += tmp
+        np.add.reduce(holdings_s, axis=1, out=sums)
+        np.add(sums[:n_rep], sums[n_rep:], out=capital[:, t])
+        if agent_caps is not None:
+            np.add(money_s, stocks_s, out=agent_caps[:, t])
+            agent_caps[:, t] /= 2.0
+
+
+def _finish(state, prices, mus, capital, agent_caps) -> SimulationRecord:
+    """Returns and taus from the recorded prices and states; the state as step() leaves it."""
+    cfg = state.config
+    horizon, k = cfg.horizon, cfg.n_producers
+    # math.log10 of each price ratio, as settle() computes it
+    returns = np.fromiter(map(math.log10, prices[1:] / prices[:-1]), dtype=float,
+                          count=horizon - 1)
+    order = np.argsort(mus, kind="stable")
+    ordered = mus[order]
+    repeat = ordered[1:] == ordered[:-1]
+    taus = np.full(horizon, np.nan)
+    taus[order[1:][repeat]] = (order[1:] - order[:-1])[repeat]
+    last = np.append(~repeat, True)
+    state.last_seen[ordered[last]] = order[last]
+    state.t, state.mu = horizon, int(mus[-1])
+    state.last_price = float(prices[-1])
+    state.last_return = math.log10(state.last_price / (prices[-2] if horizon > 1 else 1.0))
+    if state._exo_queue is not None:
+        state._exo_pos = (horizon - 2) % _EXO_CHUNK + 1  # draws made: horizon - 1
     return SimulationRecord(
         prices=prices,
         returns=returns,
         mus=mus,
         taus=taus,
-        mean_spec_capital=mean_cap,
-        final_spec_capitals=(money[k:] + stocks[k:]) / 2.0,
+        mean_spec_capital=capital,
+        final_spec_capitals=(state.money[k:] + state.stocks[k:]) / 2.0,
         agent_capitals=agent_caps,
     )

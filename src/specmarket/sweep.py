@@ -18,7 +18,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, SampleSizeError
-from .market import Endogenous, Exogenous, MarketConfig, SimulationRecord, run, uniform_weights
+from .market import (
+    DEFAULT_MEMORY_BUDGET,
+    Endogenous,
+    Exogenous,
+    MarketConfig,
+    SimulationRecord,
+    batch_key,
+    record_bytes,
+    run_batch,
+    uniform_weights,
+    validate_config,
+)
 from . import stats
 
 DEFAULT_METRICS = ("variance", "kurtosis", "reduction")
@@ -186,22 +197,47 @@ def aggregate(rep_metrics: Sequence[dict]) -> dict:
     return out
 
 
-def _run_cell(args):
-    node_index, repetition, config, metrics = args
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_batch(args):
+    cells, metrics = args
     try:
-        record = run(config)
-        return node_index, repetition, compute_metrics(record, metrics), None
+        records = run_batch([config for _, config in cells])
     except Exception as exc:  # recorded per repetition, never aborts the sweep
-        return node_index, repetition, None, f"{type(exc).__name__}: {exc}"
+        return [(cell, None, _error(exc)) for cell, _ in cells]
+    outcomes = []
+    for (cell, _), record in zip(cells, records):
+        try:
+            outcomes.append((cell, compute_metrics(record, metrics), None))
+        except Exception as exc:
+            outcomes.append((cell, None, _error(exc)))
+    return outcomes
+
+
+def _batches(group: list, workers: int) -> list:
+    """Even chunks of one batch key: within the memory budget, and at least one per worker."""
+    size = max(1, DEFAULT_MEMORY_BUDGET // max(1, record_bytes(group[0][1])))
+    count = max(-(-len(group) // size), min(workers, len(group)))
+    bounds = [len(group) * i // count for i in range(count + 1)]
+    return [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Simulate every (node, repetition) cell and aggregate per node."""
+    """Simulate every (node, repetition) cell and aggregate per node.
+
+    Cells that share a :func:`~specmarket.market.batch_key` (across nodes as
+    well) run as lockstep batches; ``workers > 1`` maps the batches to
+    processes. A cell whose config fails validation is recorded with the
+    error and left out of the batches.
+    """
     spec.validate()
     names = [axis.name for axis in spec.axes]
     grid = list(product(*(axis.values for axis in spec.axes)))
 
-    tasks = []
+    cells = {}
+    groups = {}
     seeds_seen = {}
     for node_index, values in enumerate(grid):
         coords = dict(zip(names, values))
@@ -213,15 +249,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     f"seed collision between cells {seeds_seen[seed]} and {(node_index, rep)}"
                 )
             seeds_seen[seed] = (node_index, rep)
-            tasks.append((node_index, rep, replace(cfg, seed=seed), spec.metrics))
+            cell_cfg = replace(cfg, seed=seed)
+            try:
+                validate_config(cell_cfg)
+            except ConfigError as exc:
+                cells[(node_index, rep)] = (None, _error(exc))
+                continue
+            groups.setdefault(batch_key(cell_cfg), []).append(((node_index, rep), cell_cfg))
 
+    tasks = [(batch, spec.metrics) for group in groups.values() for batch in _batches(group, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks, chunksize=1))
+            outcomes = list(pool.map(_run_batch, tasks, chunksize=1))
     else:
-        outcomes = [_run_cell(t) for t in tasks]
+        outcomes = [_run_batch(task) for task in tasks]
+    for outcome in outcomes:
+        for cell, metrics, error in outcome:
+            cells[cell] = (metrics, error)
 
-    cells = {(node_index, rep): (metrics, error) for node_index, rep, metrics, error in outcomes}
     nodes = []
     for node_index, values in enumerate(grid):
         coords = dict(zip(names, values))

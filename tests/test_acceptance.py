@@ -5,6 +5,7 @@ Everything is seeded, so the reported numbers are reproducible bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from specmarket import (
 )
 from specmarket.analytics import dim_distribution, var_r0, variance_curve
 from specmarket.io import write_run_artifact
-from specmarket.market import SimulationRecord
+from specmarket.market import SimulationRecord, run_batch
 from specmarket.stats import autocorr_abs, gini, hill_fit_ks, kurtosis, surprise_stats
 from specmarket.sweep import alpha_scan
 
@@ -47,13 +48,6 @@ def second_half(record):
         mean_spec_capital=record.mean_spec_capital[half:],
         final_spec_capitals=record.final_spec_capitals,
     )
-
-
-@pytest.fixture(scope="module")
-def heavy_tail_returns():
-    config = MarketConfig(n_speculators=1024, use_param=0.8,
-                          info_mode=Endogenous(9), horizon=60001, seed=2024)
-    return run(config).returns
 
 
 def test_criterion_1_initial_variance_formula():
@@ -84,8 +78,8 @@ def test_criterion_2_exogenous_information_absorption():
                   f"kurtosis = {kurt:.2f} (in [2.5, 4])")
 
 
-def test_criterion_3_endogenous_heavy_tails(heavy_tail_returns):
-    window = heavy_tail_returns[-30_000:]
+def test_criterion_3_endogenous_heavy_tails(heavy_tail_benchmark_returns):
+    window = heavy_tail_benchmark_returns[-30_000:]
     kurt = kurtosis(window)
     fit = hill_fit_ks(np.abs(window)[np.abs(window) > 0])
     centered = window - window.mean()
@@ -99,8 +93,8 @@ def test_criterion_3_endogenous_heavy_tails(heavy_tail_returns):
                   f"= {empirical / gaussian:.0f}x Gaussian (>= 10x)")
 
 
-def test_criterion_4_volatility_clustering(heavy_tail_returns):
-    window = heavy_tail_returns[-30_000:]
+def test_criterion_4_volatility_clustering(heavy_tail_benchmark_returns):
+    window = heavy_tail_benchmark_returns[-30_000:]
     lags = (10, 50, 100, 500)
     ac = autocorr_abs(window, max_lag=500)
     shuffled = window.copy()
@@ -122,14 +116,11 @@ def test_criterion_5_phase_transition_bounds():
     bounds = {b.alpha: b for b in variance_curve(dimension, alphas)}
     measured = {}
     for alpha in alphas:
-        n_spec = round(dimension / alpha)
-        variances = []
-        for seed in range(n_seeds):
-            config = MarketConfig(n_speculators=n_spec, use_param=gamma,
-                                  info_mode=Exogenous(uniform_weights(dimension)),
-                                  horizon=horizon, seed=seed)
-            returns = run(config).returns
-            variances.append(float(np.var(returns[returns.size // 2:])))
+        base = MarketConfig(n_speculators=round(dimension / alpha), use_param=gamma,
+                            info_mode=Exogenous(uniform_weights(dimension)),
+                            horizon=horizon, seed=0)
+        records = run_batch([replace(base, seed=seed) for seed in range(n_seeds)])
+        variances = [float(np.var(r.returns[r.returns.size // 2:])) for r in records]
         measured[alpha] = float(np.exp(np.mean(np.log(np.sort(variances)))))
     inside = {}
     for alpha in alphas:

@@ -7,6 +7,7 @@ from specmarket import Endogenous, Exogenous, Mixed, run
 from specmarket.cli import main
 from specmarket.errors import ConfigError, DataFormatError
 from specmarket.io import (
+    FORMAT_VERSION,
     analyze_returns,
     config_hash,
     emit_config,
@@ -125,6 +126,34 @@ class TestArtifacts:
         path = tmp_path / "run.csv"
         path.write_text("t,mu,tau,price,log_return\n0,1,,1.0,\n")
         with pytest.raises(DataFormatError, match="header"):
+            read_run_csv(path)
+
+    def test_truncated_row_names_file_and_row(self, tmp_path, make_config):
+        config = make_config(horizon=300)
+        files = write_run_artifact(tmp_path / "out", config, run(config))
+        lines = files["run"].read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("t,")) + 1
+        # cut the file after the exponent mark of the last return written in e-notation
+        cut = max(i for i in range(first + 1, len(lines)) if "e" in lines[i].rsplit(",", 1)[1])
+        files["run"].write_text("\n".join(lines[:cut] + [lines[cut][:lines[cut].rindex("e") + 1]]))
+        with pytest.raises(DataFormatError, match=rf"run\.csv: row {cut - first + 1}: could not convert"):
+            read_run_csv(files["run"])
+
+    @pytest.mark.parametrize("text", [
+        "# specmarket-format: {v}\n",
+        "# specmarket-format: {v}\n# config-hash: x\nt,mu,tau,price,log_return\n",
+    ], ids=["format_line_only", "column_header_only"])
+    def test_header_only_refused(self, tmp_path, text):
+        path = tmp_path / "run.csv"
+        path.write_text(text.format(v=FORMAT_VERSION))
+        with pytest.raises(DataFormatError, match="run.csv"):
+            read_run_csv(path)
+
+    def test_non_numeric_field_names_row(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
+                        "t,mu,tau,price,log_return\n0,1,,1.0,\n1,0,,high,0.1\n")
+        with pytest.raises(DataFormatError, match="row 2"):
             read_run_csv(path)
 
 

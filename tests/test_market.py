@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="weights"):
             Exogenous(np.array([1.5, -0.5])).validate()
 
+    def test_configs_hash_consistently_with_equality(self, make_config):
+        modes = [
+            (Endogenous(3), Endogenous(3)),
+            (Exogenous(np.array([0.25, 0.75])), Exogenous([0.25, 0.75])),
+            (Mixed(1, 1, np.array([0.5, 0.5])), Mixed(1, 1, [0.5, 0.5])),
+        ]
+        for a, b in modes:
+            assert a == b and hash(a) == hash(b)
+            assert hash(make_config(info_mode=a)) == hash(make_config(info_mode=b))
+        assert len({make_config(info_mode=a) for a, _ in modes}) == 3
+        assert Exogenous([0.5, 0.5]) != Exogenous([0.25, 0.75])
+
     def test_mixed_weight_length(self):
         with pytest.raises(ConfigError, match="exo_weights"):
             Mixed(endo_bits=2, exo_bits=2, exo_weights=np.array([0.5, 0.5])).validate()

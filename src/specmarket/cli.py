@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analytics, io, stats, sweep
+from . import analytics, io, sweep
 from .errors import SpecmarketError
 from .market import run
 
@@ -98,16 +97,16 @@ def cmd_sweep(args) -> int:
                 for node in result.nodes for i, rep in enumerate(node.reps) if rep.error
             ],
         }
-        (outdir / "grid.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        io.write_json(outdir / "grid.json", payload)
     else:
-        lines = [io._header(chash)]
-        lines.append(",".join(axis_names + ["metric", "value", "n_runs"]) + "\n")
-        for row in rows:
-            value = "" if row["value"] is None or not np.isfinite(row["value"]) else repr(row["value"])
-            lines.append(",".join(
-                [repr(float(row[name])) for name in axis_names]
-                + [row["metric"], value, str(row["n_runs"])]) + "\n")
-        (outdir / "grid.csv").write_text("".join(lines))
+        values = np.array([np.nan if row["value"] is None else row["value"] for row in rows],
+                          dtype=float)
+        columns = [np.array([row[name] for row in rows], dtype=float) for name in axis_names]
+        columns += [[row["metric"] for row in rows],
+                    np.ma.masked_invalid(values),  # failed nodes and non-finite values stay empty
+                    np.array([row["n_runs"] for row in rows])]
+        io.write_columns(outdir / "grid.csv", chash, axis_names + ["metric", "value", "n_runs"],
+                         columns)
     n_failed = sum(1 for node in result.nodes for rep in node.reps if rep.error)
     print(f"sweep: {len(result.nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
     return 0
@@ -115,25 +114,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     data = io.read_run_csv(args.input)
-    window = io.post_transient(data["returns"])
-    analysis = io.analyze_returns(window)
-    reduction = stats.reduction_ratio(np.abs(data["returns"]), 10, window.size)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    chash = data["config_hash"]
-    io._write_columns(outdir / "ccdf.csv", chash, ("x", "ccdf"),
-                      (analysis.ccdf.values, analysis.ccdf.probabilities))
-    io._write_columns(outdir / "autocorr.csv", chash, ("lag", "autocorr"),
-                      (np.arange(analysis.autocorr.size), analysis.autocorr))
-    summary = {
-        "format": io.FORMAT_VERSION,
-        "config_hash": chash,
-        "variance": float(np.var(window)),
-        "reduction": reduction,
-        "analysis": analysis.summary(),
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"stats: analyzed {analysis.n} post-transient returns from {args.input}")
+    io.write_analysis(args.out, data["config_hash"], data["returns"])
+    print(f"stats: analyzed {io.post_transient(data['returns']).size} post-transient returns "
+          f"from {args.input}")
     return 0
 
 
@@ -150,7 +133,7 @@ def cmd_bounds(args) -> int:
             "format": io.FORMAT_VERSION, "states": args.states,
             "bounds": [vars(b) for b in curve],
         }
-        (outdir / "bounds.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        io.write_json(outdir / "bounds.json", payload)
     else:
         lines = [f"# specmarket-format: {io.FORMAT_VERSION}\n# states: {args.states}\n",
                  "alpha,n_speculators,lower,heuristic,upper\n"]
@@ -183,13 +166,13 @@ def cmd_compare(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(config)
-    io._write_columns(outdir / "compare_ccdf.csv", chash,
-                      ("ccdf", "model_x", "empirical_x"),
-                      (model.ccdf.probabilities, model.ccdf.values, emp.ccdf.values))
+    io.write_columns(outdir / "compare_ccdf.csv", chash,
+                     ("ccdf", "model_x", "empirical_x"),
+                     (model.ccdf.probabilities, model.ccdf.values, emp.ccdf.values))
     max_lag = min(model.autocorr.size, emp.autocorr.size) - 1
-    io._write_columns(outdir / "compare_autocorr.csv", chash,
-                      ("lag", "model_autocorr", "empirical_autocorr"),
-                      (np.arange(max_lag + 1), model.autocorr[: max_lag + 1], emp.autocorr[: max_lag + 1]))
+    io.write_columns(outdir / "compare_autocorr.csv", chash,
+                     ("lag", "model_autocorr", "empirical_autocorr"),
+                     (np.arange(max_lag + 1), model.autocorr[: max_lag + 1], emp.autocorr[: max_lag + 1]))
     summary = {
         "format": io.FORMAT_VERSION,
         "config_hash": chash,
@@ -197,7 +180,7 @@ def cmd_compare(args) -> int:
         "model": model.summary(),
         "empirical": emp.summary(),
     }
-    (outdir / "compare_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    io.write_json(outdir / "compare_summary.json", summary)
     print(f"compare: {emp_returns.size} returns per curve")
     return 0
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
-import io as _io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -300,15 +298,84 @@ def post_transient(returns: np.ndarray) -> np.ndarray:
 # artifacts
 # ---------------------------------------------------------------------------
 
+#: rows formatted per write in ``write_columns``; it caps the strings held at once
+_CHUNK_ROWS = 1 << 13
+
+
 def _header(chash: str) -> str:
     return f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: {chash}\n"
+
+
+def _cells(column) -> list:
+    """Cell strings of one column: repr for floats, str for integers and strings.
+
+    Entries masked in a ``numpy.ma`` array are written as empty cells.
+    """
+    data = np.ma.getdata(column)
+    text = list(map(repr if data.dtype.kind == "f" else str, data.tolist()))
+    if np.ma.isMaskedArray(column):
+        for i in np.flatnonzero(np.ma.getmaskarray(column)):
+            text[i] = ""
+    return text
+
+
+def write_columns(path, chash: str, names, columns) -> Path:
+    """Write a specmarket CSV: format header, column names, one row per index.
+
+    ``columns`` are equal-length arrays or sequences; they are formatted
+    column by column (see ``_cells``) in chunks of ``_CHUNK_ROWS`` rows.
+    """
+    path = Path(path)
+    n_rows = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(_header(chash) + ",".join(names) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_cells(column[start:start + _CHUNK_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return path
+
+
+def write_json(path, payload: dict) -> Path:
+    """Write ``payload`` as sorted, indented JSON with a trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict] = None) -> dict:
+    """Analyze the post-transient window of ``returns``; write ccdf.csv, autocorr.csv, summary.json.
+
+    The reduction ratio compares the first 10 return magnitudes against the
+    window. ``extra`` entries are added to the summary. Returns the written
+    paths keyed ``ccdf``, ``autocorr`` and ``summary``.
+    """
+    window = post_transient(returns)
+    analysis = analyze_returns(window)
+    reduction = stats.reduction_ratio(np.abs(returns), 10, window.size)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    summary = {
+        "format": FORMAT_VERSION,
+        "config_hash": chash,
+        "variance": float(np.var(window)),
+        "reduction": reduction,
+        "analysis": analysis.summary(),
+        **(extra or {}),
+    }
+    return {
+        "ccdf": write_columns(outdir / "ccdf.csv", chash, ("x", "ccdf"),
+                              (analysis.ccdf.values, analysis.ccdf.probabilities)),
+        "autocorr": write_columns(outdir / "autocorr.csv", chash, ("lag", "autocorr"),
+                                  (np.arange(analysis.autocorr.size), analysis.autocorr)),
+        "summary": write_json(outdir / "summary.json", summary),
+    }
 
 
 def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -> dict:
     """Write run.csv, ccdf.csv, autocorr.csv, surprise.csv, summary.json, config.ini.
 
-    Statistics are computed on the post-transient (final-half) window; the
-    reduction ratio compares the first 10 return magnitudes against it.
+    Statistics are computed on the post-transient (final-half) window, as in
+    ``write_analysis``; the surprise statistics use the same half of the run.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -318,36 +385,15 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     files["config"] = outdir / "config.ini"
     files["config"].write_text(_header(chash) + emit_config(config))
 
-    buf = _io.StringIO()
-    buf.write(_header(chash))
-    buf.write("t,mu,tau,price,log_return\n")
-    taus = record.taus
-    for t in range(len(record.prices)):
-        tau = "" if math.isnan(taus[t]) else str(int(taus[t]))
-        ret = "" if t == 0 else _format_float(record.returns[t - 1])
-        buf.write(f"{t},{record.mus[t]},{tau},{_format_float(record.prices[t])},{ret}\n")
-    files["run"] = outdir / "run.csv"
-    files["run"].write_text(buf.getvalue())
+    missing_tau = np.isnan(record.taus)
+    tau = np.ma.masked_array(np.where(missing_tau, 0.0, record.taus).astype(np.int64),
+                             mask=missing_tau)
+    log_return = np.ma.concatenate((np.ma.masked_all(1), record.returns))  # none at t = 0
+    files["run"] = write_columns(outdir / "run.csv", chash, ("t", "mu", "tau", "price", "log_return"),
+                                 (np.arange(len(record.prices)), record.mus, tau, record.prices,
+                                  log_return))
 
-    window = post_transient(record.returns)
-    analysis = analyze_returns(window)
-    reduction = stats.reduction_ratio(np.abs(record.returns), 10, window.size)
-
-    files["ccdf"] = outdir / "ccdf.csv"
-    _write_columns(files["ccdf"], chash, ("x", "ccdf"),
-                   (analysis.ccdf.values, analysis.ccdf.probabilities))
-    files["autocorr"] = outdir / "autocorr.csv"
-    _write_columns(files["autocorr"], chash, ("lag", "autocorr"),
-                   (np.arange(analysis.autocorr.size), analysis.autocorr))
-
-    summary = {
-        "format": FORMAT_VERSION,
-        "config_hash": chash,
-        "seed": config.seed,
-        "variance": float(np.var(window)),
-        "reduction": reduction,
-        "analysis": analysis.summary(),
-    }
+    extra = {"seed": config.seed}
     half = len(record.prices) // 2
     if np.isfinite(record.taus[half:]).any():
         tail_rec = SimulationRecord(
@@ -361,30 +407,19 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
         except (SampleSizeError, DegenerateInputError):
             surprise = None
         if surprise is not None:
-            files["surprise"] = outdir / "surprise.csv"
-            _write_columns(files["surprise"], chash, ("tau_bin", "mean_abs_return", "count"),
-                           (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
-            summary["surprise"] = {"log_correlation": surprise.log_correlation}
+            files["surprise"] = write_columns(
+                outdir / "surprise.csv", chash, ("tau_bin", "mean_abs_return", "count"),
+                (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
+            extra["surprise"] = {"log_correlation": surprise.log_correlation}
             if surprise.tau_tail is not None:
-                summary["surprise"].update({
+                extra["surprise"].update({
                     "tau_ccdf_exponent": surprise.tau_tail.exponent,
                     "tau_density_exponent": surprise.tau_tail.exponent + 1.0,
                     "tau_ks_distance": surprise.tau_tail.ks_distance,
                     "tau_n_tail": surprise.tau_tail.n_tail,
                 })
-    files["summary"] = outdir / "summary.json"
-    files["summary"].write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    files.update(write_analysis(outdir, chash, record.returns, extra))
     return files
-
-
-def _write_columns(path, chash, names, columns):
-    buf = _io.StringIO()
-    buf.write(_header(chash))
-    buf.write(",".join(names) + "\n")
-    for row in zip(*columns):
-        buf.write(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else _format_float(v)
-                           for v in row) + "\n")
-    Path(path).write_text(buf.getvalue())
 
 
 def read_run_csv(path) -> dict:

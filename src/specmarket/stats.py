@@ -93,6 +93,11 @@ def hill_fit_ks(
     CCDF of the tail against ``(x / x_min)**-xi``. Ties in KS go to the larger
     tail. Samples with more candidates than ``max_cutoffs`` are scanned on a
     log-spaced subset of tail sizes (pass ``None`` to force the full scan).
+
+    The scan first brackets every candidate's KS distance on sampled ranks
+    (see ``_ks_bracket``) and drops those whose lower bound exceeds the
+    smallest upper bound; only the survivors get the full KS evaluation. The
+    dropped candidates cannot win, so the result equals the full scan's.
     """
     x = np.asarray(magnitudes, dtype=float)
     x = x[x > 0]
@@ -110,12 +115,20 @@ def hill_fit_ks(
         tails = np.unique(np.rint(grid).astype(np.int64))
     csum = np.cumsum(logx)
     hill_means = csum[tails - 1] / tails - logx[tails - 1]
+    eligible = ~(hill_means <= 0.0)  # degenerate tails of identical values are skipped
+    tails, hill_means = tails[eligible], hill_means[eligible]
+
+    for samples in _KS_SAMPLES:
+        if tails.size <= 1:
+            break
+        lower, upper = _ks_bracket(logx, tails, 1.0 / hill_means, samples)
+        # NaN bounds compare false, so they prune nothing
+        keep = ~(lower > upper.min() + _KS_TOLERANCE)
+        tails, hill_means = tails[keep], hill_means[keep]
 
     ranks = np.arange(1, n + 1, dtype=float)
     best: Optional[tuple[float, int, float]] = None  # (ks, n_tail, xi)
     for k, mean_log in zip(tails, hill_means):
-        if mean_log <= 0.0:  # degenerate tail of identical values
-            continue
         xi = 1.0 / mean_log
         model = np.exp(-xi * (logx[:k] - logx[k - 1]))
         ks = float(np.abs(ranks[:k] / k - model).max())
@@ -125,6 +138,42 @@ def hill_fit_ks(
         raise DegenerateInputError("all cutoff candidates have an empty log-spacing")
     ks, n_tail, xi = best
     return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
+
+
+#: sampled ranks per candidate in the successive bracketing passes of hill_fit_ks
+_KS_SAMPLES = (64, 1024, 8192)
+#: slack on the pruning threshold; it absorbs rounding in the bounds and lies
+#: far above float64 resolution, so it only ever keeps extra candidates
+_KS_TOLERANCE = 1e-12
+#: elements per block of a bracketing pass, which caps its memory
+_KS_BLOCK = 1 << 15
+
+
+def _ks_bracket(logx, tails, xis, samples):
+    """Lower and upper bounds on the KS distance of each candidate tail size.
+
+    With ``logx`` sorted descending, both the rank CCDF ``i / k`` and the model
+    ``exp(-xi (log x_i - log x_k))`` are nondecreasing in the rank ``i``. On
+    ``samples + 1`` ranks spread from 1 to ``k``, the largest sampled gap is a
+    lower bound, and between sampled ranks ``a < b`` the gap is at most
+    ``max(emp_b - model_a, model_b - emp_a)``. Tails of at most
+    ``samples + 1`` points have every rank sampled, so both bounds are the
+    distance itself.
+    """
+    samples = min(samples, int(tails.max()) - 1)
+    steps = np.arange(samples + 1)
+    lower = np.empty(tails.size)
+    upper = np.empty(tails.size)
+    rows = max(1, _KS_BLOCK // steps.size)
+    for start in range(0, tails.size, rows):
+        block = slice(start, start + rows)
+        k = tails[block, None]
+        ranks = 1 + steps * (k - 1) // samples
+        emp = ranks / k
+        model = np.exp(-xis[block, None] * (logx[ranks - 1] - logx[k - 1]))
+        lower[block] = np.abs(emp - model).max(axis=1)
+        upper[block] = np.maximum(emp[:, 1:] - model[:, :-1], model[:, 1:] - emp[:, :-1]).max(axis=1)
+    return lower, np.where(tails - 1 <= samples, lower, np.maximum(upper, lower))
 
 
 def autocorr_abs(returns: Sequence[float], max_lag: int) -> np.ndarray:

@@ -122,19 +122,22 @@ def test_criterion_5_phase_transition_bounds():
         records = run_batch([replace(base, seed=seed) for seed in range(n_seeds)])
         variances = [float(np.var(r.returns[r.returns.size // 2:])) for r in records]
         measured[alpha] = float(np.exp(np.mean(np.log(np.sort(variances)))))
-    inside = {}
-    for alpha in alphas:
-        b = bounds[alpha]
+
+    def clipped(x):
         # collapsed markets sit at numerical noise far below the 2**-D scale
-        # of the analytic curves; clip both to the float64 discrimination floor
-        value = max(measured[alpha], VAR_FLOOR)
-        upper = max(b.upper, VAR_FLOOR)
-        lower = min(b.lower, value)
+        # of the analytic curves; values and bounds are clipped to the float64
+        # discrimination floor and marked where the clip applies
+        return max(x, VAR_FLOOR), f"{max(x, VAR_FLOOR):.2e}{' (floor)' if x < VAR_FLOOR else ''}"
+
+    inside, shown = {}, {}
+    for alpha in alphas:
+        (value, v_text), (lower, l_text), (upper, u_text) = (
+            clipped(measured[alpha]), clipped(bounds[alpha].lower), clipped(bounds[alpha].upper))
         inside[alpha] = lower <= value <= upper
+        shown[alpha] = f"{v_text} in [{l_text}, {u_text}]"
     drop = measured[2.0] / max(measured[0.25], 1e-300)
     ok = all(inside.values()) and drop >= 100.0
-    detail = ", ".join(f"a={a}: {measured[a]:.2e} in [{bounds[a].lower:.1e}, {bounds[a].upper:.1e}]"
-                       f"{'' if inside[a] else ' OUT'}" for a in alphas)
+    detail = ", ".join(f"a={a}: {shown[a]}{'' if inside[a] else ' OUT'}" for a in alphas)
     report(5, ok, f"{detail}; drop a=2 -> a=1/4 is {drop:.1e}x (>= 100x)")
 
 

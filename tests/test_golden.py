@@ -1,13 +1,18 @@
-"""Pinned trajectories: equal configs give the same bits across versions.
+"""Pinned trajectories and artifacts: equal configs give the same bits across versions.
 
 Each case hashes the six per-step outputs of ``run`` (dtype, shape and raw
 bytes, in a fixed order). A refactor of the engine must leave every digest
 unchanged; a change that alters trajectories on purpose re-pins them and says
-so.
+so. The artifact cases pin the sha256 of every file that
+``write_run_artifact`` and the ``stats``, ``sweep`` and ``compare`` commands
+write, so estimator and writer changes must keep the bytes too.
 """
 
+import datetime
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specmarket import (
@@ -19,6 +24,8 @@ from specmarket import (
     run,
     uniform_weights,
 )
+from specmarket.cli import main
+from specmarket.io import emit_config, write_run_artifact
 
 FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals")
 
@@ -63,3 +70,75 @@ def record_digest(record) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(case):
     assert record_digest(run(CASES[case])) == GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# artifact bytes: the files that write_run_artifact and the CLI writers emit
+# ---------------------------------------------------------------------------
+
+ARTIFACT_CASES = ("endogenous", "exogenous_exp")  # exogenous_exp has NaN taus and surprise.csv
+
+GOLDEN_ARTIFACTS = {
+    "endogenous": {
+        "autocorr.csv": "efdba77283649f54319176a9111a2c5ffa64dc30fdbdaa25d9d6ee1fbc047d8f",
+        "ccdf.csv": "601b9e6d9e5289a8c53dcbc9ba7be8316ebef48f8874dc8e7ccd96d4f7861740",
+        "config.ini": "48aa78a2b87121641f9857f5fc4274a42ae98969c6a30854d9995534b2469b88",
+        "run.csv": "84379cfe7e7dcccc2f1f3300a2c82588ed6d3a83d22ffc077072863a9d3bf969",
+        "summary.json": "ff29f8b93f67b04f607f83bb526ec2334ea3a893fd87b0eac8aa6d416aea124e",
+        "surprise.csv": "eefb433edaa9e201e86aa050810d47a3f83264a1b32c95b31adbe88841dc23e5",
+    },
+    "exogenous_exp": {
+        "autocorr.csv": "b0a575a6372dabc9b0b1da0e255f9cd794762f3bdc533776d0dadfb0057ec8b2",
+        "ccdf.csv": "513d73318b3707b432c90c9f06289c6e98a02bcd464c8793c394f3dda7765d62",
+        "config.ini": "b13d6f2b7e390793fdae89e339e2bb793980ed8fda4c44c8fb40b058c392431c",
+        "run.csv": "8a7304400dbe3581bc78058c611041ce4415a044790870ef5c73d83399a673bf",
+        "summary.json": "52e6524bc968b539b055316aff887753ed17e1fbbe8dced5a57334f3f23b26bf",
+        "surprise.csv": "415659f34e342ec6074a5deeaee46ae68f9a31ae16b2c90c9cb033829416a8bc",
+    },
+}
+
+GOLDEN_CLI = {
+    "compare": {
+        "compare_autocorr.csv": "f9671f083928d170d7ae3eede8806089adf2cab79a494d7c64ce957ffbcc2f91",
+        "compare_ccdf.csv": "efa8231e5f840d85a19daf1e4d11da1aa7044a898b75bc5daf450aff513e99df",
+        "compare_summary.json": "fcd4d8351390f8f8c47d7cb0740dab016341083357967bd1d9728f50700846b3",
+    },
+    "stats": {
+        "autocorr.csv": "efdba77283649f54319176a9111a2c5ffa64dc30fdbdaa25d9d6ee1fbc047d8f",
+        "ccdf.csv": "601b9e6d9e5289a8c53dcbc9ba7be8316ebef48f8874dc8e7ccd96d4f7861740",
+        "summary.json": "5f19a2f889778cacaa5c34aaed0ec3ab2a3f712bb15f0ededb3a0be15c7b9d5c",
+    },
+    "sweep": {"grid.csv": "fb24a57459d418176e3b4741b3ad39faac63110eabeb92326fbcf4a67b3c9a20"},
+}
+
+
+def file_digests(paths) -> dict:
+    return {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CASES)
+def test_golden_artifact_bytes(case, tmp_path):
+    files = write_run_artifact(tmp_path, CASES[case], run(CASES[case]))
+    assert file_digests(files.values()) == GOLDEN_ARTIFACTS[case]
+
+
+def test_golden_cli_bytes(tmp_path):
+    config = CASES["endogenous"]
+    write_run_artifact(tmp_path / "sim", config, run(config))
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(emit_config(config) + "\n[sweep]\naxes = alpha\nalpha = 0.25, 2\nrepetitions = 2\n")
+    closes = 50.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, size=400)))
+    day = datetime.date(1990, 1, 1)
+    empirical = tmp_path / "emp.csv"
+    empirical.write_text("".join(f"{day + datetime.timedelta(days=i)},{float(c)!r}\n"
+                                 for i, c in enumerate(closes)))
+    outputs = {}
+    for name, argv in (
+        ("stats", ["stats", "--input", str(tmp_path / "sim" / "run.csv")]),
+        ("sweep", ["sweep", "--config", str(ini)]),
+        ("compare", ["compare", "--config", str(ini), "--empirical", str(empirical)]),
+    ):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs[name] = file_digests(sorted(out.iterdir()))
+    assert outputs == GOLDEN_CLI

@@ -1,11 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from specmarket import run
 from specmarket.errors import DegenerateInputError, SampleSizeError
+from specmarket.io import parse_market_config, post_transient
 from specmarket.market import SimulationRecord
 from specmarket.stats import (
+    DEFAULT_MAX_CUTOFFS,
+    TailFit,
     autocorr_abs,
     ccdf_rank_ordered,
     gini,
@@ -89,6 +96,102 @@ class TestHillFit:
     def test_tail_floor_respected(self):
         fit = hill_fit_ks(np.random.default_rng(10).pareto(2.0, size=500) + 1.0)
         assert fit.n_tail >= 10
+
+
+def reference_hill_fit_ks(magnitudes, min_tail=10, max_cutoffs=DEFAULT_MAX_CUTOFFS):
+    """The full KS scan: every candidate's KS distance is evaluated over its whole tail."""
+    x = np.asarray(magnitudes, dtype=float)
+    x = x[x > 0]
+    if x.size < 100:
+        raise SampleSizeError(f"hill_fit_ks needs >= 100 positive values, got {x.size}")
+    if min_tail < 2:
+        raise ValueError("min_tail must be >= 2")
+    x = np.sort(x)[::-1]
+    logx = np.log(x)
+    n = x.size
+
+    tails = np.arange(min_tail, n + 1)
+    if max_cutoffs is not None and tails.size > max_cutoffs:
+        grid = np.geomspace(min_tail, n, max_cutoffs)
+        tails = np.unique(np.rint(grid).astype(np.int64))
+    csum = np.cumsum(logx)
+    hill_means = csum[tails - 1] / tails - logx[tails - 1]
+
+    ranks = np.arange(1, n + 1, dtype=float)
+    best = None  # (ks, n_tail, xi)
+    for k, mean_log in zip(tails, hill_means):
+        if mean_log <= 0.0:  # degenerate tail of identical values
+            continue
+        xi = 1.0 / mean_log
+        model = np.exp(-xi * (logx[:k] - logx[k - 1]))
+        ks = float(np.abs(ranks[:k] / k - model).max())
+        if best is None or ks <= best[0]:
+            best = (ks, int(k), xi)
+    if best is None:
+        raise DegenerateInputError("all cutoff candidates have an empty log-spacing")
+    ks, n_tail, xi = best
+    return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
+
+
+def generated_sample(kind, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "pareto":
+        return rng.pareto(shape, size=n) + 1.0
+    if kind == "lognormal":
+        return rng.lognormal(sigma=shape, size=n)
+    if kind == "exponential":
+        return rng.exponential(scale=shape, size=n)
+    # integer-valued like tau: heavy ties, and tails of identical values
+    return np.floor(rng.pareto(shape, size=n) + 1.0)
+
+
+@st.composite
+def hill_cases(draw):
+    max_cutoffs = draw(st.one_of(st.none(), st.integers(5, 3000)))
+    # log-uniform n; the reference scan is quadratic in n without a cutoff grid
+    log_n = draw(st.floats(2.0, math.log10(3000 if max_cutoffs is None else 50_000)))
+    return dict(
+        kind=draw(st.sampled_from(["pareto", "lognormal", "exponential", "integer"])),
+        n=round(10 ** log_n),
+        shape=draw(st.floats(0.3, 4.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        min_tail=draw(st.integers(2, 50)),
+        max_cutoffs=max_cutoffs,
+    )
+
+
+def assert_same_fit(x, min_tail, max_cutoffs):
+    try:
+        expected = reference_hill_fit_ks(x, min_tail, max_cutoffs)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            hill_fit_ks(x, min_tail, max_cutoffs)
+        return
+    assert hill_fit_ks(x, min_tail, max_cutoffs) == expected
+
+
+class TestHillFitOracle:
+    """The pruned scan returns exactly the full scan's fit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hill_cases())
+    def test_equals_full_scan(self, case):
+        x = generated_sample(case["kind"], case["n"], case["shape"], case["seed"])
+        assert_same_fit(x, case["min_tail"], case["max_cutoffs"])
+
+    @pytest.mark.parametrize("kind,n", [("pareto", 100_000), ("integer", 20_000),
+                                        ("lognormal", 20_000), ("exponential", 20_000)])
+    def test_equals_full_scan_at_default_grid(self, kind, n):
+        assert_same_fit(generated_sample(kind, n, 2.0, 11), 10, DEFAULT_MAX_CUTOFFS)
+
+    def test_equals_full_scan_on_market_ini(self):
+        """The two fits that ``simulate configs/market.ini`` writes: window and tau sample."""
+        config = parse_market_config(Path(__file__).parents[1] / "configs" / "market.ini")
+        record = run(config)
+        window = np.abs(normalize_by_std(post_transient(record.returns)))
+        taus = post_transient(record.taus)[1:]
+        for x in (window, taus[np.isfinite(taus)]):
+            assert_same_fit(x, 10, DEFAULT_MAX_CUTOFFS)
 
 
 class TestAutocorr:

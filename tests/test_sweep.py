@@ -159,14 +159,17 @@ class TestRunSweep:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
     def test_parallel_scaling_sanity(self):
         cfg = base_config(n_speculators=1024, info_mode=Endogenous(8), horizon=100_000)
-        t0 = time.perf_counter()
-        run(cfg)
-        single = time.perf_counter() - t0
         spec = SweepSpec(base=cfg, axes=(SweepAxis("use_param", (0.5,)),),
                          repetitions=4, metrics=("variance",))
-        t0 = time.perf_counter()
-        run_sweep(spec, workers=2)
-        elapsed = time.perf_counter() - t0
+        # interleaved best of 3, so that load from other processes hits both sides
+        single = elapsed = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run(cfg)
+            single = min(single, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            run_sweep(spec, workers=2)
+            elapsed = min(elapsed, time.perf_counter() - t0)
         assert elapsed <= (4 / 2 + 1) * single * 1.3
 
 

@@ -115,8 +115,8 @@ def variance_curve(dimension: int, alphas: Sequence[float]) -> list[VarianceBoun
     """Lower/heuristic/upper Var(r) predictions at each alpha, with N_s = D / alpha."""
     out = []
     for alpha in alphas:
-        if alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {alpha}")
+        if not (0 < alpha < math.inf):
+            raise ConfigError(f"alpha must be positive and finite, got {alpha}")
         n_spec = max(1, round(dimension / alpha))
         v0 = var_r0(n_spec)
         lower = v0 * p_cant_cancel(dimension, n_spec, "full")

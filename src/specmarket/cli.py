@@ -14,15 +14,10 @@ from .errors import SpecmarketError
 from .market import run
 
 
-def _add_common(parser, threads=False, needs_config=True):
-    if needs_config:
-        parser.add_argument("--config", required=True, help="INI config file")
+def _add_common(parser):
+    parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="format of the tabular outputs")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,21 +31,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="run a parameter grid and write node aggregates")
-    _add_common(p, threads=True)
+    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="grid.csv or grid.json")
+    p.add_argument("--threads", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("stats", help="re-analyze a stored run.csv")
     p.add_argument("--input", required=True, help="run.csv produced by simulate")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="accepted for interface symmetry")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("bounds", help="emit the analytic variance-bound table")
     p.add_argument("--states", type=int, required=True, help="strategy-space dimension D")
     p.add_argument("--alphas", required=True,
                    help="comma-separated alpha = D/N_s values, e.g. 0.03125,0.0625,...,8")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="accepted for interface symmetry")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="bounds.csv or bounds.json")
 
     p = sub.add_parser("compare", help="overlay a model run with an empirical daily series")
     _add_common(p)
@@ -74,7 +69,6 @@ def cmd_sweep(args) -> int:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
     result = sweep.run_sweep(spec, workers=args.threads)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(spec.base)
     axis_names = [axis.name for axis in spec.axes]
 
@@ -89,8 +83,7 @@ def cmd_sweep(args) -> int:
             })
     if args.format == "json":
         payload = {
-            "format": io.FORMAT_VERSION, "config_hash": chash,
-            "base_seed": result.base_seed, "repetitions": result.repetitions,
+            "config_hash": chash, "base_seed": spec.base.seed, "repetitions": spec.repetitions,
             "grid": rows,
             "failures": [
                 {"node": node.index, "repetition": i, "reason": rep.error}
@@ -105,8 +98,8 @@ def cmd_sweep(args) -> int:
         columns += [[row["metric"] for row in rows],
                     np.ma.masked_invalid(values),  # failed nodes and non-finite values stay empty
                     np.array([row["n_runs"] for row in rows])]
-        io.write_columns(outdir / "grid.csv", chash, axis_names + ["metric", "value", "n_runs"],
-                         columns)
+        io.write_columns(outdir / "grid.csv", ("config-hash", chash),
+                         axis_names + ["metric", "value", "n_runs"], columns)
     n_failed = sum(1 for node in result.nodes for rep in node.reps if rep.error)
     print(f"sweep: {len(result.nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
     return 0
@@ -125,22 +118,20 @@ def cmd_bounds(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
         raise SpecmarketError(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
+    if not alphas:
+        raise SpecmarketError("--alphas must list at least one value")
     curve = analytics.variance_curve(args.states, alphas)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        payload = {
-            "format": io.FORMAT_VERSION, "states": args.states,
-            "bounds": [vars(b) for b in curve],
-        }
-        io.write_json(outdir / "bounds.json", payload)
+        io.write_json(outdir / "bounds.json",
+                      {"states": args.states, "bounds": [vars(b) for b in curve]})
     else:
-        lines = [f"# specmarket-format: {io.FORMAT_VERSION}\n# states: {args.states}\n",
-                 "alpha,n_speculators,lower,heuristic,upper\n"]
-        for b in curve:
-            n_spec = max(1, round(args.states / b.alpha))
-            lines.append(f"{b.alpha!r},{n_spec},{b.lower!r},{b.heuristic!r},{b.upper!r}\n")
-        (outdir / "bounds.csv").write_text("".join(lines))
+        io.write_columns(outdir / "bounds.csv", ("states", args.states),
+                         ("alpha", "n_speculators", "lower", "heuristic", "upper"),
+                         ([b.alpha for b in curve],
+                          [max(1, round(args.states / b.alpha)) for b in curve],
+                          [b.lower for b in curve], [b.heuristic for b in curve],
+                          [b.upper for b in curve]))
     print(f"bounds: {len(curve)} alpha values at D = {args.states}")
     return 0
 
@@ -164,17 +155,16 @@ def cmd_compare(args) -> int:
     model = io.analyze_returns(window)
     emp = io.analyze_returns(emp_returns)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     chash = io.config_hash(config)
-    io.write_columns(outdir / "compare_ccdf.csv", chash,
+    tag = ("config-hash", chash)
+    io.write_columns(outdir / "compare_ccdf.csv", tag,
                      ("ccdf", "model_x", "empirical_x"),
                      (model.ccdf.probabilities, model.ccdf.values, emp.ccdf.values))
     max_lag = min(model.autocorr.size, emp.autocorr.size) - 1
-    io.write_columns(outdir / "compare_autocorr.csv", chash,
+    io.write_columns(outdir / "compare_autocorr.csv", tag,
                      ("lag", "model_autocorr", "empirical_autocorr"),
                      (np.arange(max_lag + 1), model.autocorr[: max_lag + 1], emp.autocorr[: max_lag + 1]))
     summary = {
-        "format": io.FORMAT_VERSION,
         "config_hash": chash,
         "n_compared": int(emp_returns.size),
         "model": model.summary(),
@@ -199,10 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SpecmarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpecmarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ import configparser
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +26,7 @@ from .market import (
     MarketConfig,
     Mixed,
     SimulationRecord,
+    check_strategy_size,
     exponential_weights,
     uniform_weights,
     validate_config,
@@ -34,16 +35,6 @@ from .sweep import SweepAxis, SweepSpec
 from . import stats
 
 FORMAT_VERSION = 1
-
-_MARKET_KEYS = {
-    "n_speculators", "n_producers", "producer_kind", "use_param",
-    "epsilon", "horizon", "seed", "record_agents",
-}
-_INFO_KEYS = {
-    "mode", "memory_bits", "distribution", "states", "rate", "weights",
-    "endo_bits", "exo_bits", "exo_distribution", "exo_states", "exo_rate", "exo_weights",
-}
-_SWEEP_KEYS = {"axes", "repetitions", "metrics"}
 
 
 # ---------------------------------------------------------------------------
@@ -95,62 +86,88 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _to_word(raw: str) -> str:
+    return raw.strip().lower()
+
+
+def _to_words(raw: str) -> tuple:
+    """Items of a list separated by commas and/or whitespace."""
+    return tuple(p for chunk in raw.split(",") for p in chunk.split())
+
+
 def _to_floats(raw: str) -> np.ndarray:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    return np.array([_to_float(p) for p in parts])
+    return np.array([_to_float(p) for p in _to_words(raw)])
+
+
+_MARKET_KEYS = {
+    "n_speculators": _to_int, "n_producers": _to_int, "producer_kind": _to_word,
+    "use_param": _to_float, "epsilon": _to_float, "horizon": _to_int, "seed": _to_int,
+    "record_agents": _to_bool,
+}
+_REQUIRED_MARKET_KEYS = {f.name for f in fields(MarketConfig) if f.default is MISSING}
+_INFO_KEYS = {
+    "mode", "memory_bits", "distribution", "states", "rate", "weights",
+    "endo_bits", "exo_bits", "exo_distribution", "exo_states", "exo_rate", "exo_weights",
+}
+_SWEEP_KEYS = {"repetitions": _to_int, "metrics": _to_words}
 
 
 def _reject_unknown(parser, section, known):
     if section not in parser:
         return
-    unknown = set(parser[section]) - known
+    unknown = set(parser[section]).difference(known)
     if unknown:
         raise ConfigError(f"unknown key {section}.{sorted(unknown)[0]}")
 
 
-def _parse_weights(section, prefix, where):
+def _parse_weights(section, prefix, n_agents):
     """Common weight-vector grammar: explicit list or a named distribution."""
     w_key = f"{prefix}weights"
     d_key = f"{prefix}distribution"
     if section.get(w_key) is not None:
         if section.get(d_key) is not None:
-            raise ConfigError(f"{where}.{w_key} and {where}.{d_key} are mutually exclusive")
-        return _get(section, w_key, _to_floats, where)
-    dist = _get(section, d_key, str, where).strip().lower()
-    states = _get(section, f"{prefix}states", _to_int, where)
+            raise ConfigError(f"info.{w_key} and info.{d_key} are mutually exclusive")
+        return _get(section, w_key, _to_floats, "info")
+    dist = _get(section, d_key, _to_word, "info")
+    states = _get(section, f"{prefix}states", _to_int, "info")
+    check_strategy_size(states, n_agents, f"info.{prefix}states")
     if dist == "uniform":
         return uniform_weights(states)
     if dist == "exp":
-        rate = _get(section, f"{prefix}rate", _to_float, where)
+        rate = _get(section, f"{prefix}rate", _to_float, "info")
         return exponential_weights(rate, states)
-    raise ConfigError(f"{where}.{d_key} must be 'uniform' or 'exp', got {dist!r}")
+    raise ConfigError(f"info.{d_key} must be 'uniform' or 'exp', got {dist!r}")
 
 
-def parse_info_mode(parser: configparser.ConfigParser):
+def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
+    """The [info] section's information mode, for a market of ``n_agents`` agents."""
     if "info" not in parser:
         raise ConfigError("info section is required")
     section = parser["info"]
     _reject_unknown(parser, "info", _INFO_KEYS)
-    mode = _get(section, "mode", str, "info").strip().lower()
+    mode = _get(section, "mode", _to_word, "info")
     if mode == "endogenous":
         return Endogenous(_get(section, "memory_bits", _to_int, "info"))
     if mode == "exogenous":
-        return Exogenous(_parse_weights(section, "", "info"))
+        return Exogenous(_parse_weights(section, "", n_agents))
     if mode == "mixed":
         return Mixed(
             endo_bits=_get(section, "endo_bits", _to_int, "info"),
             exo_bits=_get(section, "exo_bits", _to_int, "info"),
-            exo_weights=_parse_weights(section, "exo_", "info"),
+            exo_weights=_parse_weights(section, "exo_", n_agents),
         )
     raise ConfigError(f"info.mode must be endogenous, exogenous or mixed, got {mode!r}")
 
 
 def parse_market_config(path) -> MarketConfig:
-    """Parse a market config file; unknown keys are rejected, defaults documented.
+    """Parse a market config file; unknown keys are rejected.
 
-    Defaults: epsilon 1e-10, n_producers 0 (deterministic), record_agents false.
+    Keys left out of [market] take the defaults of :class:`MarketConfig`.
     """
-    parser = _read_ini(path)
+    return _parse_market(_read_ini(path))
+
+
+def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     if "market" not in parser:
         raise ConfigError("market section is required")
     for name in parser.sections():
@@ -158,45 +175,35 @@ def parse_market_config(path) -> MarketConfig:
             raise ConfigError(f"unknown section [{name}]")
     _reject_unknown(parser, "market", _MARKET_KEYS)
     section = parser["market"]
-    config = MarketConfig(
-        n_speculators=_get(section, "n_speculators", _to_int, "market"),
-        n_producers=_get(section, "n_producers", _to_int, "market") if "n_producers" in section else 0,
-        producer_kind=section.get("producer_kind", "deterministic").strip().lower(),
-        use_param=_get(section, "use_param", _to_float, "market"),
-        epsilon=_get(section, "epsilon", _to_float, "market") if "epsilon" in section else 1e-10,
-        info_mode=parse_info_mode(parser),
-        horizon=_get(section, "horizon", _to_int, "market"),
-        seed=_get(section, "seed", _to_int, "market"),
-        record_agents=_get(section, "record_agents", _to_bool, "market") if "record_agents" in section else False,
-    )
+    config = MarketConfig(info_mode=None, **{
+        key: _get(section, key, convert, "market")
+        for key, convert in _MARKET_KEYS.items()
+        if key in section or key in _REQUIRED_MARKET_KEYS
+    })
+    # the agent count, defaults applied, bounds the state count before any weights are built
+    config = replace(config, info_mode=parse_info_mode(parser, config.n_agents))
     validate_config(config)
     return config
 
 
 def parse_sweep_spec(path) -> SweepSpec:
-    """Parse a sweep config: the market sections plus a [sweep] section."""
-    base = parse_market_config(path)
+    """Parse a sweep config: the market sections plus a [sweep] section.
+
+    Keys left out of [sweep] take the defaults of :class:`SweepSpec`.
+    """
     parser = _read_ini(path)
+    base = _parse_market(parser)
     if "sweep" not in parser:
         raise ConfigError("sweep section is required")
     section = parser["sweep"]
-    axis_names = [a.strip() for chunk in _get(section, "axes", str, "sweep").split(",")
-                  for a in chunk.split() if a.strip()]
-    known = _SWEEP_KEYS | set(axis_names)
-    _reject_unknown(parser, "sweep", known)
-    axes = []
-    for name in axis_names:
-        values = _get(section, name, _to_floats, "sweep")
-        if name in ("n_states", "n_speculators", "n_producers"):
-            values = values.astype(int)
-        axes.append(SweepAxis(name, tuple(values.tolist())))
-    repetitions = _get(section, "repetitions", _to_int, "sweep") if "repetitions" in section else 50
-    if "metrics" in section:
-        metrics = tuple(m.strip() for chunk in section["metrics"].split(",")
-                        for m in chunk.split() if m.strip())
-    else:
-        metrics = ("variance", "kurtosis", "reduction")
-    spec = SweepSpec(base=base, axes=tuple(axes), repetitions=repetitions, metrics=metrics)
+    axis_names = _get(section, "axes", _to_words, "sweep")
+    _reject_unknown(parser, "sweep", {"axes", *_SWEEP_KEYS, *axis_names})
+    axes = tuple(SweepAxis(name, tuple(_get(section, name, _to_floats, "sweep").tolist()))
+                 for name in axis_names)
+    spec = SweepSpec(base=base, axes=axes, **{
+        key: _get(section, key, convert, "sweep")
+        for key, convert in _SWEEP_KEYS.items() if key in section
+    })
     spec.validate()
     return spec
 
@@ -274,12 +281,11 @@ class ReturnsAnalysis:
         }
 
 
-def analyze_returns(returns: np.ndarray, max_lag: Optional[int] = None) -> ReturnsAnalysis:
-    """The single estimator path: normalize, rank-order, Hill fit, autocorrelate."""
+def analyze_returns(returns: np.ndarray) -> ReturnsAnalysis:
+    """The single estimator path: normalize, rank-order, Hill fit, autocorrelate (to lag 1000)."""
     normalized = stats.normalize_by_std(returns)
     magnitudes = np.abs(normalized)
-    if max_lag is None:
-        max_lag = min(1000, normalized.size - 2)
+    max_lag = min(1000, normalized.size - 2)
     return ReturnsAnalysis(
         n=int(normalized.size),
         kurtosis=stats.kurtosis(normalized),
@@ -302,8 +308,8 @@ def post_transient(returns: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 1 << 13
 
 
-def _header(chash: str) -> str:
-    return f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: {chash}\n"
+def _header(key: str, value) -> str:
+    return f"# specmarket-format: {FORMAT_VERSION}\n# {key}: {value}\n"
 
 
 def _cells(column) -> list:
@@ -319,16 +325,19 @@ def _cells(column) -> list:
     return text
 
 
-def write_columns(path, chash: str, names, columns) -> Path:
-    """Write a specmarket CSV: format header, column names, one row per index.
+def write_columns(path, tag: tuple, names, columns) -> Path:
+    """Write a specmarket CSV: format header, ``# key: value`` tag line, column names, rows.
 
-    ``columns`` are equal-length arrays or sequences; they are formatted
-    column by column (see ``_cells``) in chunks of ``_CHUNK_ROWS`` rows.
+    ``tag`` is ``("config-hash", hash)`` for the outputs of a config and
+    ``("states", D)`` for the analytic bounds. ``columns`` are equal-length
+    arrays or sequences, formatted column by column (see ``_cells``) in
+    chunks of ``_CHUNK_ROWS`` rows.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     n_rows = len(columns[0])
     with open(path, "w") as fh:
-        fh.write(_header(chash) + ",".join(names) + "\n")
+        fh.write(_header(*tag) + ",".join(names) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
             cells = [_cells(column[start:start + _CHUNK_ROWS]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -336,9 +345,10 @@ def write_columns(path, chash: str, names, columns) -> Path:
 
 
 def write_json(path, payload: dict) -> Path:
-    """Write ``payload`` as sorted, indented JSON with a trailing newline."""
+    """Write ``payload`` and the format version as sorted, indented JSON with a trailing newline."""
     path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"format": FORMAT_VERSION, **payload}, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -353,9 +363,8 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
     analysis = analyze_returns(window)
     reduction = stats.reduction_ratio(np.abs(returns), 10, window.size)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    tag = ("config-hash", chash)
     summary = {
-        "format": FORMAT_VERSION,
         "config_hash": chash,
         "variance": float(np.var(window)),
         "reduction": reduction,
@@ -363,9 +372,9 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
         **(extra or {}),
     }
     return {
-        "ccdf": write_columns(outdir / "ccdf.csv", chash, ("x", "ccdf"),
+        "ccdf": write_columns(outdir / "ccdf.csv", tag, ("x", "ccdf"),
                               (analysis.ccdf.values, analysis.ccdf.probabilities)),
-        "autocorr": write_columns(outdir / "autocorr.csv", chash, ("lag", "autocorr"),
+        "autocorr": write_columns(outdir / "autocorr.csv", tag, ("lag", "autocorr"),
                                   (np.arange(analysis.autocorr.size), analysis.autocorr)),
         "summary": write_json(outdir / "summary.json", summary),
     }
@@ -380,44 +389,44 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
+    tag = ("config-hash", chash)
     files = {}
 
     files["config"] = outdir / "config.ini"
-    files["config"].write_text(_header(chash) + emit_config(config))
+    files["config"].write_text(_header(*tag) + emit_config(config))
 
     missing_tau = np.isnan(record.taus)
     tau = np.ma.masked_array(np.where(missing_tau, 0.0, record.taus).astype(np.int64),
                              mask=missing_tau)
     log_return = np.ma.concatenate((np.ma.masked_all(1), record.returns))  # none at t = 0
-    files["run"] = write_columns(outdir / "run.csv", chash, ("t", "mu", "tau", "price", "log_return"),
+    files["run"] = write_columns(outdir / "run.csv", tag, ("t", "mu", "tau", "price", "log_return"),
                                  (np.arange(len(record.prices)), record.mus, tau, record.prices,
                                   log_return))
 
     extra = {"seed": config.seed}
     half = len(record.prices) // 2
-    if np.isfinite(record.taus[half:]).any():
-        tail_rec = SimulationRecord(
-            prices=record.prices[half:], returns=record.returns[half:],
-            mus=record.mus[half:], taus=record.taus[half:],
-            mean_spec_capital=record.mean_spec_capital[half:],
-            final_spec_capitals=record.final_spec_capitals,
-        )
-        try:
-            surprise = stats.surprise_stats(tail_rec)
-        except (SampleSizeError, DegenerateInputError):
-            surprise = None
-        if surprise is not None:
-            files["surprise"] = write_columns(
-                outdir / "surprise.csv", chash, ("tau_bin", "mean_abs_return", "count"),
-                (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
-            extra["surprise"] = {"log_correlation": surprise.log_correlation}
-            if surprise.tau_tail is not None:
-                extra["surprise"].update({
-                    "tau_ccdf_exponent": surprise.tau_tail.exponent,
-                    "tau_density_exponent": surprise.tau_tail.exponent + 1.0,
-                    "tau_ks_distance": surprise.tau_tail.ks_distance,
-                    "tau_n_tail": surprise.tau_tail.n_tail,
-                })
+    tail_rec = SimulationRecord(
+        prices=record.prices[half:], returns=record.returns[half:],
+        mus=record.mus[half:], taus=record.taus[half:],
+        mean_spec_capital=record.mean_spec_capital[half:],
+        final_spec_capitals=record.final_spec_capitals,
+    )
+    try:
+        surprise = stats.surprise_stats(tail_rec)
+    except (SampleSizeError, DegenerateInputError):  # e.g. no state recurs in the window
+        surprise = None
+    if surprise is not None:
+        files["surprise"] = write_columns(
+            outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
+            (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
+        extra["surprise"] = {"log_correlation": surprise.log_correlation}
+        if surprise.tau_tail is not None:
+            extra["surprise"].update({
+                "tau_ccdf_exponent": surprise.tau_tail.exponent,
+                "tau_density_exponent": surprise.tau_tail.exponent + 1.0,
+                "tau_ks_distance": surprise.tau_tail.ks_distance,
+                "tau_n_tail": surprise.tau_tail.n_tail,
+            })
     files.update(write_analysis(outdir, chash, record.returns, extra))
     return files
 

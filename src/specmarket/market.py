@@ -42,7 +42,7 @@ _MAX_STRATEGY_BYTES = 1 << 32
 # information modes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Endogenous:
     """Information built from the signs of the last ``memory_bits`` log returns."""
 
@@ -57,12 +57,6 @@ class Endogenous:
             raise ConfigError(
                 f"info_mode.memory_bits must be a positive integer, got {self.memory_bits!r}"
             )
-
-    def __eq__(self, other):
-        return isinstance(other, Endogenous) and other.memory_bits == self.memory_bits
-
-    def __hash__(self):
-        return hash((Endogenous, self.memory_bits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +202,14 @@ def validate_config(config: MarketConfig) -> None:
     if not isinstance(config.info_mode, (Endogenous, Exogenous, Mixed)):
         raise ConfigError(f"info_mode must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
     config.info_mode.validate()
-    if config.n_states * config.n_agents > _MAX_STRATEGY_BYTES:
+    check_strategy_size(config.n_states, config.n_agents, "info_mode/n_speculators")
+
+
+def check_strategy_size(n_states: int, n_agents: int, field: str) -> None:
+    """Raise :class:`ConfigError` naming ``field`` if the strategy matrix exceeds the cap."""
+    if n_states * max(n_agents, 1) > _MAX_STRATEGY_BYTES:
         raise ConfigError(
-            "info_mode/n_speculators: strategy matrix of "
-            f"{config.n_states} x {config.n_agents} bits exceeds the supported size"
+            f"{field}: strategy matrix of {n_states} x {n_agents} bits exceeds the supported size"
         )
 
 
@@ -331,10 +329,9 @@ def _return_bit(state: MarketState) -> int:
     return int(state.rng.random() < 0.5)
 
 
-def next_information(state: MarketState, mode: Optional[InformationMode] = None) -> int:
+def next_information(state: MarketState) -> int:
     """Next information index; shifts in the return sign (endogenous) or samples (exogenous)."""
-    if mode is None:
-        mode = state.config.info_mode
+    mode = state.config.info_mode
     if isinstance(mode, Endogenous):
         return ((state.mu << 1) | _return_bit(state)) % mode.n_states
     if isinstance(mode, Exogenous):

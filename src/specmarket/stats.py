@@ -53,7 +53,6 @@ class SurpriseSummary:
     bin_means: np.ndarray       # mean |r| per bin
     bin_counts: np.ndarray
     log_correlation: float      # Pearson correlation of log tau with log |r|
-    tau_ccdf: CcdfCurve
     tau_tail: Optional[TailFit]  # None when there are too few recurrences to fit
 
 
@@ -100,6 +99,9 @@ def hill_fit_ks(
     dropped candidates cannot win, so the result equals the full scan's.
     """
     x = np.asarray(magnitudes, dtype=float)
+    n_bad = int(np.count_nonzero(~np.isfinite(x)))
+    if n_bad:
+        raise ValueError(f"magnitudes must be finite, got {n_bad} non-finite values")
     x = x[x > 0]
     if x.size < 100:
         raise SampleSizeError(f"hill_fit_ks needs >= 100 positive values, got {x.size}")
@@ -262,14 +264,13 @@ def surprise_stats(
     record: SimulationRecord,
     bins_per_decade: int = 10,
     min_bin_count: int = 20,
-    max_cutoffs: Optional[int] = DEFAULT_MAX_CUTOFFS,
 ) -> SurpriseSummary:
     """Relate return magnitudes to the age tau of their information states.
 
     Pairs each step's tau with the magnitude of the return realized at that
     step, then reports (i) mean |r| in log-spaced tau bins (bins with fewer
     than ``min_bin_count`` samples are dropped), (ii) the Pearson correlation
-    of log tau with log |r|, and (iii) the rank CCDF of tau with its Hill fit.
+    of log tau with log |r|, and (iii) the Hill fit of the tau tail.
     The Hill exponent is the CCDF exponent; the density P(tau) falls off one
     power faster.
     """
@@ -298,14 +299,12 @@ def surprise_stats(
     else:
         log_corr = math.nan
 
-    tau_ccdf = ccdf_rank_ordered(tau)
-    tau_tail = hill_fit_ks(tau, max_cutoffs=max_cutoffs) if tau.size >= 100 else None
+    tau_tail = hill_fit_ks(tau) if tau.size >= 100 else None
     return SurpriseSummary(
         series=series,
         bin_centers=centers,
         bin_means=means,
         bin_counts=counts[keep],
         log_correlation=log_corr,
-        tau_ccdf=tau_ccdf,
         tau_tail=tau_tail,
     )

@@ -36,12 +36,25 @@ DEFAULT_METRICS = ("variance", "kurtosis", "reduction")
 KNOWN_METRICS = ("variance", "kurtosis", "reduction", "income_factor", "gini", "tail_exponent")
 
 AXIS_NAMES = ("alpha", "n_states", "n_speculators", "n_producers", "use_param")
+INTEGER_AXES = ("n_states", "n_speculators", "n_producers")
 
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """One grid axis; an integer axis holds its values as ints and refuses fractions."""
+
     name: str
     values: tuple
+
+    def __post_init__(self):
+        if self.name in INTEGER_AXES:
+            object.__setattr__(self, "values", tuple(_integral(self.name, v) for v in self.values))
+
+
+def _integral(axis: str, value) -> int:
+    if not float(value).is_integer():
+        raise ConfigError(f"axis {axis} takes integers, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -89,9 +102,6 @@ class NodeResult:
 @dataclass
 class SweepResult:
     nodes: list
-    base_seed: int
-    repetitions: int
-    metrics: tuple
 
 
 def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
@@ -106,10 +116,8 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
     for name, value in coords.items():
         if name == "use_param":
             cfg = replace(cfg, use_param=float(value))
-        elif name == "n_producers":
-            cfg = replace(cfg, n_producers=int(value))
-        elif name == "n_speculators":
-            cfg = replace(cfg, n_speculators=int(value))
+        elif name in ("n_producers", "n_speculators"):
+            cfg = replace(cfg, **{name: _integral(name, value)})
         elif name in ("alpha", "n_states"):
             if name == "alpha":
                 d_exact = float(value) * cfg.n_speculators
@@ -120,7 +128,7 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
                         f"at n_speculators = {cfg.n_speculators}"
                     )
             else:
-                d = int(value)
+                d = _integral(name, value)
                 if d < 1:
                     raise ConfigError(f"n_states must be >= 1, got {value}")
             cfg = replace(cfg, info_mode=_resize_mode(cfg.info_mode, d))
@@ -283,8 +291,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             aggregates=aggregate(ok) if ok else None,
             n_success=len(ok),
         ))
-    return SweepResult(nodes=nodes, base_seed=spec.base.seed,
-                       repetitions=spec.repetitions, metrics=spec.metrics)
+    return SweepResult(nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

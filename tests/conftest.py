@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from specmarket import Endogenous, Exogenous, MarketConfig, uniform_weights
@@ -30,7 +29,3 @@ def heavy_tail_benchmark_returns():
         horizon=60001, seed=2024,
     )
     return run(config).returns
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)

@@ -116,5 +116,6 @@ class TestVarianceCurve:
             assert bounds.heuristic == pytest.approx(target, rel=1e-2)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            variance_curve(64, [0.0])
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="alpha"):
+                variance_curve(64, [1.0, alpha])

@@ -4,8 +4,8 @@ Each case hashes the six per-step outputs of ``run`` (dtype, shape and raw
 bytes, in a fixed order). A refactor of the engine must leave every digest
 unchanged; a change that alters trajectories on purpose re-pins them and says
 so. The artifact cases pin the sha256 of every file that
-``write_run_artifact`` and the ``stats``, ``sweep`` and ``compare`` commands
-write, so estimator and writer changes must keep the bytes too.
+``write_run_artifact`` and the ``stats``, ``sweep``, ``compare`` and ``bounds``
+commands write (CSV and JSON), so estimator and writer changes must keep the bytes too.
 """
 
 import datetime
@@ -109,6 +109,9 @@ GOLDEN_CLI = {
         "summary.json": "5f19a2f889778cacaa5c34aaed0ec3ab2a3f712bb15f0ededb3a0be15c7b9d5c",
     },
     "sweep": {"grid.csv": "fb24a57459d418176e3b4741b3ad39faac63110eabeb92326fbcf4a67b3c9a20"},
+    "sweep_json": {"grid.json": "2be26048d679da275a9447fffae2e8a9759a71cb56898eace08ed34c15866658"},
+    "bounds": {"bounds.csv": "b313c540de0ea5c861ffbbff70fb414d75e6f7fc58ed232710c894991513887c"},
+    "bounds_json": {"bounds.json": "d6def46279b5fcb387b2ec4c2e617a4103c44972c6b5e8e0e388e5994ca07ef0"},
 }
 
 
@@ -133,10 +136,14 @@ def test_golden_cli_bytes(tmp_path):
     empirical.write_text("".join(f"{day + datetime.timedelta(days=i)},{float(c)!r}\n"
                                  for i, c in enumerate(closes)))
     outputs = {}
+    bounds = ["bounds", "--states", "64", "--alphas", "0.25,0.5,1,2,4"]
     for name, argv in (
         ("stats", ["stats", "--input", str(tmp_path / "sim" / "run.csv")]),
         ("sweep", ["sweep", "--config", str(ini)]),
+        ("sweep_json", ["sweep", "--config", str(ini), "--format", "json"]),
         ("compare", ["compare", "--config", str(ini), "--empirical", str(empirical)]),
+        ("bounds", bounds),
+        ("bounds_json", bounds + ["--format", "json"]),
     ):
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0

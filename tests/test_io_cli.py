@@ -103,6 +103,23 @@ class TestParseConfig:
         assert spec.repetitions == 2
         assert spec.metrics == ("variance", "kurtosis")
 
+    def test_sweep_integer_axis_refuses_fractions(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\naxes = n_speculators\nn_speculators = {}\n"
+        with pytest.raises(ConfigError, match="n_speculators"):
+            parse_sweep_spec(write(tmp_path, text.format("32.7, 64")))
+        values = parse_sweep_spec(write(tmp_path, text.format("32, 64.0"))).axes[0].values
+        assert values == (32, 64) and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("info, field", [
+        ("mode = exogenous\ndistribution = uniform\nstates = 100000000000", "info.states"),
+        ("mode = mixed\nendo_bits = 1\nexo_bits = 2\nexo_distribution = exp\n"
+         "exo_rate = 0.1\nexo_states = 100000000000", "info.exo_states"),
+    ], ids=["exogenous", "mixed"])
+    def test_huge_state_count_refused_before_allocation(self, tmp_path, info, field):
+        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4", info)
+        with pytest.raises(ConfigError, match=field):
+            parse_market_config(write(tmp_path, text))
+
 
 class TestArtifacts:
     def test_run_csv_round_trip(self, tmp_path, make_config):
@@ -321,3 +338,25 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--config"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.ini", "--out", "o", "--format", "json"],
+        ["stats", "--input", "run.csv", "--out", "o", "--format", "json"],
+        ["stats", "--input", "run.csv", "--out", "o", "--seed", "3"],
+        ["bounds", "--states", "4", "--alphas", "1", "--out", "o", "--seed", "3"],
+        ["compare", "--config", "c.ini", "--empirical", "e.csv", "--out", "o", "--format", "csv"],
+    ], ids=["simulate_format", "stats_format", "stats_seed", "bounds_seed", "compare_format"])
+    def test_removed_flags_are_usage_errors(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alphas, named", [
+        ("1,nan", "alpha"), ("1,inf", "alpha"), ("", "--alphas"), (" , ", "--alphas"),
+    ])
+    def test_bounds_bad_alphas_fail_by_name(self, tmp_path, capsys, alphas, named):
+        code = main(["bounds", "--states", "16", "--alphas", alphas, "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()

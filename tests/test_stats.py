@@ -97,6 +97,13 @@ class TestHillFit:
         fit = hill_fit_ks(np.random.default_rng(10).pareto(2.0, size=500) + 1.0)
         assert fit.n_tail >= 10
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_values_refused_with_count(self, bad):
+        x = np.random.default_rng(11).pareto(2.5, size=1000) + 1.0
+        x[[3, 500, 999]] = bad
+        with pytest.raises(ValueError, match="3 non-finite"):
+            hill_fit_ks(x)
+
 
 def reference_hill_fit_ks(magnitudes, min_tail=10, max_cutoffs=DEFAULT_MAX_CUTOFFS):
     """The full KS scan: every candidate's KS distance is evaluated over its whole tail."""

@@ -56,6 +56,14 @@ class TestNodeConfig:
         cfg = node_config(base_config(), {"use_param": 0.25, "n_producers": 4})
         assert cfg.use_param == 0.25 and cfg.n_producers == 4
 
+    @pytest.mark.parametrize("axis", ["n_states", "n_speculators", "n_producers"])
+    def test_integer_axes_refuse_fractions(self, axis):
+        with pytest.raises(ConfigError, match=axis):
+            SweepAxis(axis, (32.7, 64))
+        with pytest.raises(ConfigError, match=axis):
+            node_config(base_config(), {axis: 32.7})
+        assert SweepAxis(axis, (32.0, 64)).values == (32, 64)
+
 
 class TestAggregate:
     def test_geometric_mean(self):

@@ -129,7 +129,7 @@ def cmd_bounds(args) -> int:
         io.write_columns(outdir / "bounds.csv", ("states", args.states),
                          ("alpha", "n_speculators", "lower", "heuristic", "upper"),
                          ([b.alpha for b in curve],
-                          [max(1, round(args.states / b.alpha)) for b in curve],
+                          [analytics.speculators_at(args.states, b.alpha) for b in curve],
                           [b.lower for b in curve], [b.heuristic for b in curve],
                           [b.upper for b in curve]))
     print(f"bounds: {len(curve)} alpha values at D = {args.states}")

@@ -26,7 +26,7 @@ from .market import (
     MarketConfig,
     Mixed,
     SimulationRecord,
-    check_strategy_size,
+    check_market_size,
     exponential_weights,
     uniform_weights,
     validate_config,
@@ -130,7 +130,7 @@ def _parse_weights(section, prefix, n_agents):
         return _get(section, w_key, _to_floats, "info")
     dist = _get(section, d_key, _to_word, "info")
     states = _get(section, f"{prefix}states", _to_int, "info")
-    check_strategy_size(states, n_agents, f"info.{prefix}states")
+    check_market_size(states, n_agents, f"info.{prefix}states")
     if dist == "uniform":
         return uniform_weights(states)
     if dist == "exp":

@@ -34,8 +34,13 @@ _EXO_CHUNK = 4096
 #: default cap on per-agent trajectory storage (bytes)
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
-#: strategy matrices above this size (bytes) are rejected at config time
-_MAX_STRATEGY_BYTES = 1 << 32
+#: markets whose strategy table and per-state arrays exceed this size (bytes)
+#: are rejected at config time
+_MAX_MARKET_BYTES = 1 << 32
+
+#: 8-byte arrays a market holds per information state: exogenous weights,
+#: their cumulative sums and ``last_seen``
+_PER_STATE_ARRAYS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +207,19 @@ def validate_config(config: MarketConfig) -> None:
     if not isinstance(config.info_mode, (Endogenous, Exogenous, Mixed)):
         raise ConfigError(f"info_mode must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
     config.info_mode.validate()
-    check_strategy_size(config.n_states, config.n_agents, "info_mode/n_speculators")
+    check_market_size(config.n_states, config.n_agents, "info_mode/n_speculators")
 
 
-def check_strategy_size(n_states: int, n_agents: int, field: str) -> None:
-    """Raise :class:`ConfigError` naming ``field`` if the strategy matrix exceeds the cap."""
-    if n_states * max(n_agents, 1) > _MAX_STRATEGY_BYTES:
+def check_market_size(n_states: int, n_agents: int, field: str) -> None:
+    """Raise :class:`ConfigError` naming ``field`` if a market's per-state storage exceeds the cap.
+
+    Counts the (D, N) bool strategy table and the float64/int64 arrays of length D.
+    """
+    size = n_states * (max(n_agents, 1) + 8 * _PER_STATE_ARRAYS)
+    if size > _MAX_MARKET_BYTES:
         raise ConfigError(
-            f"{field}: strategy matrix of {n_states} x {n_agents} bits exceeds the supported size"
+            f"{field}: {n_states} states x {n_agents} agents need {size} bytes of strategies "
+            f"and per-state arrays, above the supported {_MAX_MARKET_BYTES}"
         )
 
 

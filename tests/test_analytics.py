@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from specmarket.analytics import (
+    INCREMENT_MODES,
     VarianceBounds,
     dim_distribution,
     p_cant_cancel,
@@ -59,6 +61,76 @@ class TestDimDistribution:
             dim_distribution(1 << 20, 4)
         with pytest.raises(ConfigError):
             dim_distribution(8, 3, "steep")
+
+
+def reference_dim_distribution(dimension, n_vectors, increment):
+    """The full-array recursion: every step updates all n_vectors cells."""
+    if increment == "full":
+        step = 1.0
+    elif increment == "half":
+        step = 0.5
+    else:
+        p1 = min(1.0, (n_vectors + 1) / (2.0 * dimension))
+        step = p1 + (1.0 - p1) * 0.5
+    dims = np.minimum(1.0 + step * np.arange(n_vectors), float(dimension))
+    probs, escape, moved = np.zeros(n_vectors), np.zeros(n_vectors), np.zeros(n_vectors)
+    probs[0] = 1.0
+    np.maximum(0.0, 1.0 - np.exp2(dims - dimension), out=escape)
+    for _ in range(n_vectors - 1):
+        np.multiply(probs, escape, out=moved)
+        probs -= moved
+        probs[1:] += moved[:-1]
+    top = int(np.nonzero(probs)[0][-1])
+    return dims[: top + 1], probs[: top + 1]
+
+
+def assert_same_bits(dimension, n_vectors, increment):
+    dims, probs = dim_distribution(dimension, n_vectors, increment)
+    ref_dims, ref_probs = reference_dim_distribution(dimension, n_vectors, increment)
+    assert dims.tobytes() == ref_dims.tobytes()
+    assert probs.tobytes() == ref_probs.tobytes()
+
+
+README_ALPHAS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+class TestDimDistributionOracle:
+    """The windowed recursion returns exactly the full-array recursion's bits."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 2048), st.integers(1, 6000), st.sampled_from(INCREMENT_MODES))
+    def test_equals_full_recursion(self, dimension, n_vectors, increment):
+        assert_same_bits(dimension, n_vectors, increment)
+
+    @pytest.mark.parametrize("increment", INCREMENT_MODES)
+    @pytest.mark.parametrize("dimension", [53, 54, 55])
+    def test_escape_rounding_to_one(self, dimension, increment):
+        # below d = D - 53 the escape probability rounds to exactly 1.0
+        for n_vectors in (1, 2, 3, dimension - 1, dimension, dimension + 1, 4 * dimension):
+            assert_same_bits(dimension, n_vectors, increment)
+
+    @pytest.mark.parametrize("increment", INCREMENT_MODES)
+    def test_fewer_vectors_than_sure_steps(self, increment):
+        # every step is a sure move, so all the mass ends on the last cell
+        dims, probs = dim_distribution(512, 100, increment)
+        assert probs.tolist() == [0.0] * 99 + [1.0]
+        assert_same_bits(512, 100, increment)
+
+    @pytest.mark.parametrize("dimension", [2, 64, 512])
+    @pytest.mark.parametrize("increment", ["full", "half"])
+    def test_last_cell_is_the_cap(self, dimension, increment):
+        # cap + 1 cells: the last one sits at d = D
+        n_vectors = dimension if increment == "full" else 2 * dimension - 1
+        dims, _ = dim_distribution(dimension, n_vectors, increment)
+        assert dims[-1] == dimension and dims[-2] < dimension
+        assert_same_bits(dimension, n_vectors, increment)
+
+    @pytest.mark.parametrize("increment", INCREMENT_MODES)
+    @pytest.mark.parametrize("alpha", README_ALPHAS)
+    def test_readme_alphas(self, alpha, increment):
+        # the calls variance_curve(512, README_ALPHAS) makes; the small alphas
+        # strand subnormal mass below the cap
+        assert_same_bits(512, max(1, round(512 / alpha) - 1), increment)
 
 
 class TestCancellation:

@@ -112,6 +112,8 @@ GOLDEN_CLI = {
     "sweep_json": {"grid.json": "2be26048d679da275a9447fffae2e8a9759a71cb56898eace08ed34c15866658"},
     "bounds": {"bounds.csv": "b313c540de0ea5c861ffbbff70fb414d75e6f7fc58ed232710c894991513887c"},
     "bounds_json": {"bounds.json": "d6def46279b5fcb387b2ec4c2e617a4103c44972c6b5e8e0e388e5994ca07ef0"},
+    "bounds_d512": {"bounds.csv": "98d68f0d7032aad3ea0e6e366635b1eb2dd9386180589390bae2977479405af8"},
+    "bounds_d512_json": {"bounds.json": "2a1e491f303ac75cb5a5b6dc574530696985e1ad35cf19813392614996031708"},
 }
 
 
@@ -137,6 +139,8 @@ def test_golden_cli_bytes(tmp_path):
                                  for i, c in enumerate(closes)))
     outputs = {}
     bounds = ["bounds", "--states", "64", "--alphas", "0.25,0.5,1,2,4"]
+    # the README table: its small alphas run the recursion out to N_s = 16384
+    bounds_d512 = ["bounds", "--states", "512", "--alphas", "0.03125,0.0625,0.125,0.25,0.5,1,2,4,8"]
     for name, argv in (
         ("stats", ["stats", "--input", str(tmp_path / "sim" / "run.csv")]),
         ("sweep", ["sweep", "--config", str(ini)]),
@@ -144,6 +148,8 @@ def test_golden_cli_bytes(tmp_path):
         ("compare", ["compare", "--config", str(ini), "--empirical", str(empirical)]),
         ("bounds", bounds),
         ("bounds_json", bounds + ["--format", "json"]),
+        ("bounds_d512", bounds_d512),
+        ("bounds_d512_json", bounds_d512 + ["--format", "json"]),
     ):
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import specmarket.io
 from specmarket import Endogenous, Exogenous, Mixed, run
 from specmarket.cli import main
 from specmarket.errors import ConfigError, DataFormatError
@@ -110,13 +111,25 @@ class TestParseConfig:
         values = parse_sweep_spec(write(tmp_path, text.format("32, 64.0"))).axes[0].values
         assert values == (32, 64) and all(type(v) is int for v in values)
 
-    @pytest.mark.parametrize("info, field", [
-        ("mode = exogenous\ndistribution = uniform\nstates = 100000000000", "info.states"),
-        ("mode = mixed\nendo_bits = 1\nexo_bits = 2\nexo_distribution = exp\n"
-         "exo_rate = 0.1\nexo_states = 100000000000", "info.exo_states"),
-    ], ids=["exogenous", "mixed"])
-    def test_huge_state_count_refused_before_allocation(self, tmp_path, info, field):
-        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4", info)
+    @pytest.mark.parametrize("agents, info, field", [
+        (64, "mode = exogenous\ndistribution = uniform\nstates = 100000000000", "info.states"),
+        (64, "mode = mixed\nendo_bits = 1\nexo_bits = 2\nexo_distribution = exp\n"
+             "exo_rate = 0.1\nexo_states = 100000000000", "info.exo_states"),
+        # one agent keeps the strategy table at 4 GiB, within the cap; the
+        # float64 weights alone would take 32 GiB
+        (1, "mode = exogenous\ndistribution = uniform\nstates = 4294967296", "info.states"),
+        (1, "mode = mixed\nendo_bits = 1\nexo_bits = 32\nexo_distribution = exp\n"
+            "exo_rate = 0.1\nexo_states = 4294967296", "info.exo_states"),
+    ], ids=["exogenous", "mixed", "exogenous_weights", "mixed_weights"])
+    def test_huge_state_count_refused_before_allocation(self, tmp_path, monkeypatch,
+                                                        agents, info, field):
+        def refuse(*args):
+            raise AssertionError("weight vector allocated before the size check")
+
+        monkeypatch.setattr(specmarket.io, "uniform_weights", refuse)
+        monkeypatch.setattr(specmarket.io, "exponential_weights", refuse)
+        text = MINIMAL.replace("n_speculators = 64", f"n_speculators = {agents}")
+        text = text.replace("mode = endogenous\nmemory_bits = 4", info)
         with pytest.raises(ConfigError, match=field):
             parse_market_config(write(tmp_path, text))
 

@@ -15,7 +15,6 @@ from .market import (
     settle,
     step,
     run,
-    run_batch,
     uniform_weights,
 )
 

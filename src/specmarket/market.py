@@ -13,19 +13,26 @@ this is worth repeating: every return in this package is ``log10 p' - log10 p``)
 Randomness comes from one Philox counter-based generator per market, fully
 determined by the config seed, so equal configs replay bit-identically.
 
-``step`` and its four phases are the step-by-step reference; ``run_batch``
-is the engine that ``run`` and the sweeps use, stepping same-shape markets in
-lockstep with the same bits.
+``step`` and its four phases are the step-by-step reference. There is one
+engine, ``run``: it steps a market's whole horizon in one call of a C kernel
+(``_kernel.c``) with the same bits as ``step``, and ``_finish`` completes the
+record in numpy. The kernel is compiled on first use and cached in the
+package's ``__pycache__/`` under a hash of its source, its flags and the host
+CPU (see ``specmarket._kernel``). Where it cannot be built, ``run`` warns once
+and steps the market with a numpy loop, ``_step_single``, again with the same
+bits. ``memory_budget`` caps each run's record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence, Union
+import warnings
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigError, MemoryBudgetError
 
 #: refill size of the buffered exogenous-draw queue
@@ -287,7 +294,7 @@ def new_market(config: MarketConfig) -> MarketState:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
     n = config.n_agents
     d = config.n_states
-    strategies = rng.integers(0, 2, size=(d, n), dtype=np.uint8).view(np.bool_)
+    strategies = _strategy_table(rng, d, n)
     mu0 = int(rng.integers(d))
     state = MarketState(
         config=config,
@@ -306,6 +313,29 @@ def new_market(config: MarketConfig) -> MarketState:
     elif isinstance(config.info_mode, Mixed):
         state._exo_cum = _cumulative(config.info_mode.exo_weights)
     return state
+
+
+def _strategy_table(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=(d, n), dtype=uint8)`` as bools, drawn from raw bits.
+
+    ``integers`` takes each cell from the next byte of a buffered uint32
+    stream (Lemire's method without rejection keeps the byte's top bit), and
+    the uint32s are the low and high halves of the raw 64-bit words, so the
+    cells are the words' little-endian bytes on any host. An odd
+    uint32 count leaves the last word's high half buffered for the next draw,
+    which is set on the generator by hand so the stream continues as after
+    ``integers``.
+    """
+    cells = d * n
+    words = -(-cells // 4)
+    bit_generator = rng.bit_generator
+    raw = bit_generator.random_raw(-(-words // 2))
+    table = raw.astype("<u8", copy=False).view(np.uint8)[:cells] >> 7
+    if words % 2:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
+        bit_generator.state = state
+    return table.reshape(d, n).view(np.bool_)
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
@@ -412,17 +442,8 @@ def step(state: MarketState) -> StepOutput:
 
 
 # ---------------------------------------------------------------------------
-# lockstep engine
+# engine
 # ---------------------------------------------------------------------------
-
-def batch_key(config: MarketConfig) -> tuple:
-    """Configs with equal keys can step together in one :func:`run_batch`.
-
-    They may differ in ``seed`` and in the parameters of their information
-    mode (so in D), and must agree on the mode's kind and every other field.
-    """
-    return type(config.info_mode), replace(config, seed=0, info_mode=None)
-
 
 def record_bytes(config: MarketConfig) -> int:
     """Bytes of the per-step arrays of one run's record."""
@@ -433,53 +454,52 @@ def record_bytes(config: MarketConfig) -> int:
 def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SimulationRecord:
     """Execute ``config.horizon`` steps and return the full record.
 
-    Equal configs produce bit-identical records. ``memory_budget`` caps the
-    record's per-step arrays, the optional per-agent capitals included.
+    The record is bit-identical to stepping the market with :func:`step`, so
+    equal configs replay bit-identically. ``memory_budget`` caps the record's
+    per-step arrays, the optional per-agent capitals included.
     """
-    return run_batch([config], memory_budget)[0]
-
-
-def run_batch(configs: Sequence[MarketConfig],
-              memory_budget: int = DEFAULT_MEMORY_BUDGET) -> list[SimulationRecord]:
-    """Step configs of one :func:`batch_key` in lockstep; one record per config.
-
-    Record ``r`` is bit-identical to the step-by-step reference for
-    ``configs[r]``: each replica draws from its own Philox stream in the order
-    of :func:`step`, and every reduction runs over one C-contiguous row, as in
-    a single market. ``memory_budget`` caps the records of the whole batch.
-    """
-    configs = list(configs)
-    for config in configs:
-        validate_config(config)
-    if not configs:
-        return []
-    cfg = configs[0]
-    if any(batch_key(c) != batch_key(cfg) for c in configs[1:]):
-        raise ConfigError("run_batch: configs must agree on every field but seed and "
-                          "the parameters of their information mode")
-    needed = sum(map(record_bytes, configs))
+    validate_config(config)
+    needed = record_bytes(config)
     if needed > memory_budget:
         raise MemoryBudgetError(
-            f"{len(configs)} record(s) need {needed} bytes for horizon={cfg.horizon}, "
-            f"n_speculators={cfg.n_speculators}, record_agents={cfg.record_agents}; "
+            f"record needs {needed} bytes for horizon={config.horizon}, "
+            f"n_speculators={config.n_speculators}, record_agents={config.record_agents}; "
             f"budget is {memory_budget}"
         )
-    n_rep, horizon, n_spec = len(configs), cfg.horizon, cfg.n_speculators
-    prices = np.empty((n_rep, horizon))
-    mus = np.empty((n_rep, horizon), dtype=np.int64)
-    capital = np.empty((n_rep, horizon))
-    agent_caps = np.empty((n_rep, horizon, n_spec)) if cfg.record_agents else None
-    if n_rep == 1:
-        states = [new_market(cfg)]
-        _step_single(states[0], prices[0], mus[0], capital[0],
-                     None if agent_caps is None else agent_caps[0])
+    state = new_market(config)
+    horizon, n_spec = config.horizon, config.n_speculators
+    prices = np.empty(horizon)
+    mus = np.empty(horizon, dtype=np.int64)
+    capital = np.empty(horizon)
+    agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
+    lib = _kernel_library()
+    if lib:
+        _step_kernel(lib, state, prices, mus, capital, agent_caps)
     else:
-        states, strategies, holdings = _new_batch(configs)
-        _step_lockstep(states, strategies, holdings, prices, mus, capital, agent_caps)
+        _step_single(state, prices, mus, capital, agent_caps)
     capital /= 2.0 * n_spec
-    return [_finish(state, prices[r], mus[r], capital[r],
-                    None if agent_caps is None else agent_caps[r])
-            for r, state in enumerate(states)]
+    return _finish(state, prices, mus, capital, agent_caps)
+
+
+#: the loaded C kernel; False once it failed to build or load in this process
+_KERNEL = None
+
+
+def _kernel_library():
+    global _KERNEL
+    if _KERNEL is None:
+        try:
+            _KERNEL = _kernel.load()
+        except OSError as exc:
+            warnings.warn(f"specmarket: the C step kernel {_kernel.SOURCE.name} could not be "
+                          f"built or loaded ({exc}); run() falls back to the numpy loop",
+                          RuntimeWarning, stacklevel=3)
+            _KERNEL = False
+    return _KERNEL
+
+
+def _address(array) -> Optional[int]:
+    return None if array is None else array.ctypes.data
 
 
 def _endo_states(mode: InformationMode) -> int:
@@ -489,8 +509,30 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
+def _step_kernel(lib, state, prices, mus, capital, agent_caps) -> None:
+    """The whole horizon in one call of the C kernel; money and stocks are updated in place."""
+    cfg = state.config
+    n, k = cfg.n_agents, cfg.n_producers
+    cum = state._exo_cum
+    queue = None if cum is None else np.empty(_EXO_CHUNK, dtype=np.int64)
+    m, s = np.empty(n), np.empty(n)
+    bit_generator = state.rng.bit_generator
+    with bit_generator.lock:
+        lib.specmarket_run(
+            bit_generator.ctypes.bit_generator, cfg.horizon, n, k,
+            k if cfg.producer_kind == "random" else 0, cfg.use_param, cfg.epsilon,
+            _endo_states(cfg.info_mode), _address(cum), 0 if cum is None else cum.size,
+            _address(queue), 0 if queue is None else queue.size,
+            state.strategies.ctypes.data, state.mu,
+            state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
+            prices.ctypes.data, mus.ctypes.data, capital.ctypes.data, _address(agent_caps),
+        )
+    if queue is not None and cfg.horizon > 1:
+        state._exo_queue = queue
+
+
 def _step_single(state, prices, mus, capital, agent_caps) -> None:
-    """One market with Python-float totals and views of the strategy rows."""
+    """The numpy loop, for hosts where the C kernel cannot be built."""
     cfg = state.config
     k, gamma, eps = cfg.n_producers, cfg.use_param, cfg.epsilon
     n_random = k if cfg.producer_kind == "random" else 0
@@ -545,104 +587,6 @@ def _step_single(state, prices, mus, capital, agent_caps) -> None:
         if agent_caps is not None:
             np.add(money_s, stocks_s, out=agent_caps[t])
             agent_caps[t] /= 2.0
-
-
-def _new_batch(configs) -> tuple:
-    """Markets whose strategy tables and holdings are rows of shared arrays.
-
-    The tables are stacked into one (sum D, N) array, and money and stocks
-    are the two halves of one (2R, N) array, so that the states end the run
-    as step() leaves them.
-    """
-    n_rep, n = len(configs), configs[0].n_agents
-    strategies = np.empty((sum(c.n_states for c in configs), n), dtype=np.bool_)
-    holdings = np.ones((2 * n_rep, n))
-    states, start = [], 0
-    for r, config in enumerate(configs):
-        state = new_market(config)
-        rows = strategies[start:start + config.n_states]
-        rows[:] = state.strategies
-        state.strategies, state.money, state.stocks = rows, holdings[r], holdings[n_rep + r]
-        states.append(state)
-        start += config.n_states
-    return states, strategies, holdings
-
-
-def _step_lockstep(states, strategies, holdings, prices, mus, capital, agent_caps) -> None:
-    """R markets of :func:`_new_batch` stepped together.
-
-    Orders, totals and capital sums take one call per step for both assets,
-    and each total is the sum over one C-contiguous row.
-    """
-    cfg = states[0].config
-    k, gamma, eps = cfg.n_producers, cfg.use_param, cfg.epsilon
-    n_random = k if cfg.producer_kind == "random" else 0
-    n_rep, n = len(states), cfg.n_agents
-    rngs = [state.rng for state in states]
-    sizes = np.array([state.config.n_states for state in states])
-    offsets = np.cumsum(sizes) - sizes
-    money, stocks = holdings[:n_rep], holdings[n_rep:]
-    orders, sides = np.empty((2 * n_rep, n)), np.empty((2 * n_rep, n), dtype=np.bool_)
-    m, s, buy, sell = orders[:n_rep], orders[n_rep:], sides[:n_rep], sides[n_rep:]
-    money_s, stocks_s, m_s, s_s = money[:, k:], stocks[:, k:], m[:, k:], s[:, k:]
-    holdings_s, tmp = holdings[:, k:], np.empty((n_rep, n - k))
-    totals, sums = np.empty(2 * n_rep), np.empty(2 * n_rep)
-    demand, supply = totals[:n_rep], totals[n_rep:]
-    rows = np.empty(n_rep, dtype=np.intp)
-    up, tie = np.empty(n_rep, dtype=np.bool_), np.empty(n_rep, dtype=np.bool_)
-    endo_states = np.array([_endo_states(state.config.info_mode) for state in states])
-    endogenous, mixed = isinstance(cfg.info_mode, Endogenous), isinstance(cfg.info_mode, Mixed)
-    queues = None if endogenous else np.empty((n_rep, _EXO_CHUNK), dtype=np.int64)
-    mu = np.array([state.mu for state in states])
-    price, before = np.ones(n_rep), np.ones(n_rep)
-    for t in range(cfg.horizon):
-        if t > 0:
-            if endogenous or mixed:
-                np.greater(price, before, out=up)
-                if np.logical_or.reduce(np.equal(price, before, out=tie)):
-                    for r in np.flatnonzero(tie):
-                        up[r] = rngs[r].random() < 0.5
-                if mixed:
-                    mu %= endo_states
-                mu <<= 1
-                mu |= up
-                mu %= endo_states
-            if not endogenous:
-                pos = (t - 1) % _EXO_CHUNK
-                if pos == 0:
-                    for r, state in enumerate(states):
-                        queues[r] = _refill(state)
-                        state._exo_queue = queues[r]
-                if mixed:
-                    mu += queues[:, pos] * endo_states
-                else:
-                    mu[:] = queues[:, pos]
-        mus[:, t] = mu
-        np.add(offsets, mu, out=rows)
-        strategies.take(rows, axis=0, out=buy)
-        if n_random:
-            for r in range(n_rep):
-                np.less(rngs[r].random(n_random), 0.5, out=buy[r, :n_random])
-        np.logical_not(buy, out=sell)
-        np.multiply(holdings, gamma, out=orders)
-        np.multiply(orders, sides, out=orders)
-        np.add.reduce(orders, axis=1, out=totals)
-        totals += eps
-        price, before = before, price
-        np.divide(demand, supply, out=price)
-        prices[:, t] = price
-        column = price[:, None]
-        np.multiply(s_s, column, out=tmp)
-        tmp -= m_s
-        money_s += tmp
-        np.divide(m_s, column, out=tmp)
-        tmp -= s_s
-        stocks_s += tmp
-        np.add.reduce(holdings_s, axis=1, out=sums)
-        np.add(sums[:n_rep], sums[n_rep:], out=capital[:, t])
-        if agent_caps is not None:
-            np.add(money_s, stocks_s, out=agent_caps[:, t])
-            agent_caps[:, t] /= 2.0
 
 
 def _finish(state, prices, mus, capital, agent_caps) -> SimulationRecord:

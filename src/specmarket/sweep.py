@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -19,14 +20,11 @@ import numpy as np
 
 from .errors import ConfigError, SampleSizeError
 from .market import (
-    DEFAULT_MEMORY_BUDGET,
     Endogenous,
     Exogenous,
     MarketConfig,
     SimulationRecord,
-    batch_key,
-    record_bytes,
-    run_batch,
+    run,
     uniform_weights,
     validate_config,
 )
@@ -209,43 +207,27 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_batch(args):
-    cells, metrics = args
-    try:
-        records = run_batch([config for _, config in cells])
-    except Exception as exc:  # recorded per repetition, never aborts the sweep
-        return [(cell, None, _error(exc)) for cell, _ in cells]
-    outcomes = []
-    for (cell, _), record in zip(cells, records):
-        try:
-            outcomes.append((cell, compute_metrics(record, metrics), None))
-        except Exception as exc:
-            outcomes.append((cell, None, _error(exc)))
-    return outcomes
-
-
-def _batches(group: list, workers: int) -> list:
-    """Even chunks of one batch key: within the memory budget, and at least one per worker."""
-    size = max(1, DEFAULT_MEMORY_BUDGET // max(1, record_bytes(group[0][1])))
-    count = max(-(-len(group) // size), min(workers, len(group)))
-    bounds = [len(group) * i // count for i in range(count + 1)]
-    return [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _run_cell(metrics, task):
+    cell, config = task
+    try:  # recorded per repetition, never aborts the sweep
+        return cell, compute_metrics(run(config), metrics), None
+    except Exception as exc:
+        return cell, None, _error(exc)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Simulate every (node, repetition) cell and aggregate per node.
 
-    Cells that share a :func:`~specmarket.market.batch_key` (across nodes as
-    well) run as lockstep batches; ``workers > 1`` maps the batches to
-    processes. A cell whose config fails validation is recorded with the
-    error and left out of the batches.
+    Each cell is one :func:`~specmarket.market.run`; ``workers > 1`` maps
+    the cells to processes in chunks, a few per worker. A cell whose
+    config fails validation is recorded with the error and never run.
     """
     spec.validate()
     names = [axis.name for axis in spec.axes]
     grid = list(product(*(axis.values for axis in spec.axes)))
 
     cells = {}
-    groups = {}
+    valid = []
     seeds_seen = {}
     for node_index, values in enumerate(grid):
         coords = dict(zip(names, values))
@@ -263,17 +245,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             except ConfigError as exc:
                 cells[(node_index, rep)] = (None, _error(exc))
                 continue
-            groups.setdefault(batch_key(cell_cfg), []).append(((node_index, rep), cell_cfg))
+            valid.append(((node_index, rep), cell_cfg))
 
-    tasks = [(batch, spec.metrics) for group in groups.values() for batch in _batches(group, workers)]
-    if workers > 1:
+    run_cell = partial(_run_cell, spec.metrics)
+    if workers > 1 and len(valid) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_batch, tasks, chunksize=1))
+            outcomes = list(pool.map(run_cell, valid, chunksize=max(1, len(valid) // (4 * workers))))
     else:
-        outcomes = [_run_batch(task) for task in tasks]
-    for outcome in outcomes:
-        for cell, metrics, error in outcome:
-            cells[cell] = (metrics, error)
+        outcomes = map(run_cell, valid)
+    for cell, metrics, error in outcomes:
+        cells[cell] = (metrics, error)
 
     nodes = []
     for node_index, values in enumerate(grid):

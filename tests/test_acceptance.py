@@ -25,7 +25,7 @@ from specmarket import (
 )
 from specmarket.analytics import dim_distribution, var_r0, variance_curve
 from specmarket.io import write_run_artifact
-from specmarket.market import SimulationRecord, run_batch
+from specmarket.market import SimulationRecord
 from specmarket.stats import autocorr_abs, gini, hill_fit_ks, kurtosis, surprise_stats
 from specmarket.sweep import alpha_scan
 
@@ -119,7 +119,7 @@ def test_criterion_5_phase_transition_bounds():
         base = MarketConfig(n_speculators=round(dimension / alpha), use_param=gamma,
                             info_mode=Exogenous(uniform_weights(dimension)),
                             horizon=horizon, seed=0)
-        records = run_batch([replace(base, seed=seed) for seed in range(n_seeds)])
+        records = [run(replace(base, seed=seed)) for seed in range(n_seeds)]
         variances = [float(np.var(r.returns[r.returns.size // 2:])) for r in records]
         measured[alpha] = float(np.exp(np.mean(np.log(np.sort(variances)))))
 

@@ -1,5 +1,9 @@
-"""The lockstep engine against the step-by-step reference and against itself."""
+"""The C kernel behind ``run`` against the step-by-step reference and the numpy fallback."""
 
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +22,9 @@ from specmarket import (
     step,
     uniform_weights,
 )
-from specmarket.errors import ConfigError, MemoryBudgetError
-from specmarket.market import batch_key, record_bytes, run_batch
+from specmarket import _kernel, market
+from specmarket.errors import MemoryBudgetError
+from specmarket.market import record_bytes
 
 FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals",
           "agent_capitals")
@@ -39,11 +44,32 @@ def reference_run(config):
     """``run`` spelled out through ``step``."""
     state = new_market(config)
     k = config.n_producers
-    outputs, capital = [], []
+    outputs, capital, agents = [], [], []
     for _ in range(config.horizon):
         outputs.append(step(state))
         capital.append((state.money[k:].sum() + state.stocks[k:].sum()) / (2.0 * config.n_speculators))
-    return outputs, np.array(capital), (state.money[k:] + state.stocks[k:]) / 2.0
+        agents.append((state.money[k:] + state.stocks[k:]) / 2.0)
+    return outputs, np.array(capital), np.array(agents)
+
+
+def assert_matches_step(record, config):
+    outputs, capital, agents = reference_run(config)
+    assert record.prices.tobytes() == np.array([o.price for o in outputs]).tobytes()
+    assert record.returns.tobytes() == np.array([o.log_return for o in outputs[1:]]).tobytes()
+    assert record.mus.tolist() == [o.mu for o in outputs]
+    taus = np.array([np.nan if o.tau is None else o.tau for o in outputs])
+    assert record.taus.tobytes() == taus.tobytes()
+    assert record.mean_spec_capital.tobytes() == capital.tobytes()
+    assert record.final_spec_capitals.tobytes() == agents[-1].tobytes()
+    if config.record_agents:
+        assert record.agent_capitals.tobytes() == agents.tobytes()
+
+
+def fallback_run(config):
+    """``run`` on the numpy loop, as on a host where the kernel cannot be built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_KERNEL", False)
+        return run(config)
 
 
 @pytest.mark.parametrize("config", [
@@ -53,15 +79,7 @@ def reference_run(config):
                  horizon=4200, seed=2, n_producers=3, producer_kind="random"),
 ], ids=["endogenous", "ties", "mixed_random_producers"])
 def test_run_matches_step_reference(config):
-    record = run(config)
-    outputs, capital, final = reference_run(config)
-    assert record.prices.tobytes() == np.array([o.price for o in outputs]).tobytes()
-    assert record.returns.tobytes() == np.array([o.log_return for o in outputs[1:]]).tobytes()
-    assert record.mus.tolist() == [o.mu for o in outputs]
-    taus = np.array([np.nan if o.tau is None else o.tau for o in outputs])
-    assert record.taus.tobytes() == taus.tobytes()
-    assert record.mean_spec_capital.tobytes() == capital.tobytes()
-    assert record.final_spec_capitals.tobytes() == final.tobytes()
+    assert_matches_step(run(config), config)
 
 
 def _mode(kind, size):
@@ -75,61 +93,51 @@ def _mode(kind, size):
 
 
 @st.composite
-def batches(draw):
+def configs(draw):
     kind = draw(st.sampled_from(("endogenous", "uniform", "exp", "mixed")))
     ties = draw(st.booleans())  # N_s = 2 at full use: exact price repeats are common
-    n_producers = 0 if ties else draw(st.integers(0, 3))
-    base = MarketConfig(
+    return MarketConfig(
         n_speculators=2 if ties else draw(st.integers(1, 40)),
         use_param=1.0 if ties else draw(st.sampled_from((0.1, 0.5, 0.9))),
-        info_mode=_mode(kind, 1),
+        info_mode=_mode(kind, draw(st.integers(1, 5))),
         horizon=draw(st.integers(1, 300)),
-        seed=0,
-        n_producers=n_producers,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_producers=0 if ties else draw(st.integers(0, 3)),
         producer_kind=draw(st.sampled_from(("deterministic", "random"))),
         record_agents=draw(st.booleans()),
     )
-    reps = draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 5)),
-                         min_size=2, max_size=4))
-    return [replace(base, seed=seed, info_mode=_mode(kind, size)) for seed, size in reps]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(batches())
-def test_every_replica_equals_its_own_run(configs):
-    for config, record in zip(configs, run_batch(configs)):
-        assert_same_bytes(record, run(config))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_run_equals_step_and_fallback(config):
+    assert market._kernel_library()
+    record = run(config)
+    assert_matches_step(record, config)
+    assert_same_bytes(record, fallback_run(config))
 
 
-def test_exogenous_queue_crosses_chunks_in_lockstep():
+def test_exogenous_queue_crosses_chunks():
+    """9000 steps cross two refills of the 4096-draw exogenous queue."""
     base = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Exogenous(uniform_weights(4)),
-                        horizon=9000, seed=0, n_producers=2, producer_kind="random")
-    configs = [replace(base, seed=5), replace(base, seed=6, info_mode=Exogenous(uniform_weights(7)))]
-    for config, record in zip(configs, run_batch(configs)):
-        assert_same_bytes(record, run(config))
+                        horizon=9000, seed=5, n_producers=2, producer_kind="random")
+    for config in (base, replace(base, seed=6, info_mode=Exogenous(exponential_weights(0.4, 7)))):
+        record = run(config)
+        assert_matches_step(record, config)
+        assert_same_bytes(record, fallback_run(config))
 
 
-def test_batch_key_allows_seed_and_mode_parameters_only():
-    base = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Endogenous(2), horizon=10, seed=1)
-    assert batch_key(base) == batch_key(replace(base, seed=2, info_mode=Endogenous(4)))
-    assert batch_key(base) != batch_key(replace(base, info_mode=Exogenous(uniform_weights(4))))
-    assert batch_key(base) != batch_key(replace(base, use_param=0.6))
-    with pytest.raises(ConfigError, match="run_batch"):
-        run_batch([base, replace(base, horizon=11)])
-
-
-def test_batch_memory_budget_covers_every_record():
-    config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Endogenous(2), horizon=100, seed=1)
-    assert record_bytes(config) == 8 * 100 * 5
-    assert len(run_batch([config] * 2, memory_budget=2 * record_bytes(config))) == 2
+def test_memory_budget_covers_the_record():
+    config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Endogenous(2), horizon=100,
+                          seed=1, record_agents=True)
+    assert record_bytes(config) == 8 * 100 * (5 + 8)
+    assert run(config, memory_budget=record_bytes(config)).agent_capitals.shape == (100, 8)
     with pytest.raises(MemoryBudgetError):
-        run_batch([config] * 3, memory_budget=2 * record_bytes(config))
+        run(config, memory_budget=record_bytes(config) - 1)
 
 
 def test_states_end_as_step_leaves_them(monkeypatch):
     """The engine's market states can be stepped on, as if run step by step."""
-    from specmarket import market
-
     created = []
     original = market.new_market
 
@@ -140,10 +148,184 @@ def test_states_end_as_step_leaves_them(monkeypatch):
     monkeypatch.setattr(market, "new_market", capture)
     base = MarketConfig(n_speculators=6, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
                         horizon=50, seed=1)
-    run_batch([base, replace(base, seed=2)])
+    for config in (base, replace(base, seed=2), replace(base, horizon=5000)):
+        run(config)
     monkeypatch.undo()
     for state in created:
-        longer = run(replace(state.config, horizon=60))
+        horizon = state.config.horizon
+        longer = run(replace(state.config, horizon=horizon + 10))
         tail = [step(state) for _ in range(10)]
-        assert [o.price for o in tail] == longer.prices[50:].tolist()
-        assert [o.mu for o in tail] == longer.mus[50:].tolist()
+        assert [o.price for o in tail] == longer.prices[horizon:].tolist()
+        assert [o.mu for o in tail] == longer.mus[horizon:].tolist()
+
+
+# ---------------------------------------------------------------------------
+# kernel pieces
+# ---------------------------------------------------------------------------
+
+def kernel_total(lib, values):
+    values = np.ascontiguousarray(values, dtype=float)
+    return np.float64(lib.specmarket_total(values.ctypes.data, values.size))
+
+
+def test_kernel_total_equals_add_reduce():
+    lib = market._kernel_library()
+    assert lib
+    rng = np.random.default_rng(11)
+    lengths = list(range(301)) + rng.integers(0, 20_001, size=3000).tolist()
+    for n in lengths:
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
+        assert kernel_total(lib, values).tobytes() == np.add.reduce(values).tobytes(), n
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2), (3, 5), (7, 9), (8, 8), (5, 13), (16, 33),
+                                  (512, 1025), (513, 1025), (64, 1024)])
+def test_strategy_table_equals_integers(d, n):
+    """Odd and even uint32 counts leave the generator as ``integers`` does."""
+    for seed in range(3):
+        ours = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        theirs = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        table = market._strategy_table(ours, d, n)
+        expected = theirs.integers(0, 2, size=(d, n), dtype=np.uint8).view(np.bool_)
+        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+        assert table.tobytes() == expected.tobytes()
+        assert ours.integers(d) == theirs.integers(d)
+        assert ours.integers(3 * d + 1) == theirs.integers(3 * d + 1)
+        assert ours.random() == theirs.random()
+
+
+def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch):
+    config = MarketConfig(n_speculators=12, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
+                          horizon=300, seed=4, n_producers=2, producer_kind="random",
+                          record_agents=True)
+    expected = run(config)
+
+    def fail():
+        raise OSError("cc: not found")
+
+    monkeypatch.setattr(market, "_KERNEL", None)
+    monkeypatch.setattr(_kernel, "load", fail)
+    with pytest.warns(RuntimeWarning, match=r"_kernel\.c.*cc: not found"):
+        record = run(config)
+    assert_same_bytes(record, expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bytes(run(config), expected)  # one warning per process
+
+
+# ---------------------------------------------------------------------------
+# kernel cache
+# ---------------------------------------------------------------------------
+
+def test_cold_build_then_warm_load_starts_no_process(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+    lib = _kernel.load()
+    built = list(tmp_path.iterdir())
+    name = _kernel.library_name(_kernel.SOURCE.read_bytes(), _kernel.FLAGS, _kernel.cpu_identity())
+    assert [p.name for p in built] == [name]
+    assert lib.specmarket_total(np.ones(3).ctypes.data, 3) == 3.0
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a warm load started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    assert _kernel.load().specmarket_total(np.ones(5).ctypes.data, 5) == 5.0
+    assert list(tmp_path.iterdir()) == built
+
+
+def test_unwritable_cache_builds_for_the_process(monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
+    monkeypatch.setattr(_kernel.tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    assert _kernel.load().specmarket_total(np.ones(2).ctypes.data, 2) == 2.0
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_cache_name_keys_source_flags_and_cpu():
+    source, flags, cpu = _kernel.SOURCE.read_bytes(), _kernel.FLAGS, _kernel.cpu_identity()
+    name = _kernel.library_name(source, flags, cpu)
+    assert name == _kernel.library_name(source, flags, cpu)
+    assert name != _kernel.library_name(source + b"\n", flags, cpu)
+    assert name != _kernel.library_name(source, flags[:-1], cpu)
+    assert name != _kernel.library_name(source, tuple(f.replace("O3", "O2") for f in flags), cpu)
+    assert name != _kernel.library_name(source, flags, cpu + " avx512f")
+
+
+X86_CPUINFO = """processor\t: 0
+vendor_id\t: GenuineIntel
+model name\t: Intel(R) Xeon(R) Platinum 8375C CPU @ 2.90GHz
+flags\t\t: fpu vme sse2 avx2 avx512f
+processor\t: 1
+model name\t: Intel(R) Xeon(R) Platinum 8375C CPU @ 2.90GHz
+flags\t\t: fpu vme sse2 avx2 avx512f
+"""
+
+AARCH64_CPUINFO = """processor\t: 0
+BogoMIPS\t: 2100.00
+Features\t: fp asimd evtstrm aes pmull sha1 sha2 crc32 atomics sve
+CPU implementer\t: 0x41
+CPU architecture: 8
+CPU variant\t: 0x1
+CPU part\t: 0xd40
+CPU revision\t: 1
+"""
+
+
+def test_cpu_identity_keys_x86_and_aarch64_cpus(monkeypatch, tmp_path):
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(_kernel, "CPUINFO", cpuinfo)
+
+    def identity(text):
+        cpuinfo.write_text(text)
+        return _kernel.cpu_identity()
+
+    assert identity(X86_CPUINFO).splitlines() == X86_CPUINFO.splitlines()[2:4]
+    assert identity(X86_CPUINFO) != identity(X86_CPUINFO.replace(" avx512f", ""))
+    arm = identity(AARCH64_CPUINFO)
+    assert [line.split(":")[0].strip() for line in arm.splitlines()] == \
+        ["Features", "CPU implementer", "CPU part", "CPU variant"]
+    assert arm != identity(AARCH64_CPUINFO.replace("0xd40", "0xd0c"))
+    assert arm != identity(AARCH64_CPUINFO.replace(" sve", ""))
+    assert identity("processor\t: 0\ncpu\t\t: POWER9\n") == ""
+    cpuinfo.unlink()
+    assert _kernel.cpu_identity() == ""
+
+
+def test_unidentified_cpu_builds_for_the_process(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "CPUINFO", tmp_path / "absent")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_kernel.tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    assert _kernel.load().specmarket_total(np.ones(2).ctypes.data, 2) == 2.0
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert not any((tmp_path / "cache").glob("*.so"))
+
+
+CONCURRENT_BUILD = """
+import sys
+from pathlib import Path
+from specmarket import _kernel, market
+_kernel.CACHE_DIR = Path(sys.argv[1])
+assert market._kernel_library()
+config = market.MarketConfig(n_speculators=40, use_param=0.5, info_mode=market.Endogenous(4),
+                             horizon=2000, seed=9)
+sys.stdout.write(market.run(config).prices.tobytes().hex())
+"""
+
+
+def test_concurrent_cold_builds_both_load(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(_kernel.SOURCE.parent.parent)}
+    procs = [subprocess.Popen([sys.executable, "-c", CONCURRENT_BUILD, str(tmp_path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+             for _ in range(2)]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+        assert "RuntimeWarning" not in err
+    config = MarketConfig(n_speculators=40, use_param=0.5, info_mode=Endogenous(4),
+                          horizon=2000, seed=9)
+    expected = run(config).prices.tobytes().hex()
+    assert [out for out, _ in outputs] == [expected, expected]
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]

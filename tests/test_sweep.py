@@ -113,42 +113,35 @@ class TestRunSweep:
     def test_invalid_cells_recorded_and_left_out_of_batches(self, monkeypatch):
         from specmarket import sweep
 
-        batches = []
-        original = sweep.run_batch
+        ran = []
+        original = sweep.run
 
-        def counting(configs):
-            batches.append(len(configs))
-            return original(configs)
+        def counting(config):
+            ran.append(config.use_param)
+            return original(config)
 
-        monkeypatch.setattr(sweep, "run_batch", counting)
+        monkeypatch.setattr(sweep, "run", counting)
         spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.5, 1.5)),),
                          repetitions=2, metrics=("variance",))
         result = run_sweep(spec)
-        assert batches == [2]
+        assert ran == [0.5, 0.5]
         assert result.nodes[0].n_success == 2
         assert all(rep.error.startswith("ConfigError: use_param") for rep in result.nodes[1].reps)
 
-    def test_alpha_nodes_share_one_batch_per_worker(self, monkeypatch):
-        from specmarket import sweep
-
-        batches = []
-        original = sweep.run_batch
-
-        def counting(configs):
-            batches.append(sorted(c.n_states for c in configs))
-            return original(configs)
-
-        monkeypatch.setattr(sweep, "run_batch", counting)
-        spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("alpha", (0.25, 0.5)),),
-                         repetitions=2, metrics=("variance",))
-        result = run_sweep(spec)
-        assert batches == [[16, 16, 32, 32]]
-        per_worker = sweep._batches([(i, base_config(horizon=200)) for i in range(5)], workers=2)
-        assert [len(b) for b in per_worker] == [2, 3]
-        # 400 MB of records per cell: two cells fit the 1 GiB budget
-        capped = sweep._batches([(i, base_config(horizon=10_000_000)) for i in range(5)], workers=1)
-        assert [len(b) for b in capped] == [1, 2, 2]
-        for node in result.nodes:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunked_parallel_results_equal_serial(self, workers):
+        """Cells mapped to processes, invalid cells among them, give the serial results."""
+        spec = SweepSpec(base=base_config(horizon=300),
+                         axes=(SweepAxis("alpha", (0.25, 0.5)), SweepAxis("use_param", (0.5, 1.5))),
+                         repetitions=3, metrics=("variance", "gini"))
+        serial = run_sweep(spec, workers=1)
+        parallel = run_sweep(spec, workers=workers)
+        assert [n.n_success for n in serial.nodes] == [3, 0, 3, 0]
+        for a, b in zip(serial.nodes, parallel.nodes):
+            assert a.coords == b.coords
+            assert [(r.seed, r.metrics, r.error) for r in a.reps] == \
+                [(r.seed, r.metrics, r.error) for r in b.reps]
+        for node in serial.nodes[::2]:
             cfg = node_config(spec.base, node.coords)
             for rep in node.reps:
                 assert rep.metrics == compute_metrics(run(replace(cfg, seed=rep.seed)), spec.metrics)

@@ -1,4 +1,5 @@
-/* One market's whole horizon, bit for bit as specmarket.market.step.
+/* One market's whole horizon, bit for bit as specmarket.market.step, and the
+ * CSV row writer of specmarket.io.write_columns.
  *
  * Built and loaded by specmarket._kernel; see its docstring for the rules
  * that keep the bits equal to numpy's: the pairwise total, the order of the
@@ -7,6 +8,7 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* numpy/random/bitgen.h */
 typedef struct bitgen {
@@ -150,4 +152,322 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------------
+ * CSV rows, each float64 cell exactly as Python's repr(float).
+ *
+ * The digits are Ryu's (Adams, PLDI 2018): the shortest decimal that reads
+ * back as the same double and, among those, the nearest to it, ties to
+ * even, as CPython's dtoa mode 0. Its 125-bit power-of-5 tables are filled
+ * from Python's exact integers by specmarket._kernel when it loads the
+ * library.
+ */
+
+#define POW5_BITS 125
+
+/* (low, high) of 5^i scaled to 125 bits, for the exponents of doubles >= 1,
+ * and of floor(2^(bits(5^i) - 1 + 125) / 5^i) + 1, for those of doubles < 1 */
+uint64_t specmarket_pow5[326][2];
+uint64_t specmarket_pow5_inv[342][2];
+
+static const uint64_t pow10_table[20] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000),
+    UINT64_C(100000), UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000),
+    UINT64_C(1000000000), UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000), UINT64_C(100000000000000),
+    UINT64_C(1000000000000000), UINT64_C(10000000000000000), UINT64_C(100000000000000000),
+    UINT64_C(1000000000000000000), UINT64_C(10000000000000000000),
+};
+
+/* a * b, from 32-bit halves: returns the high 64 bits and stores the low 64 */
+static uint64_t mul_128(uint64_t a, uint64_t b, uint64_t *lo)
+{
+    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    *lo = mid << 32 | (uint32_t)p00;
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* floor(m * mul / 2^j) for a 125-bit mul and 64 < j < 128 */
+static uint64_t mul_shift(uint64_t m, const uint64_t mul[2], int32_t j)
+{
+    uint64_t low0, low1;
+    uint64_t high0 = mul_128(m, mul[0], &low0);
+    uint64_t high1 = mul_128(m, mul[1], &low1);
+    uint64_t mid = high0 + low1;
+    high1 += mid < high0;
+    return high1 << (128 - j) | mid >> (j - 64);
+}
+
+/* floor(log10(2^e)) for 0 <= e <= 1650 */
+static int32_t log10_pow2(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 78913) >> 18);
+}
+
+/* floor(log10(5^e)) for 0 <= e <= 2620 */
+static int32_t log10_pow5(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 732923) >> 20);
+}
+
+/* the bit length of 5^e for 0 <= e <= 3528 */
+static int32_t pow5_bits(int32_t e)
+{
+    return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1);
+}
+
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+static int multiple_of_pow2(uint64_t v, int32_t p)
+{
+    return (v & ((UINT64_C(1) << p) - 1)) == 0;
+}
+
+/* The shortest round-trip digits of a finite nonzero double as digits * 10^*exponent
+ * (Ryu's d2d). */
+static uint64_t shortest(uint64_t mantissa, uint32_t biased, int32_t *exponent)
+{
+    int32_t e2 = (biased ? (int32_t)biased : 1) - 1023 - 52 - 2;
+    uint64_t m2 = biased ? UINT64_C(1) << 52 | mantissa : mantissa;
+    int accept_bounds = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = mantissa != 0 || biased <= 1;  /* 0 where the gap below is half as wide */
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;  /* did the cut digits of vm, vr hold only zeros? */
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        e10 = q;
+        vr = mul_shift(mv, specmarket_pow5_inv[q], j);
+        vp = mul_shift(mv + 2, specmarket_pow5_inv[q], j);
+        vm = mul_shift(mv - 1 - mm_shift, specmarket_pow5_inv[q], j);
+        if (q <= 21) {  /* at most one of mv - 1 - mm_shift, mv and mv + 2 is a multiple of 5 */
+            if (mv % 5 == 0) {
+                vr_zeros = multiple_of_pow5(mv, q);
+            } else if (accept_bounds) {
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            } else {
+                vp -= multiple_of_pow5(mv + 2, q);
+            }
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5_bits(i) - POW5_BITS);
+        e10 = q + e2;
+        vr = mul_shift(mv, specmarket_pow5[i], j);
+        vp = mul_shift(mv + 2, specmarket_pow5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, specmarket_pow5[i], j);
+        if (q <= 1) {  /* mv has two trailing zero bits, mv + 2 one, mv - 1 - mm_shift mm_shift */
+            vr_zeros = 1;
+            if (accept_bounds) {
+                vm_zeros = mm_shift == 1;
+            } else {
+                vp--;
+            }
+        } else if (q < 63) {
+            vr_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+    /* cut digits while the interval (vm, vp) still holds a shorter number */
+    int32_t removed = 0;
+    uint32_t last = 0;
+    while (vp / 10 > vm / 10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_zeros) {  /* vm itself is in the interval: cut its trailing zeros too */
+        while (vm % 10 == 0) {
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0) {
+        last = 4;  /* exactly half way: round to even */
+    }
+    *exponent = e10 + removed;
+    return vr + ((vr == vm && (!accept_bounds || !vm_zeros)) || last >= 5);
+}
+
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the number of decimal digits of v */
+static int decimal_length(uint64_t v)
+{
+    int n = 1;
+    while (n < 20 && v >= pow10_table[n]) {
+        n++;
+    }
+    return n;
+}
+
+/* writes the decimal digits of v to the bytes before end, two at a time, in 32-bit steps */
+static void put_digits(char *end, uint64_t v)
+{
+    while (v >= 100000000) {
+        uint32_t low = (uint32_t)(v % 100000000);
+        v /= 100000000;
+        for (int i = 0; i < 4; i++) {
+            end -= 2;
+            memcpy(end, DIGIT_PAIRS + 2 * (low % 100), 2);
+            low /= 100;
+        }
+    }
+    uint32_t w = (uint32_t)v;
+    while (w >= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (w % 100), 2);
+        w /= 100;
+    }
+    if (w >= 10) {
+        memcpy(end - 2, DIGIT_PAIRS + 2 * w, 2);
+    } else {
+        end[-1] = (char)('0' + w);
+    }
+}
+
+static char *put_int(char *p, int64_t v)
+{
+    if (v < 0) {
+        *p++ = '-';
+    }
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int n = decimal_length(u);
+    put_digits(p + n, u);
+    return p + n;
+}
+
+/* repr(x): fixed notation for -4 < decpt <= 16, where the value is 0.d1d2... * 10^decpt */
+static char *put_double(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t mantissa = bits & ((UINT64_C(1) << 52) - 1);
+    uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && mantissa) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63) {
+        *p++ = '-';
+    }
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (biased == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int32_t exponent;
+    uint64_t digits = shortest(mantissa, biased, &exponent);
+    int n = decimal_length(digits);
+    int decpt = n + exponent;
+    if (decpt <= -4 || decpt > 16) {  /* d.ddde+XX: the digits go one byte right, then d moves back */
+        put_digits(p + 1 + n, digits);
+        p[0] = p[1];
+        if (n > 1) {
+            p[1] = '.';
+            p += n + 1;
+        } else {
+            p += 1;
+        }
+        int e = decpt - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100) {
+            *p++ = (char)('0' + e / 100);
+            e %= 100;
+        }
+        memcpy(p, DIGIT_PAIRS + 2 * e, 2);
+        return p + 2;
+    }
+    if (decpt <= 0) {  /* 0.000ddd */
+        p[0] = '0';
+        p[1] = '.';
+        for (int i = 0; i < -decpt; i++) {
+            p[2 + i] = '0';
+        }
+        p += 2 - decpt + n;
+        put_digits(p, digits);
+        return p;
+    }
+    if (decpt >= n) {  /* ddd000.0 */
+        put_digits(p + n, digits);
+        for (int i = n; i < decpt; i++) {
+            p[i] = '0';
+        }
+        p[decpt] = '.';
+        p[decpt + 1] = '0';
+        return p + decpt + 2;
+    }
+    put_digits(p + 1 + n, digits);  /* dd.ddd: the digits go one byte right, then dd moves back */
+    for (int i = 0; i < decpt; i++) {
+        p[i] = p[i + 1];
+    }
+    p[decpt] = '.';
+    return p + n + 1;
+}
+
+enum { CELL_FLOAT = 0, CELL_INT = 1, CELL_TEXT = 2 };
+
+/* Writes n_rows rows "a,b,c\n" of n_cols columns to out and returns the bytes written.
+ *
+ * values[c] is a column of float64 (CELL_FLOAT) or int64 (CELL_INT) values,
+ * or, for CELL_TEXT, the bytes of all its cells, cell r being bytes
+ * offsets[c][r] to offsets[c][r + 1]. A row r where masks[c] is not NULL and
+ * masks[c][r] is nonzero gets an empty cell. out must hold 24 bytes per float
+ * cell, 20 per int cell, the text cells' bytes and n_cols bytes per row.
+ */
+int64_t specmarket_write_rows(int64_t n_rows, int64_t n_cols, const int64_t *kinds,
+                              const void *const *values, const int64_t *const *offsets,
+                              const uint8_t *const *masks, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < n_rows; r++) {
+        for (int64_t c = 0; c < n_cols; c++) {
+            if (c) {
+                *p++ = ',';
+            }
+            if (masks[c] && masks[c][r]) {
+                continue;
+            }
+            if (kinds[c] == CELL_FLOAT) {
+                p = put_double(p, ((const double *)values[c])[r]);
+            } else if (kinds[c] == CELL_INT) {
+                p = put_int(p, ((const int64_t *)values[c])[r]);
+            } else {
+                const int64_t *o = offsets[c];
+                memcpy(p, (const char *)values[c] + o[r], (size_t)(o[r + 1] - o[r]));
+                p += o[r + 1] - o[r];
+            }
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

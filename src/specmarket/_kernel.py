@@ -1,18 +1,24 @@
-"""Build and load the C step kernel (``_kernel.c``) without a build step.
+"""Build and load the C kernel (``_kernel.c``) without a build step.
 
-The shared library is compiled on first use with the system C compiler and
-cached in the package's ``__pycache__/``. The cache file is named by a hash of
-the C source, the compiler flags and the host CPU's identity, because
-``-march=native`` code must never load on another CPU. Where the cache cannot
-be written, or the host's ``/proc/cpuinfo`` has no line that identifies its
-CPU, the library is built in a temporary directory for the process. A build
-writes under a temporary name and renames into place, so concurrent cold
-builds cannot race, and loading from a warm cache starts no process.
+The library holds two things: the step kernel behind ``market.run`` and the
+CSV row writer behind ``io.write_columns``. It is compiled on first use with
+the system C compiler and cached in the package's ``__pycache__/``. The cache
+file is named by a hash of the C source, the compiler flags and the host
+CPU's identity, because ``-march=native`` code must never load on another
+CPU. Where the cache cannot be written, or the host's ``/proc/cpuinfo`` has
+no line that identifies its CPU, the library is built in a temporary
+directory for the process. A build writes under a temporary name and renames
+into place, so concurrent cold builds cannot race, and loading from a warm
+cache starts no process. ``library()`` loads it once per process and, where
+it cannot be built or loaded, warns once; both callers then fall back to
+Python.
 
-The kernel reproduces numpy's bits: totals copy numpy's pairwise sum
+The step kernel reproduces numpy's bits: totals copy numpy's pairwise sum
 (blocks of 128, 8 accumulators) as ``0.0 + pairwise(a, n)``, the draws go
 through the bit generator's ``next_double`` in the order of
-``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
+``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused. The
+row writer writes each float64 as ``repr`` does (shortest round-trip digits,
+by Ryu), each int64 as ``str`` does, and text cells as given.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -43,6 +50,10 @@ RUN_ARGTYPES = (
     _p, _p, _p, _p,               # money, stocks, m, s
     _p, _p, _p, _p,               # prices, mus, capital, agent_caps
 )
+#: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, offsets, masks, out
+WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p, _p)
+#: the writer's power-of-5 tables: their lengths in ``_kernel.c`` and the bits of each entry
+POW5_COUNT, POW5_INV_COUNT, POW5_BITS = 326, 342, 125
 
 
 def cpu_identity() -> str:
@@ -108,8 +119,49 @@ def load() -> ctypes.CDLL:
     finally:
         if temporary:  # a loaded library stays mapped after its file is gone
             shutil.rmtree(cache_dir, ignore_errors=True)
+    return _bind(lib)
+
+
+def _pow5_tables() -> tuple[list[int], list[int]]:
+    """Ryu's tables: 5^i scaled to ``POW5_BITS`` bits, and
+    floor(2^(bits(5^i) - 1 + POW5_BITS) / 5^i) + 1."""
+    powers = [5**i for i in range(max(POW5_COUNT, POW5_INV_COUNT))]
+    scaled = [(p << POW5_BITS) >> p.bit_length() for p in powers[:POW5_COUNT]]
+    inverse = [(1 << (p.bit_length() - 1 + POW5_BITS)) // p + 1 for p in powers[:POW5_INV_COUNT]]
+    return scaled, inverse
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the entry points' signatures and fill the writer's tables."""
     lib.specmarket_run.argtypes = RUN_ARGTYPES
     lib.specmarket_run.restype = None
     lib.specmarket_total.argtypes = (_p, _i64)
     lib.specmarket_total.restype = _f64
+    lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES
+    lib.specmarket_write_rows.restype = _i64
+    for name, values in zip(("specmarket_pow5", "specmarket_pow5_inv"), _pow5_tables()):
+        table = (ctypes.c_uint64 * (2 * len(values))).in_dll(lib, name)
+        table[:] = [word for v in values for word in (v & (2**64 - 1), v >> 64)]
     return lib
+
+
+#: the loaded library; False once it failed to build or load in this process
+_LIBRARY = None
+
+
+def library():
+    """The library ``load`` gives, loaded once per process; False where that failed.
+
+    The first failure emits one ``RuntimeWarning`` naming ``_kernel.c`` and the
+    cause; ``market.run`` and ``io.write_columns`` then use their Python paths.
+    """
+    global _LIBRARY
+    if _LIBRARY is None:
+        try:
+            _LIBRARY = load()
+        except OSError as exc:
+            warnings.warn(f"specmarket: the C kernel {SOURCE.name} could not be built or loaded "
+                          f"({exc}); run() and write_columns() fall back to Python",
+                          RuntimeWarning, stacklevel=3)
+            _LIBRARY = False
+    return _LIBRARY

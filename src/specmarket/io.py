@@ -10,6 +10,7 @@ pipeline so their statistics are directly comparable.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import datetime
 import hashlib
 import json
@@ -19,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError
 from .market import (
     Endogenous,
@@ -304,8 +306,13 @@ def post_transient(returns: np.ndarray) -> np.ndarray:
 # artifacts
 # ---------------------------------------------------------------------------
 
-#: rows formatted per write in ``write_columns``; it caps the strings held at once
+#: rows formatted per write in ``write_columns``; it caps the bytes held at once
 _CHUNK_ROWS = 1 << 13
+
+#: cell kinds of the C row writer, and the longest cell of each fixed-width kind:
+#: repr of a float64 ("-2.2250738585072014e-308") and str of an int64
+_FLOAT, _INT, _TEXT = 0, 1, 2
+_WIDTH = {_FLOAT: 24, _INT: 20, _TEXT: 0}
 
 
 def _header(key: str, value) -> str:
@@ -325,22 +332,76 @@ def _cells(column) -> list:
     return text
 
 
+def _writer_column(column) -> tuple:
+    """``(kind, values, offsets, mask)`` of one column for the C row writer.
+
+    Floats of up to 64 bits become float64 and integers that fit become int64,
+    whose cells the writer formats as ``_cells`` would; any other column is
+    formatted by ``_cells`` and passed as UTF-8 bytes with row offsets.
+    """
+    data = np.ma.getdata(column)
+    mask = np.ascontiguousarray(np.ma.getmaskarray(column)) if np.ma.isMaskedArray(column) else None
+    if data.dtype.kind == "f" and data.dtype.itemsize <= 8:
+        return _FLOAT, np.ascontiguousarray(data, dtype=np.float64), None, mask
+    if data.dtype.kind in "iu" and np.can_cast(data.dtype, np.int64):
+        return _INT, np.ascontiguousarray(data, dtype=np.int64), None, mask
+    cells = [cell.encode() for cell in _cells(column)]
+    offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum([len(cell) for cell in cells], out=offsets[1:])
+    return _TEXT, np.frombuffer(b"".join(cells), dtype=np.uint8), offsets, None
+
+
+def _write_rows(lib, fh, columns, n_rows: int) -> None:
+    """Write the rows of ``columns`` to binary ``fh``, one C writer call per chunk."""
+    prepared = [_writer_column(column) for column in columns]
+    n_cols = len(prepared)
+    kinds = (ctypes.c_int64 * n_cols)(*(kind for kind, _, _, _ in prepared))
+    row_bytes = n_cols + sum(_WIDTH[kind] for kind in kinds)
+    pointers = ctypes.c_void_p * n_cols
+    buffer = np.empty(0, dtype=np.uint8)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n_rows - start)
+        values, offsets, masks, size = pointers(), pointers(), pointers(), rows * row_bytes
+        for c, (kind, data, cut, mask) in enumerate(prepared):
+            if kind == _TEXT:
+                values[c] = data.ctypes.data
+                offsets[c] = cut.ctypes.data + 8 * start
+                size += int(cut[start + rows] - cut[start])
+            else:
+                values[c] = data.ctypes.data + data.itemsize * start
+            if mask is not None:
+                masks[c] = mask.ctypes.data + start
+        if buffer.size < size:
+            buffer = np.empty(size, dtype=np.uint8)
+        written = lib.specmarket_write_rows(rows, n_cols, kinds, values, offsets, masks,
+                                            buffer.ctypes.data)
+        fh.write(buffer[:written])
+
+
 def write_columns(path, tag: tuple, names, columns) -> Path:
     """Write a specmarket CSV: format header, ``# key: value`` tag line, column names, rows.
 
     ``tag`` is ``("config-hash", hash)`` for the outputs of a config and
     ``("states", D)`` for the analytic bounds. ``columns`` are equal-length
-    arrays or sequences, formatted column by column (see ``_cells``) in
-    chunks of ``_CHUNK_ROWS`` rows.
+    arrays or sequences. Cells are ``repr`` of floats, ``str`` of anything
+    else and empty where a ``numpy.ma`` mask is set (see ``_cells``). The C
+    row writer of ``_kernel.c`` writes them in chunks of ``_CHUNK_ROWS`` rows;
+    where it cannot be loaded, ``_cells`` formats the same bytes in Python.
     """
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns of unequal lengths {[len(column) for column in columns]}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n_rows = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(_header(*tag) + ",".join(names) + "\n")
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            cells = [_cells(column[start:start + _CHUNK_ROWS]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    lib = _kernel.library()
+    with open(path, "wb") as fh:
+        fh.write((_header(*tag) + ",".join(names) + "\n").encode())
+        if lib:
+            _write_rows(lib, fh, columns, n_rows)
+        else:
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                cells = [_cells(column[start:start + _CHUNK_ROWS]) for column in columns]
+                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
     return path
 
 
@@ -431,8 +492,23 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     return files
 
 
+def _reject_rows(path, values: np.ndarray, valid: np.ndarray, first_row: int, rule: str) -> None:
+    """Raise ``DataFormatError`` naming the first row whose value breaks ``rule``.
+
+    ``values[i]`` is read from data row ``first_row + i``.
+    """
+    bad = np.flatnonzero(~valid)
+    if bad.size:
+        i = int(bad[0])
+        raise DataFormatError(f"{path}: row {i + first_row}: {rule}, got {float(values[i])!r}")
+
+
 def read_run_csv(path) -> dict:
-    """Read back a run.csv; refuses files with an unknown format version."""
+    """Read back a run.csv; refuses files with an unknown format version.
+
+    A row whose tau is not a positive integer, whose price is not finite and
+    positive, or whose log return is not finite is refused by its number.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -463,12 +539,18 @@ def read_run_csv(path) -> dict:
         try:
             mus[i] = int(parts[1])
             if parts[2]:
-                taus[i] = float(parts[2])
+                tau = int(parts[2]) if parts[2].isdigit() else 0
+                if tau <= 0:
+                    raise ValueError(f"tau must be a positive integer, got {parts[2]!r}")
+                taus[i] = tau
             prices[i] = float(parts[3])
             if i > 0:
                 returns[i - 1] = float(parts[4])
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i + 1}: {exc}") from exc
+    _reject_rows(path, prices, np.isfinite(prices) & (prices > 0), 1,
+                 "price must be finite and positive")
+    _reject_rows(path, returns, np.isfinite(returns), 2, "log_return must be finite")
     return {"config_hash": chash, "prices": prices, "mus": mus, "taus": taus, "returns": returns}
 
 

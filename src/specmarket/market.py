@@ -26,7 +26,6 @@ bits. ``memory_budget`` caps each run's record.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -472,30 +471,13 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
     mus = np.empty(horizon, dtype=np.int64)
     capital = np.empty(horizon)
     agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
-    lib = _kernel_library()
+    lib = _kernel.library()
     if lib:
         _step_kernel(lib, state, prices, mus, capital, agent_caps)
     else:
         _step_single(state, prices, mus, capital, agent_caps)
     capital /= 2.0 * n_spec
     return _finish(state, prices, mus, capital, agent_caps)
-
-
-#: the loaded C kernel; False once it failed to build or load in this process
-_KERNEL = None
-
-
-def _kernel_library():
-    global _KERNEL
-    if _KERNEL is None:
-        try:
-            _KERNEL = _kernel.load()
-        except OSError as exc:
-            warnings.warn(f"specmarket: the C step kernel {_kernel.SOURCE.name} could not be "
-                          f"built or loaded ({exc}); run() falls back to the numpy loop",
-                          RuntimeWarning, stacklevel=3)
-            _KERNEL = False
-    return _KERNEL
 
 
 def _address(array) -> Optional[int]:

@@ -61,8 +61,12 @@ def normalize_by_std(x: Sequence[float]) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.size < 2:
         raise SampleSizeError(f"need at least 2 values to normalize, got {a.size}")
-    std = float(a.std())
-    if std == 0.0 or not math.isfinite(std):
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(a.std())
+    if not math.isfinite(std):
+        raise DegenerateInputError(f"cannot normalize: the standard deviation is {std!r}; "
+                                   "the sequence holds non-finite values or overflows when squared")
+    if std == 0.0:
         raise DegenerateInputError("cannot normalize a zero-variance sequence")
     return a / std
 

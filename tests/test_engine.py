@@ -1,6 +1,7 @@
 """The C kernel behind ``run`` against the step-by-step reference and the numpy fallback."""
 
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,9 @@ from specmarket import (
 )
 from specmarket import _kernel, market
 from specmarket.errors import MemoryBudgetError
+from specmarket.io import write_run_artifact
 from specmarket.market import record_bytes
+from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
 
 FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals",
           "agent_capitals")
@@ -68,7 +71,7 @@ def assert_matches_step(record, config):
 def fallback_run(config):
     """``run`` on the numpy loop, as on a host where the kernel cannot be built."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(market, "_KERNEL", False)
+        patch.setattr(_kernel, "_LIBRARY", False)
         return run(config)
 
 
@@ -111,7 +114,7 @@ def configs(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
 def test_run_equals_step_and_fallback(config):
-    assert market._kernel_library()
+    assert _kernel.library()
     record = run(config)
     assert_matches_step(record, config)
     assert_same_bytes(record, fallback_run(config))
@@ -169,7 +172,7 @@ def kernel_total(lib, values):
 
 
 def test_kernel_total_equals_add_reduce():
-    lib = market._kernel_library()
+    lib = _kernel.library()
     assert lib
     rng = np.random.default_rng(11)
     lengths = list(range(301)) + rng.integers(0, 20_001, size=3000).tolist()
@@ -194,7 +197,7 @@ def test_strategy_table_equals_integers(d, n):
         assert ours.random() == theirs.random()
 
 
-def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch):
+def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch, tmp_path):
     config = MarketConfig(n_speculators=12, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
                           horizon=300, seed=4, n_producers=2, producer_kind="random",
                           record_agents=True)
@@ -203,14 +206,17 @@ def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch):
     def fail():
         raise OSError("cc: not found")
 
-    monkeypatch.setattr(market, "_KERNEL", None)
+    monkeypatch.setattr(_kernel, "_LIBRARY", None)
     monkeypatch.setattr(_kernel, "load", fail)
     with pytest.warns(RuntimeWarning, match=r"_kernel\.c.*cc: not found"):
         record = run(config)
     assert_same_bytes(record, expected)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert_same_bytes(run(config), expected)  # one warning per process
+        warnings.simplefilter("error")  # one warning per process, for run and write_columns
+        assert_same_bytes(run(config), expected)
+        for case in ARTIFACT_CASES:  # the Python cell path writes the pinned bytes
+            files = write_run_artifact(tmp_path / case, CASES[case], run(CASES[case]))
+            assert file_digests(files.values()) == GOLDEN_ARTIFACTS[case]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +247,13 @@ def test_unwritable_cache_builds_for_the_process(monkeypatch, tmp_path):
     (tmp_path / "tmp").mkdir()
     assert _kernel.load().specmarket_total(np.ones(2).ctypes.data, 2) == 2.0
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    done = subprocess.run(["cc", *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(_kernel.SOURCE)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cache_name_keys_source_flags_and_cpu():
@@ -308,7 +321,7 @@ import sys
 from pathlib import Path
 from specmarket import _kernel, market
 _kernel.CACHE_DIR = Path(sys.argv[1])
-assert market._kernel_library()
+assert _kernel.library()
 config = market.MarketConfig(n_speculators=40, use_param=0.5, info_mode=market.Endogenous(4),
                              horizon=2000, seed=9)
 sys.stdout.write(market.run(config).prices.tobytes().hex())

@@ -1,12 +1,18 @@
 import json
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import specmarket.io
-from specmarket import Endogenous, Exogenous, Mixed, run
+from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run
 from specmarket.cli import main
-from specmarket.errors import ConfigError, DataFormatError
+from specmarket.errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError
 from specmarket.io import (
     FORMAT_VERSION,
     analyze_returns,
@@ -18,6 +24,7 @@ from specmarket.io import (
     read_run_csv,
     write_run_artifact,
 )
+from test_engine import configs
 
 MINIMAL = """\
 [market]
@@ -185,6 +192,67 @@ class TestArtifacts:
                         "t,mu,tau,price,log_return\n0,1,,1.0,\n1,0,,high,0.1\n")
         with pytest.raises(DataFormatError, match="row 2"):
             read_run_csv(path)
+
+
+    @pytest.mark.parametrize("column, value, rule", [
+        ("price", "nan", "price must be finite and positive, got nan"),
+        ("price", "inf", "price must be finite and positive, got inf"),
+        ("price", "0.0", "price must be finite and positive, got 0.0"),
+        ("price", "-1.5", "price must be finite and positive, got -1.5"),
+        ("log_return", "nan", "log_return must be finite, got nan"),
+        ("log_return", "-inf", "log_return must be finite, got -inf"),
+        ("tau", "1.5", "tau must be a positive integer, got '1.5'"),
+        ("tau", "0", "tau must be a positive integer, got '0'"),
+        ("tau", "-3", "tau must be a positive integer, got '-3'"),
+    ])
+    def test_bad_value_refused_by_row(self, tmp_path, make_config, column, value, rule):
+        files = write_run_artifact(tmp_path / "out", make_config(horizon=300), run(make_config(horizon=300)))
+        lines = files["run"].read_text().splitlines()
+        first = lines.index("t,mu,tau,price,log_return") + 1
+        row = 150
+        cells = lines[first + row - 1].split(",")
+        cells["t,mu,tau,price,log_return".split(",").index(column)] = value
+        lines[first + row - 1] = ",".join(cells)
+        files["run"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=rf"run\.csv: row {row}: {re.escape(rule)}$"):
+            read_run_csv(files["run"])
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(configs())
+    def test_run_csv_reads_back_the_record_bits(self, config):
+        record = run(config)
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                write_run_artifact(out, config, record)
+            except (SampleSizeError, DegenerateInputError):
+                pass  # too few or constant returns to analyze; run.csv is written before that
+            data = read_run_csv(Path(out) / "run.csv")
+        for name in ("prices", "mus", "taus", "returns"):
+            ours, theirs = data[name], getattr(record, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+            assert ours.tobytes() == theirs.tobytes(), name
+        assert data["config_hash"] == config_hash(config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.booleans(), st.integers(1, 4))
+    def test_emitted_weight_lists_parse_back(self, data, mixed, exo_bits):
+        size = 1 << exo_bits if mixed else data.draw(st.integers(2, 16))
+        weights = np.array(data.draw(st.lists(st.floats(1e-300, 1e300), min_size=size,
+                                              max_size=size)))
+        weights /= weights.sum()
+        assume(abs(weights.sum() - 1.0) <= 1e-12 and not np.all(weights == weights[0]))
+        mode = Mixed(2, exo_bits, weights) if mixed else Exogenous(weights)
+        config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=mode, horizon=100,
+                              seed=data.draw(st.integers(0, 2**64 - 1)))
+        text = emit_config(config)
+        assert "weights = " in text  # not folded into a named distribution
+        with tempfile.TemporaryDirectory() as out:
+            parsed = parse_market_config(write(Path(out), text))
+        assert parsed == config
+        parsed_weights = parsed.info_mode.exo_weights if mixed else parsed.info_mode.weights
+        assert parsed_weights.tobytes() == weights.tobytes()
 
 
 class TestEmpirical:

@@ -35,8 +35,18 @@ class TestNormalize:
         assert abs(out.std() - 1.0) < 1e-12
 
     def test_constant_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="zero-variance"):
             normalize_by_std([2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("values, std", [
+        ([0.01, -0.02, 1e300, 0.03], "inf"),  # finite, but the squares overflow
+        ([0.01, np.inf, 0.03], "nan"),
+        ([0.01, np.nan, 0.03], "nan"),
+    ])
+    def test_non_finite_std_has_its_own_message(self, values, std):
+        with pytest.raises(DegenerateInputError, match=rf"standard deviation is {std};") as caught:
+            normalize_by_std(values)
+        assert "zero-variance" not in str(caught.value)
 
     def test_idempotent(self):
         x = np.random.default_rng(2).normal(size=500) * 17.0

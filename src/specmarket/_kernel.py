@@ -10,8 +10,8 @@ no line that identifies its CPU, the library is built in a temporary
 directory for the process. A build writes under a temporary name and renames
 into place, so concurrent cold builds cannot race, and loading from a warm
 cache starts no process. ``library()`` loads it once per process and, where
-it cannot be built or loaded, warns once; both callers then fall back to
-Python.
+it cannot be built or loaded, warns once; ``market.run`` then loops over
+``market.step`` and ``io.write_columns`` formats its cells in Python.
 
 The step kernel reproduces numpy's bits: totals copy numpy's pairwise sum
 (blocks of 128, 8 accumulators) as ``0.0 + pairwise(a, n)``, the draws go
@@ -153,7 +153,8 @@ def library():
     """The library ``load`` gives, loaded once per process; False where that failed.
 
     The first failure emits one ``RuntimeWarning`` naming ``_kernel.c`` and the
-    cause; ``market.run`` and ``io.write_columns`` then use their Python paths.
+    cause; ``market.run`` then loops over ``market.step``, and
+    ``io.write_columns`` formats its cells with ``io._cells``.
     """
     global _LIBRARY
     if _LIBRARY is None:

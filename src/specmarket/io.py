@@ -14,6 +14,7 @@ import ctypes
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -43,13 +44,20 @@ FORMAT_VERSION = 1
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; ``DataFormatError`` naming it where it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_ini(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config {path}: {exc}") from exc
+        parser.read_string(_read_text(path), source=str(path))
     except configparser.Error as exc:
         raise DataFormatError(f"config parse error in {path}: {exc}") from exc
     return parser
@@ -506,14 +514,11 @@ def _reject_rows(path, values: np.ndarray, valid: np.ndarray, first_row: int, ru
 def read_run_csv(path) -> dict:
     """Read back a run.csv; refuses files with an unknown format version.
 
-    A row whose tau is not a positive integer, whose price is not finite and
-    positive, or whose log return is not finite is refused by its number.
+    A row whose mu is not an integer in [0, 2**63), whose tau is not a
+    positive integer below 2**63, whose price is not finite and positive, or
+    whose log return is not finite is refused by its number.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("# specmarket-format:"):
         raise DataFormatError(f"{path}: missing format header; not a specmarket file?")
     version = lines[0].split(":", 1)[1].strip()
@@ -537,11 +542,16 @@ def read_run_csv(path) -> dict:
         if len(parts) != 5:
             raise DataFormatError(f"{path}: row {i + 1}: expected 5 fields, got {len(parts)}")
         try:
-            mus[i] = int(parts[1])
+            mu = int(parts[1])
+            if not 0 <= mu < 1 << 63:
+                raise ValueError(f"mu must be an integer in [0, 2**63), got {parts[1]!r}")
+            mus[i] = mu
             if parts[2]:
                 tau = int(parts[2]) if parts[2].isdigit() else 0
                 if tau <= 0:
                     raise ValueError(f"tau must be a positive integer, got {parts[2]!r}")
+                if tau >= 1 << 63:
+                    raise ValueError(f"tau must be below 2**63, got {parts[2]!r}")
                 taus[i] = tau
             prices[i] = float(parts[3])
             if i > 0:
@@ -582,13 +592,10 @@ def _parse_date(token: str) -> Optional[datetime.date]:
 def load_empirical(path) -> EmpiricalSeries:
     """Load a two-column (date, close) text file; header lines are tolerated.
 
-    Dates must be strictly increasing and prices positive; violations are
-    reported with their row number.
+    Dates must be strictly increasing and closes finite and positive;
+    violations are reported with their row number.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     dates, closes = [], []
     started = False
     for row, line in enumerate(text.splitlines(), start=1):
@@ -610,8 +617,9 @@ def load_empirical(path) -> EmpiricalSeries:
             close = float(parts[1])
         except ValueError:
             raise DataFormatError(f"{path}: row {row}: unparseable close {parts[1]!r}") from None
-        if close <= 0:
-            raise DataFormatError(f"{path}: row {row}: close must be positive, got {close}")
+        if not (math.isfinite(close) and close > 0):
+            raise DataFormatError(f"{path}: row {row}: close must be finite and positive, "
+                                  f"got {close}")
         if dates and date <= dates[-1]:
             raise DataFormatError(f"{path}: row {row}: dates must be strictly increasing")
         dates.append(date)

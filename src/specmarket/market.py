@@ -19,8 +19,7 @@ engine, ``run``: it steps a market's whole horizon in one call of a C kernel
 record in numpy. The kernel is compiled on first use and cached in the
 package's ``__pycache__/`` under a hash of its source, its flags and the host
 CPU (see ``specmarket._kernel``). Where it cannot be built, ``run`` warns once
-and steps the market with a numpy loop, ``_step_single``, again with the same
-bits. ``memory_budget`` caps each run's record.
+and loops over ``step`` itself. ``memory_budget`` caps each run's record.
 """
 
 from __future__ import annotations
@@ -44,6 +43,9 @@ DEFAULT_MEMORY_BUDGET = 1 << 30
 #: are rejected at config time
 _MAX_MARKET_BYTES = 1 << 32
 
+#: most bits of an information state, an int64 index; checked before ``1 << bits``
+_MAX_STATE_BITS = 62
+
 #: 8-byte arrays a market holds per information state: exogenous weights,
 #: their cumulative sums and ``last_seen``
 _PER_STATE_ARRAYS = 3
@@ -64,9 +66,9 @@ class Endogenous:
         return 1 << self.memory_bits
 
     def validate(self) -> None:
-        if not isinstance(self.memory_bits, int) or self.memory_bits < 1:
+        if not isinstance(self.memory_bits, int) or not 1 <= self.memory_bits <= _MAX_STATE_BITS:
             raise ConfigError(
-                f"info_mode.memory_bits must be a positive integer, got {self.memory_bits!r}"
+                f"info_mode.memory_bits must be in [1, {_MAX_STATE_BITS}], got {self.memory_bits!r}"
             )
 
 
@@ -111,10 +113,12 @@ class Mixed:
         return 1 << (self.endo_bits + self.exo_bits)
 
     def validate(self) -> None:
-        if not isinstance(self.endo_bits, int) or self.endo_bits < 1:
-            raise ConfigError(f"info_mode.endo_bits must be a positive integer, got {self.endo_bits!r}")
-        if not isinstance(self.exo_bits, int) or self.exo_bits < 1:
-            raise ConfigError(f"info_mode.exo_bits must be a positive integer, got {self.exo_bits!r}")
+        if not isinstance(self.endo_bits, int) or not 1 <= self.endo_bits < _MAX_STATE_BITS:
+            raise ConfigError(f"info_mode.endo_bits must be in [1, {_MAX_STATE_BITS - 1}], "
+                              f"got {self.endo_bits!r}")
+        exo_max = _MAX_STATE_BITS - self.endo_bits
+        if not isinstance(self.exo_bits, int) or not 1 <= self.exo_bits <= exo_max:
+            raise ConfigError(f"info_mode.exo_bits must be in [1, {exo_max}], got {self.exo_bits!r}")
         w = np.asarray(self.exo_weights, dtype=float)
         if w.shape != (1 << self.exo_bits,):
             raise ConfigError(
@@ -343,15 +347,10 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _refill(state: MarketState) -> np.ndarray:
-    state._exo_queue = np.searchsorted(state._exo_cum, state.rng.random(_EXO_CHUNK), side="right")
-    state._exo_pos = 0
-    return state._exo_queue
-
-
 def _draw_exogenous(state: MarketState) -> int:
     if state._exo_queue is None or state._exo_pos >= len(state._exo_queue):
-        _refill(state)
+        state._exo_queue = np.searchsorted(state._exo_cum, state.rng.random(_EXO_CHUNK), side="right")
+        state._exo_pos = 0
     value = int(state._exo_queue[state._exo_pos])
     state._exo_pos += 1
     return value
@@ -475,7 +474,14 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
     if lib:
         _step_kernel(lib, state, prices, mus, capital, agent_caps)
     else:
-        _step_single(state, prices, mus, capital, agent_caps)
+        k = config.n_producers
+        for t in range(horizon):
+            out = step(state)
+            prices[t], mus[t] = out.price, out.mu
+            money, stocks = state.money[k:], state.stocks[k:]
+            capital[t] = np.add.reduce(money) + np.add.reduce(stocks)
+            if agent_caps is not None:
+                agent_caps[t] = (money + stocks) / 2.0
     capital /= 2.0 * n_spec
     return _finish(state, prices, mus, capital, agent_caps)
 
@@ -511,64 +517,6 @@ def _step_kernel(lib, state, prices, mus, capital, agent_caps) -> None:
         )
     if queue is not None and cfg.horizon > 1:
         state._exo_queue = queue
-
-
-def _step_single(state, prices, mus, capital, agent_caps) -> None:
-    """The numpy loop, for hosts where the C kernel cannot be built."""
-    cfg = state.config
-    k, gamma, eps = cfg.n_producers, cfg.use_param, cfg.epsilon
-    n_random = k if cfg.producer_kind == "random" else 0
-    rng, strategies = state.rng, state.strategies
-    money, stocks = state.money, state.stocks
-    money_s, stocks_s = money[k:], stocks[k:]
-    n = cfg.n_agents
-    m, s, tmp = np.empty(n), np.empty(n), np.empty(n - k)
-    m_s, s_s = m[k:], s[k:]
-    buy, sell = np.empty(n, dtype=np.bool_), np.empty(n, dtype=np.bool_)
-    endo_states, exogenous = _endo_states(cfg.info_mode), state._exo_cum is not None
-    total, queue = np.add.reduce, None
-    mu, price, before = state.mu, 1.0, 1.0
-    for t in range(cfg.horizon):
-        if t > 0:
-            if endo_states:
-                if price > before:
-                    bit = 1
-                elif price < before:
-                    bit = 0
-                else:
-                    bit = int(rng.random() < 0.5)
-                endo = ((mu % endo_states) << 1 | bit) % endo_states
-            if exogenous:
-                pos = (t - 1) % _EXO_CHUNK
-                if pos == 0:
-                    queue = _refill(state).tolist()
-                mu = queue[pos] * endo_states + endo if endo_states else queue[pos]
-            else:
-                mu = endo
-        mus[t] = mu
-        row = strategies[mu]
-        if n_random:
-            np.copyto(buy, row)
-            np.less(rng.random(n_random), 0.5, out=buy[:n_random])
-            row = buy
-        np.logical_not(row, out=sell)
-        np.multiply(money, gamma, out=m)
-        np.multiply(m, row, out=m)
-        np.multiply(stocks, gamma, out=s)
-        np.multiply(s, sell, out=s)
-        before = price
-        price = (float(total(m)) + eps) / (float(total(s)) + eps)
-        prices[t] = price
-        np.multiply(s_s, price, out=tmp)
-        tmp -= m_s
-        money_s += tmp
-        np.divide(m_s, price, out=tmp)
-        tmp -= s_s
-        stocks_s += tmp
-        capital[t] = total(money_s) + total(stocks_s)
-        if agent_caps is not None:
-            np.add(money_s, stocks_s, out=agent_caps[t])
-            agent_caps[t] /= 2.0
 
 
 def _finish(state, prices, mus, capital, agent_caps) -> SimulationRecord:

@@ -226,7 +226,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     names = [axis.name for axis in spec.axes]
     grid = list(product(*(axis.values for axis in spec.axes)))
 
-    cells = {}
+    records = {}
     valid = []
     seeds_seen = {}
     for node_index, values in enumerate(grid):
@@ -239,11 +239,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     f"seed collision between cells {seeds_seen[seed]} and {(node_index, rep)}"
                 )
             seeds_seen[seed] = (node_index, rep)
+            records[(node_index, rep)] = record = RepRecord(seed=seed)
             cell_cfg = replace(cfg, seed=seed)
             try:
                 validate_config(cell_cfg)
             except ConfigError as exc:
-                cells[(node_index, rep)] = (None, _error(exc))
+                record.error = _error(exc)
                 continue
             valid.append(((node_index, rep), cell_cfg))
 
@@ -254,16 +255,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     else:
         outcomes = map(run_cell, valid)
     for cell, metrics, error in outcomes:
-        cells[cell] = (metrics, error)
+        records[cell].metrics, records[cell].error = metrics, error
 
     nodes = []
     for node_index, values in enumerate(grid):
         coords = dict(zip(names, values))
-        reps = []
-        for rep in range(spec.repetitions):
-            metrics, error = cells[(node_index, rep)]
-            reps.append(RepRecord(seed=derive_seed(spec.base.seed, node_index, rep),
-                                  metrics=metrics, error=error))
+        reps = [records[(node_index, rep)] for rep in range(spec.repetitions)]
         ok = [r.metrics for r in reps if r.metrics is not None]
         nodes.append(NodeResult(
             index=node_index,

@@ -1,4 +1,4 @@
-"""The C kernel behind ``run`` against the step-by-step reference and the numpy fallback."""
+"""The C kernel behind ``run`` against the step-by-step reference and ``run``'s loop over it."""
 
 import os
 import shutil
@@ -69,7 +69,7 @@ def assert_matches_step(record, config):
 
 
 def fallback_run(config):
-    """``run`` on the numpy loop, as on a host where the kernel cannot be built."""
+    """``run`` looping over ``step``, as on a host where the kernel cannot be built."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_LIBRARY", False)
         return run(config)

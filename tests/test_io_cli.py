@@ -204,6 +204,10 @@ class TestArtifacts:
         ("tau", "1.5", "tau must be a positive integer, got '1.5'"),
         ("tau", "0", "tau must be a positive integer, got '0'"),
         ("tau", "-3", "tau must be a positive integer, got '-3'"),
+        ("tau", "9" * 30, f"tau must be below 2**63, got '{'9' * 30}'"),
+        ("mu", "-3", "mu must be an integer in [0, 2**63), got '-3'"),
+        ("mu", "9" * 20, f"mu must be an integer in [0, 2**63), got '{'9' * 20}'"),
+        ("mu", str(2**63), f"mu must be an integer in [0, 2**63), got '{2**63}'"),
     ])
     def test_bad_value_refused_by_row(self, tmp_path, make_config, column, value, rule):
         files = write_run_artifact(tmp_path / "out", make_config(horizon=300), run(make_config(horizon=300)))
@@ -275,6 +279,12 @@ class TestEmpirical:
     def test_nonpositive_price_with_row(self, tmp_path):
         path = write(tmp_path, "2020-01-01 10\n2020-01-02 0\n", "px.txt")
         with pytest.raises(DataFormatError, match="row 2"):
+            load_empirical(path)
+
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_close_with_row(self, tmp_path, close):
+        path = write(tmp_path, f"2020-01-01 10\n2020-01-02 11\n2020-01-03 {close}\n", "px.txt")
+        with pytest.raises(DataFormatError, match="row 3: close must be finite and positive"):
             load_empirical(path)
 
     def test_constant_prices_degenerate_downstream(self, tmp_path):

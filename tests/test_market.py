@@ -62,6 +62,18 @@ class TestConfigValidation:
         assert len({make_config(info_mode=a) for a, _ in modes}) == 3
         assert Exogenous([0.5, 0.5]) != Exogenous([0.25, 0.75])
 
+    @pytest.mark.parametrize("mode, field", [
+        (Endogenous(63), "memory_bits"),
+        (Endogenous(10**20), "memory_bits"),
+        (Mixed(62, 1, [1.0]), "endo_bits"),
+        (Mixed(40, 23, [1.0]), "exo_bits"),
+        (Mixed(1, 10**20, [1.0]), "exo_bits"),
+    ])
+    def test_state_bits_capped_before_the_state_count(self, make_config, mode, field):
+        """Above 62 bits a state is no int64 index, and ``1 << bits`` could not be computed."""
+        with pytest.raises(ConfigError, match=field):
+            new_market(make_config(info_mode=mode))
+
     def test_mixed_weight_length(self):
         with pytest.raises(ConfigError, match="exo_weights"):
             Mixed(endo_bits=2, exo_bits=2, exo_weights=np.array([0.5, 0.5])).validate()

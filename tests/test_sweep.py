@@ -96,6 +96,23 @@ class TestRunSweep:
             record = run(replace(spec.base, seed=seed))
             assert rep.metrics == compute_metrics(record, spec.metrics)
 
+    def test_each_seed_derived_once(self, monkeypatch):
+        from specmarket import sweep
+
+        derived = []
+
+        def counting(*args):
+            derived.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(sweep, "derive_seed", counting)
+        spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.5, 1.5)),),
+                         repetitions=3, metrics=("variance",))
+        result = run_sweep(spec)
+        assert sorted(derived) == [(99, node, rep) for node in range(2) for rep in range(3)]
+        assert [[rep.seed for rep in node.reps] for node in result.nodes] == \
+            [[derive_seed(99, node, rep) for rep in range(3)] for node in range(2)]
+
     def test_derived_seeds_distinct(self):
         seeds = {derive_seed(3, n, r) for n in range(40) for r in range(50)}
         assert len(seeds) == 2000

@@ -145,7 +145,7 @@ def _parse_weights(section, prefix, n_agents):
         return uniform_weights(states)
     if dist == "exp":
         rate = _get(section, f"{prefix}rate", _to_float, "info")
-        return exponential_weights(rate, states)
+        return exponential_weights(rate, states, f"info.{prefix}rate")
     raise ConfigError(f"info.{d_key} must be 'uniform' or 'exp', got {dist!r}")
 
 
@@ -488,7 +488,8 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
         files["surprise"] = write_columns(
             outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
             (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
-        extra["surprise"] = {"log_correlation": surprise.log_correlation}
+        corr = surprise.log_correlation
+        extra["surprise"] = {"log_correlation": corr if math.isfinite(corr) else None}
         if surprise.tau_tail is not None:
             extra["surprise"].update({
                 "tau_ccdf_exponent": surprise.tau_tail.exponent,

@@ -153,12 +153,23 @@ def uniform_weights(n_states: int) -> np.ndarray:
     return np.full(n_states, 1.0 / n_states)
 
 
-def exponential_weights(rate: float, n_states: int) -> np.ndarray:
-    """Exogenous distribution with weights proportional to exp(-rate * mu)."""
+def exponential_weights(rate: float, n_states: int, field: str = "rate") -> np.ndarray:
+    """Exogenous distribution with weights proportional to exp(-rate * mu).
+
+    A non-finite ``rate``, or a negative one whose weights or weight sum
+    overflow float64, raises :class:`ConfigError` naming ``field``.
+    """
     if n_states < 1:
         raise ConfigError(f"n_states must be >= 1, got {n_states}")
-    w = np.exp(-rate * np.arange(n_states, dtype=float))
-    return w / w.sum()
+    if not math.isfinite(rate):
+        raise ConfigError(f"{field} must be finite, got {rate!r}")
+    with np.errstate(over="ignore"):
+        w = np.exp(-rate * np.arange(n_states, dtype=float))
+        total = w.sum()
+    if not math.isfinite(total):
+        raise ConfigError(f"{field} = {rate!r}: the weights exp(-rate * mu) over {n_states} states "
+                          "overflow float64")
+    return w / total
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class SurpriseSummary:
     bin_centers: np.ndarray     # geometric centers of surviving log-spaced tau bins
     bin_means: np.ndarray       # mean |r| per bin
     bin_counts: np.ndarray
-    log_correlation: float      # Pearson correlation of log tau with log |r|
+    log_correlation: float      # Pearson correlation of log tau with log |r|; NaN if undefined
     tau_tail: Optional[TailFit]  # None when there are too few recurrences to fit
 
 
@@ -97,10 +97,12 @@ def hill_fit_ks(
     tail. Samples with more candidates than ``max_cutoffs`` are scanned on a
     log-spaced subset of tail sizes (pass ``None`` to force the full scan).
 
-    The scan first brackets every candidate's KS distance on sampled ranks
-    (see ``_ks_bracket``) and drops those whose lower bound exceeds the
-    smallest upper bound; only the survivors get the full KS evaluation. The
-    dropped candidates cannot win, so the result equals the full scan's.
+    The scan prunes in passes over more and more sampled ranks per tail (see
+    ``_KS_SAMPLES``). Each pass takes a lower bound on every candidate's KS
+    distance (see ``_ks_lower_bound``), evaluates the full KS distance of the
+    candidate with the smallest bound, and drops the candidates whose bound
+    exceeds the smallest full distance seen so far. A dropped candidate's
+    distance is larger than the winner's, so the result equals the full scan's.
     """
     x = np.asarray(magnitudes, dtype=float)
     n_bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -124,20 +126,22 @@ def hill_fit_ks(
     eligible = ~(hill_means <= 0.0)  # degenerate tails of identical values are skipped
     tails, hill_means = tails[eligible], hill_means[eligible]
 
+    threshold = math.inf  # smallest full KS distance evaluated so far
     for samples in _KS_SAMPLES:
         if tails.size <= 1:
             break
-        lower, upper = _ks_bracket(logx, tails, 1.0 / hill_means, samples)
+        xis = 1.0 / hill_means
+        lower = _ks_lower_bound(logx, tails, xis, samples)
+        j = int(np.argmin(lower))
+        threshold = min(threshold, _ks_distance(logx, tails[j], xis[j]))
         # NaN bounds compare false, so they prune nothing
-        keep = ~(lower > upper.min() + _KS_TOLERANCE)
+        keep = ~(lower > threshold + _KS_TOLERANCE)
         tails, hill_means = tails[keep], hill_means[keep]
 
-    ranks = np.arange(1, n + 1, dtype=float)
     best: Optional[tuple[float, int, float]] = None  # (ks, n_tail, xi)
     for k, mean_log in zip(tails, hill_means):
         xi = 1.0 / mean_log
-        model = np.exp(-xi * (logx[:k] - logx[k - 1]))
-        ks = float(np.abs(ranks[:k] / k - model).max())
+        ks = _ks_distance(logx, k, xi)
         if best is None or ks <= best[0]:
             best = (ks, int(k), xi)
     if best is None:
@@ -146,40 +150,42 @@ def hill_fit_ks(
     return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
 
 
-#: sampled ranks per candidate in the successive bracketing passes of hill_fit_ks
-_KS_SAMPLES = (64, 1024, 8192)
-#: slack on the pruning threshold; it absorbs rounding in the bounds and lies
-#: far above float64 resolution, so it only ever keeps extra candidates
+#: sampled ranks per candidate in the successive pruning passes of hill_fit_ks
+_KS_SAMPLES = (16, 64, 256, 1024, 4096, 8192)
+#: slack on the pruning threshold; it absorbs rounding between the sampled and
+#: the full distance and lies far above float64 resolution, so it only ever
+#: keeps extra candidates
 _KS_TOLERANCE = 1e-12
-#: elements per block of a bracketing pass, which caps its memory
+#: elements per block of a pruning pass, which caps its memory
 _KS_BLOCK = 1 << 15
 
 
-def _ks_bracket(logx, tails, xis, samples):
-    """Lower and upper bounds on the KS distance of each candidate tail size.
+def _ks_distance(logx, k, xi):
+    """KS distance between the rank CCDF of the ``k`` largest values and the Hill model."""
+    model = np.exp(-xi * (logx[:k] - logx[k - 1]))
+    return float(np.abs(np.arange(1.0, k + 1) / k - model).max())
 
-    With ``logx`` sorted descending, both the rank CCDF ``i / k`` and the model
-    ``exp(-xi (log x_i - log x_k))`` are nondecreasing in the rank ``i``. On
-    ``samples + 1`` ranks spread from 1 to ``k``, the largest sampled gap is a
-    lower bound, and between sampled ranks ``a < b`` the gap is at most
-    ``max(emp_b - model_a, model_b - emp_a)``. Tails of at most
-    ``samples + 1`` points have every rank sampled, so both bounds are the
+
+def _ks_lower_bound(logx, tails, xis, samples):
+    """Lower bound on the KS distance of each candidate tail size.
+
+    With ``logx`` sorted descending, the bound is the largest gap between the
+    rank CCDF ``i / k`` and the model ``exp(-xi (log x_i - log x_k))`` on
+    ``samples + 1`` ranks spread from 1 to ``k``. Tails of at most
+    ``samples + 1`` points have every rank sampled, so the bound is the
     distance itself.
     """
     samples = min(samples, int(tails.max()) - 1)
     steps = np.arange(samples + 1)
     lower = np.empty(tails.size)
-    upper = np.empty(tails.size)
     rows = max(1, _KS_BLOCK // steps.size)
     for start in range(0, tails.size, rows):
         block = slice(start, start + rows)
         k = tails[block, None]
         ranks = 1 + steps * (k - 1) // samples
-        emp = ranks / k
         model = np.exp(-xis[block, None] * (logx[ranks - 1] - logx[k - 1]))
-        lower[block] = np.abs(emp - model).max(axis=1)
-        upper[block] = np.maximum(emp[:, 1:] - model[:, :-1], model[:, 1:] - emp[:, :-1]).max(axis=1)
-    return lower, np.where(tails - 1 <= samples, lower, np.maximum(upper, lower))
+        lower[block] = np.abs(ranks / k - model).max(axis=1)
+    return lower
 
 
 def autocorr_abs(returns: Sequence[float], max_lag: int) -> np.ndarray:
@@ -298,10 +304,7 @@ def surprise_stats(
     means = sums[keep] / counts[keep]
 
     positive = mags > 0
-    if positive.sum() >= 2:
-        log_corr = float(np.corrcoef(np.log10(tau[positive]), np.log10(mags[positive]))[0, 1])
-    else:
-        log_corr = math.nan
+    log_corr = _log_correlation(tau[positive], mags[positive])
 
     tau_tail = hill_fit_ks(tau) if tau.size >= 100 else None
     return SurpriseSummary(
@@ -312,3 +315,11 @@ def surprise_stats(
         log_correlation=log_corr,
         tau_tail=tau_tail,
     )
+
+
+def _log_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of log10 a with log10 b; NaN unless both sides vary."""
+    log_a, log_b = np.log10(a), np.log10(b)
+    if log_a.size < 2 or np.ptp(log_a) == 0 or np.ptp(log_b) == 0:
+        return math.nan
+    return float(np.corrcoef(log_a, log_b)[0, 1])

@@ -72,6 +72,9 @@ class SweepSpec:
                 raise ConfigError(f"axis name must be one of {AXIS_NAMES}, got {axis.name!r}")
             if len(axis.values) < 1:
                 raise ConfigError(f"axis {axis.name} has no values")
+            bad = [v for v in axis.values if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]!r}")
         for m in self.metrics:
             if m not in KNOWN_METRICS:
                 raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {m!r}")

@@ -3,20 +3,23 @@ the market INI parser only ``SpecmarketError``, and what they accept is valid.
 
 Each reader gets arbitrary bytes and one-field mutations of a valid file: one
 comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
-or one value of a market INI is replaced by a hostile token, arbitrary text,
-a number or arbitrary bytes.
+one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
+replaced by a hostile token, arbitrary text, a number or arbitrary bytes.
 """
 
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from specmarket.errors import DataFormatError, SpecmarketError
-from specmarket.io import FORMAT_VERSION, load_empirical, parse_market_config, read_run_csv
+from specmarket.errors import ConfigError, DataFormatError, SpecmarketError
+from specmarket.io import (FORMAT_VERSION, load_empirical, parse_market_config, parse_sweep_spec,
+                           read_run_csv)
 from specmarket.market import validate_config
+from specmarket.sweep import INTEGER_AXES, node_config
 
 RUN_CSV = f"""\
 # specmarket-format: {FORMAT_VERSION}
@@ -54,6 +57,15 @@ seed = 3
 record_agents = false
 
 [info]
+"""
+SWEEP = MARKET + MARKET_INIS["endogenous"] + """
+[sweep]
+axes = alpha, n_speculators, use_param
+alpha = 0.25, 0.5
+n_speculators = 32, 64
+use_param = 0.1, 0.8
+repetitions = 2
+metrics = variance, tail_exponent
 """
 
 #: values that sit on an edge of some field's grammar or range
@@ -110,11 +122,25 @@ def empirical_loaded(series):
     assert all(a < b for a, b in zip(series.dates, series.dates[1:]))
 
 
+def sweep_loaded(spec):
+    """A valid spec: every node config is built, or refused with a ``ConfigError``."""
+    spec.validate()
+    validate_config(spec.base)
+    names = [axis.name for axis in spec.axes]
+    assert all(type(v) is int for axis in spec.axes if axis.name in INTEGER_AXES for v in axis.values)
+    for values in product(*(axis.values for axis in spec.axes)):
+        try:
+            node_config(spec.base, dict(zip(names, values)))
+        except ConfigError:
+            pass
+
+
 #: each reader, the errors it may raise, and a check of what it returns
 READERS = {
     "run_csv": (read_run_csv, DataFormatError, run_csv_loaded),
     "empirical": (load_empirical, DataFormatError, empirical_loaded),
     "market_ini": (parse_market_config, SpecmarketError, validate_config),
+    "sweep_ini": (parse_sweep_spec, SpecmarketError, sweep_loaded),
 }
 
 
@@ -147,6 +173,9 @@ def test_valid_inputs_load(input_file):
     for info in MARKET_INIS.values():
         input_file.write_text(MARKET + info)
         assert parse_market_config(input_file).n_agents == 68
+    input_file.write_text(SWEEP)
+    assert [axis.name for axis in parse_sweep_spec(input_file).axes] == ["alpha", "n_speculators",
+                                                                         "use_param"]
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -185,3 +214,11 @@ def test_market_ini_value_mutations(input_file, data, info, value):
     index = data.draw(st.sampled_from(ini_values(text)))
     input_file.write_bytes(mutate_value(text, index, value))
     assert_loaded_or_refused("market_ini", input_file)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(index=st.sampled_from([i for i in ini_values(SWEEP) if i > SWEEP.splitlines().index("[sweep]")]),
+       value=VALUES)
+def test_sweep_ini_value_mutations(input_file, index, value):
+    input_file.write_bytes(mutate_value(SWEEP, index, value))
+    assert_loaded_or_refused("sweep_ini", input_file)

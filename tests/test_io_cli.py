@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from specmarket.io import (
     write_run_artifact,
 )
 from test_engine import configs
+from test_stats import _record_from
 
 MINIMAL = """\
 [market]
@@ -75,6 +77,19 @@ class TestParseConfig:
         config = parse_market_config(write(tmp_path, text))
         assert isinstance(config.info_mode, Exogenous)
         assert config.info_mode.n_states == 8
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e3"])
+    @pytest.mark.parametrize("info, key", [
+        ("mode = exogenous\ndistribution = exp\nstates = 1024\nrate = {}", "info.rate"),
+        ("mode = mixed\nendo_bits = 1\nexo_bits = 10\nexo_distribution = exp\n"
+         "exo_states = 1024\nexo_rate = {}", "info.exo_rate"),
+    ], ids=["rate", "exo_rate"])
+    def test_bad_rate_names_key_without_warning(self, tmp_path, info, key, value):
+        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4", info.format(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}"):
+                parse_market_config(write(tmp_path, text))
 
     def test_explicit_weights(self, tmp_path):
         text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4",
@@ -152,6 +167,19 @@ class TestArtifacts:
         np.testing.assert_array_equal(data["mus"], record.mus)
         np.testing.assert_array_equal(data["taus"], record.taus)
         assert data["config_hash"] == config_hash(config)
+
+    def test_undefined_correlation_written_as_null(self, tmp_path, make_config):
+        """All recurring taus equal 2: no warning, and summary.json is strict JSON."""
+        record = _record_from(np.arange(400) % 2, np.random.default_rng(3).normal(scale=1e-3, size=399))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            files = write_run_artifact(tmp_path / "out", make_config(horizon=399), record)
+
+        def refuse(token):
+            raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+        summary = json.loads(files["summary"].read_text(), parse_constant=refuse)
+        assert summary["surprise"]["log_correlation"] is None
 
     def test_unknown_version_refused(self, tmp_path):
         path = tmp_path / "run.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ from specmarket import (
     uniform_weights,
 )
 from specmarket.errors import ConfigError, MemoryBudgetError
+
+
+class TestExponentialWeights:
+    # rate * 1023 = 709.7: every weight is finite, their sum overflows
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, -1e3, -1e308, -709.7 / 1023])
+    def test_bad_rate_refused_by_name_without_warning(self, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^info\.exo_rate"):
+                exponential_weights(rate, 1024, "info.exo_rate")
+
+    @pytest.mark.parametrize("rate", [0.02, 0.0, -0.0, 1e300, 5e-324, -0.5, -709.0 / 1023])
+    def test_accepted_rates_keep_their_weights(self, rate):
+        w = np.exp(-rate * np.arange(1024, dtype=float))
+        assert exponential_weights(rate, 1024).tobytes() == (w / w.sum()).tobytes()
 
 
 class TestConfigValidation:

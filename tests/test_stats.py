@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from specmarket import run
 from specmarket.errors import DegenerateInputError, SampleSizeError
-from specmarket.io import parse_market_config, post_transient
+from specmarket.io import parse_market_config, post_transient, write_run_artifact
 from specmarket.market import SimulationRecord
 from specmarket.stats import (
     DEFAULT_MAX_CUTOFFS,
@@ -210,6 +212,21 @@ class TestHillFitOracle:
         for x in (window, taus[np.isfinite(taus)]):
             assert_same_fit(x, 10, DEFAULT_MAX_CUTOFFS)
 
+    def test_simulate_summary_holds_the_full_scan_fits(self, tmp_path):
+        """``summary.json`` of ``configs/market.ini`` (seed 5) reports the full scan's two fits."""
+        config = parse_market_config(Path(__file__).parents[1] / "configs" / "market.ini")
+        assert config.seed == 5
+        record = run(config)
+        summary = json.loads(write_run_artifact(tmp_path, config, record)["summary"].read_text())
+        window = np.abs(normalize_by_std(post_transient(record.returns)))
+        taus = record.taus[len(record.prices) // 2 + 1:]  # surprise_stats' sample
+        tail, tau_tail = (reference_hill_fit_ks(x) for x in (window, taus[np.isfinite(taus)]))
+        assert summary["analysis"]["tail"] == {"exponent": tail.exponent, "cutoff": tail.cutoff,
+                                               "ks_distance": tail.ks_distance, "n_tail": tail.n_tail}
+        surprise = summary["surprise"]
+        assert (surprise["tau_ccdf_exponent"], surprise["tau_ks_distance"], surprise["tau_n_tail"]) \
+            == (tau_tail.exponent, tau_tail.ks_distance, tau_tail.n_tail)
+
 
 class TestAutocorr:
     def test_lag_zero_prepended(self):
@@ -331,6 +348,16 @@ class TestSurprise:
         summary = surprise_stats(record, min_bin_count=1)
         assert summary.series.taus.tolist() == [2, 3]
         assert summary.series.magnitudes.tolist() == [0.2, 0.5]
+
+    @pytest.mark.parametrize("mus, returns", [
+        (np.arange(400) % 2, np.random.default_rng(3).normal(scale=1e-3, size=399)),
+        (np.random.default_rng(4).integers(0, 8, size=400), np.full(399, 1e-3)),
+    ], ids=["constant_taus", "constant_magnitudes"])
+    def test_zero_variance_side_gives_nan_without_warning(self, mus, returns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = surprise_stats(_record_from(mus, returns))
+        assert math.isnan(summary.log_correlation)
 
     def test_requires_recurrence(self):
         record = _record_from([0, 1, 2, 3], [0.1, 0.2, 0.3])

@@ -64,6 +64,13 @@ class TestNodeConfig:
             node_config(base_config(), {axis: 32.7})
         assert SweepAxis(axis, (32.0, 64)).values == (32, 64)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("axis", ["alpha", "use_param"])
+    def test_non_finite_axis_values_refused_by_name(self, axis, value):
+        spec = SweepSpec(base=base_config(), axes=(SweepAxis(axis, (0.5, value)),), repetitions=1)
+        with pytest.raises(ConfigError, match=rf"axis {axis} values must be finite"):
+            run_sweep(spec)
+
 
 class TestAggregate:
     def test_geometric_mean(self):

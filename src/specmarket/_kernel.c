@@ -2,10 +2,12 @@
  * CSV row writer of specmarket.io.write_columns.
  *
  * Built and loaded by specmarket._kernel; see its docstring for the rules
- * that keep the bits equal to numpy's: the pairwise total, the order of the
- * draws and the unfused settle updates (compile with -ffp-contract=off).
+ * that keep the bits equal to numpy's and Python's: the pairwise totals, the
+ * order of the draws, the unfused settle updates (compile with
+ * -ffp-contract=off) and the C library's log10.
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -21,42 +23,63 @@ typedef struct bitgen {
 
 #define PW_BLOCKSIZE 128
 
-/* numpy's DOUBLE_pairwise_sum */
-static double pairwise(const double *a, int64_t n)
+/* eight doubles; each lane adds as a scalar double does */
+typedef double lanes __attribute__((vector_size(64)));
+
+/* the totals of two arrays of one length */
+typedef struct {
+    double a, b;
+} totals;
+
+static double reduce8(const lanes *v)
 {
+    double r[8];
+    memcpy(r, v, sizeof r);
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+}
+
+/* numpy's DOUBLE_pairwise_sum of a and of b, in one tree */
+static totals pairwise2(const double *a, const double *b, int64_t n)
+{
+    totals res = {-0.0, -0.0};
     if (n < 8) {
-        double res = -0.0;
         for (int64_t i = 0; i < n; i++) {
-            res += a[i];
+            res.a += a[i];
+            res.b += b[i];
         }
         return res;
     }
     if (n <= PW_BLOCKSIZE) {
-        double r[8];
+        lanes ra, rb, xa, xb;
         int64_t i;
-        for (int j = 0; j < 8; j++) {
-            r[j] = a[j];
-        }
+        memcpy(&ra, a, sizeof ra);
+        memcpy(&rb, b, sizeof rb);
         for (i = 8; i < n - (n % 8); i += 8) {
-            for (int j = 0; j < 8; j++) {
-                r[j] += a[i + j];
-            }
+            memcpy(&xa, a + i, sizeof xa);
+            memcpy(&xb, b + i, sizeof xb);
+            ra += xa;
+            rb += xb;
         }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        res.a = reduce8(&ra);
+        res.b = reduce8(&rb);
         for (; i < n; i++) {
-            res += a[i];
+            res.a += a[i];
+            res.b += b[i];
         }
         return res;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+    totals left = pairwise2(a, b, n2), right = pairwise2(a + n2, b + n2, n - n2);
+    res.a = left.a + right.a;
+    res.b = left.b + right.b;
+    return res;
 }
 
 /* np.add.reduce of a contiguous float64 array */
 double specmarket_total(const double *a, int64_t n)
 {
-    return 0.0 + pairwise(a, n);
+    return 0.0 + pairwise2(a, a, n).a;
 }
 
 /* searchsorted(cum, u, side="right"): the number of values <= u. They form a
@@ -80,16 +103,19 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  * drawing a fresh bit every step. endo_states is the size of the
  * endogenous part of the information (0 if none); cum, of length n_cum,
  * holds the cumulative exogenous weights (NULL if none), and queue receives
- * each refill of n_queue states. money and stocks are updated in place;
- * m and s are scratch of length n. Records prices, states, the speculators'
- * capital sum and, if agent_caps is not NULL, each speculator's capital.
+ * each refill of n_queue states. money, stocks and last_seen are updated in
+ * place; m and s are scratch of length n. Records prices, base-10 log
+ * returns (horizon - 1 of them), states, taus (NaN on a state's first
+ * occurrence), the speculators' capital sum and, if agent_caps is not NULL,
+ * each speculator's capital.
  */
 void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t n_random,
                     double gamma, double eps, int64_t endo_states,
                     const double *cum, int64_t n_cum, int64_t *queue, int64_t n_queue,
-                    const uint8_t *strategies, int64_t mu,
+                    const uint8_t *strategies, int64_t mu, int64_t *last_seen,
                     double *money, double *stocks, double *m, double *s,
-                    double *prices, int64_t *mus, double *capital, double *agent_caps)
+                    double *prices, double *returns, int64_t *mus, double *taus,
+                    double *capital, double *agent_caps)
 {
     const int64_t n_spec = n - k;
     double price = 1.0, before = 1.0;
@@ -120,6 +146,8 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
             }
         }
         mus[t] = mu;
+        taus[t] = last_seen[mu] >= 0 ? (double)(t - last_seen[mu]) : NAN;
+        last_seen[mu] = t;
         const uint8_t *row = strategies + mu * n;
         for (int64_t i = 0; i < n_random; i++) {
             int buy = bg->next_double(bg->state) < 0.5;
@@ -131,8 +159,12 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
             s[i] = (stocks[i] * gamma) * (double)!row[i];
         }
         before = price;
-        price = (specmarket_total(m, n) + eps) / (specmarket_total(s, n) + eps);
+        totals orders = pairwise2(m, s, n);
+        price = ((0.0 + orders.a) + eps) / ((0.0 + orders.b) + eps);
         prices[t] = price;
+        if (t > 0) {
+            returns[t - 1] = log10(price / before);
+        }
         for (int64_t i = k; i < n; i++) {
             double tmp = s[i] * price;
             tmp -= m[i];
@@ -143,7 +175,8 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
             tmp -= s[i];
             stocks[i] += tmp;
         }
-        capital[t] = specmarket_total(money + k, n_spec) + specmarket_total(stocks + k, n_spec);
+        totals held = pairwise2(money + k, stocks + k, n_spec);
+        capital[t] = (0.0 + held.a) + (0.0 + held.b);
         if (agent_caps) {
             double *caps = agent_caps + t * n_spec;
             for (int64_t i = 0; i < n_spec; i++) {

@@ -3,22 +3,35 @@
 The library holds two things: the step kernel behind ``market.run`` and the
 CSV row writer behind ``io.write_columns``. It is compiled on first use with
 the system C compiler and cached in the package's ``__pycache__/``. The cache
-file is named by a hash of the C source, the compiler flags and the host
-CPU's identity, because ``-march=native`` code must never load on another
-CPU. Where the cache cannot be written, or the host's ``/proc/cpuinfo`` has
-no line that identifies its CPU, the library is built in a temporary
-directory for the process. A build writes under a temporary name and renames
-into place, so concurrent cold builds cannot race, and loading from a warm
-cache starts no process. ``library()`` loads it once per process and, where
-it cannot be built or loaded, warns once; ``market.run`` then loops over
-``market.step`` and ``io.write_columns`` formats its cells in Python.
+file is named by a hash of the C source, the compiler flags, the libraries it
+links and the host CPU's identity, because ``-march=native`` code must never
+load on another CPU. Where the cache cannot be written, or the host's
+``/proc/cpuinfo`` has no line that identifies its CPU, the library is built
+in a temporary directory for the process. A build writes under a temporary
+name and renames into place, so concurrent cold builds cannot race, and
+loading from a warm cache starts no process. ``library()`` loads it once per
+process and, where it cannot be built or loaded, warns once; ``market.run``
+then loops over ``market.step`` and ``io.write_columns`` formats its cells in
+Python.
 
-The step kernel reproduces numpy's bits: totals copy numpy's pairwise sum
-(blocks of 128, 8 accumulators) as ``0.0 + pairwise(a, n)``, the draws go
-through the bit generator's ``next_double`` in the order of
-``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused. The
-row writer writes each float64 as ``repr`` does (shortest round-trip digits,
-by Ryu), each int64 as ``str`` does, and text cells as given.
+The step kernel writes the whole record of ``market.run`` (prices, returns,
+states, taus, capitals) with the bits of ``market.step``:
+
+- Totals copy numpy's pairwise sum: blocks of 128, 8 accumulators, the same
+  final reduction order and ``0.0 +`` at the top. One tree sums two arrays
+  of one length at once, each in its own vector of eight lanes, and each
+  lane adds as a scalar double does: the order totals (m, s) are one pass,
+  the speculators' money and stocks another.
+- Returns are ``log10(price / before)`` from the C library, the function
+  ``math.log10`` calls for a finite positive argument; ``-lm`` is linked
+  explicitly.
+- Taus count the steps since the state's ``last_seen``, which the kernel
+  updates in place; NaN on a state's first occurrence.
+- The draws go through the bit generator's ``next_double`` in the order of
+  ``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
+
+The row writer writes each float64 as ``repr`` does (shortest round-trip
+digits, by Ryu), each int64 as ``str`` does, and text cells as given.
 """
 
 from __future__ import annotations
@@ -34,6 +47,8 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+#: libraries linked after the source
+LIBS = ("-lm",)
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CPUINFO = Path("/proc/cpuinfo")
 #: the ``CPUINFO`` keys whose lines identify a CPU: x86, then aarch64
@@ -46,9 +61,10 @@ RUN_ARGTYPES = (
     _p, _i64, _i64, _i64, _i64,   # bitgen, horizon, n, k, n_random
     _f64, _f64, _i64,             # gamma, epsilon, endo_states
     _p, _i64, _p, _i64,           # cum, n_cum, queue, n_queue
-    _p, _i64,                     # strategies, mu
+    _p, _i64, _p,                 # strategies, mu, last_seen
     _p, _p, _p, _p,               # money, stocks, m, s
-    _p, _p, _p, _p,               # prices, mus, capital, agent_caps
+    _p, _p, _p, _p,               # prices, returns, mus, taus
+    _p, _p,                       # capital, agent_caps
 )
 #: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, offsets, masks, out
 WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p, _p)
@@ -71,9 +87,9 @@ def cpu_identity() -> str:
 
 
 def library_name(source: bytes, flags: tuple, cpu: str) -> str:
-    """Cache file name of the library built from ``source`` with ``flags`` on ``cpu``."""
+    """Cache file name of the library built from ``source`` with ``flags`` and ``LIBS`` on ``cpu``."""
     key = hashlib.sha256()
-    for part in (source, " ".join(flags).encode(), cpu.encode()):
+    for part in (source, " ".join((*flags, *LIBS)).encode(), cpu.encode()):
         key.update(hashlib.sha256(part).digest())
     return f"_kernel-{key.hexdigest()[:20]}.so"
 
@@ -82,7 +98,7 @@ def _build(source: Path, target: Path) -> None:
     fd, partial = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        done = subprocess.run(["cc", *FLAGS, "-o", partial, str(source)],
+        done = subprocess.run(["cc", *FLAGS, "-o", partial, str(source), *LIBS],
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")

@@ -15,11 +15,15 @@ determined by the config seed, so equal configs replay bit-identically.
 
 ``step`` and its four phases are the step-by-step reference. There is one
 engine, ``run``: it steps a market's whole horizon in one call of a C kernel
-(``_kernel.c``) with the same bits as ``step``, and ``_finish`` completes the
-record in numpy. The kernel is compiled on first use and cached in the
-package's ``__pycache__/`` under a hash of its source, its flags and the host
-CPU (see ``specmarket._kernel``). Where it cannot be built, ``run`` warns once
-and loops over ``step`` itself. ``memory_budget`` caps each run's record.
+(``_kernel.c``) with the same bits as ``step``. The kernel writes the whole
+record (prices, returns, states, taus and capitals) and leaves the state's
+holdings and ``last_seen`` as ``step`` does. It sums two arrays per pass of
+one pairwise tree, copied from numpy's, and takes each return from the C
+library's ``log10``, which ``math.log10`` calls. The kernel is compiled on
+first use and cached in the package's ``__pycache__/`` under a hash of its
+source, its flags and the host CPU (see ``specmarket._kernel``). Where it
+cannot be built, ``run`` warns once and loops over ``step`` itself.
+``memory_budget`` caps each run's record.
 """
 
 from __future__ import annotations
@@ -476,25 +480,35 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
             f"budget is {memory_budget}"
         )
     state = new_market(config)
-    horizon, n_spec = config.horizon, config.n_speculators
-    prices = np.empty(horizon)
+    horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
+    prices, returns, taus = np.empty(horizon), np.empty(horizon - 1), np.empty(horizon)
     mus = np.empty(horizon, dtype=np.int64)
     capital = np.empty(horizon)
     agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
     lib = _kernel.library()
     if lib:
-        _step_kernel(lib, state, prices, mus, capital, agent_caps)
+        _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps)
     else:
-        k = config.n_producers
         for t in range(horizon):
             out = step(state)
             prices[t], mus[t] = out.price, out.mu
+            taus[t] = np.nan if out.tau is None else out.tau
+            if t:
+                returns[t - 1] = out.log_return
             money, stocks = state.money[k:], state.stocks[k:]
             capital[t] = np.add.reduce(money) + np.add.reduce(stocks)
             if agent_caps is not None:
                 agent_caps[t] = (money + stocks) / 2.0
     capital /= 2.0 * n_spec
-    return _finish(state, prices, mus, capital, agent_caps)
+    return SimulationRecord(
+        prices=prices,
+        returns=returns,
+        mus=mus,
+        taus=taus,
+        mean_spec_capital=capital,
+        final_spec_capitals=(state.money[k:] + state.stocks[k:]) / 2.0,
+        agent_capitals=agent_caps,
+    )
 
 
 def _address(array) -> Optional[int]:
@@ -508,53 +522,28 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
-def _step_kernel(lib, state, prices, mus, capital, agent_caps) -> None:
-    """The whole horizon in one call of the C kernel; money and stocks are updated in place."""
+def _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps) -> None:
+    """The whole horizon in one call of the C kernel; the state ends as ``step`` leaves it."""
     cfg = state.config
-    n, k = cfg.n_agents, cfg.n_producers
+    n, k, horizon = cfg.n_agents, cfg.n_producers, cfg.horizon
     cum = state._exo_cum
     queue = None if cum is None else np.empty(_EXO_CHUNK, dtype=np.int64)
     m, s = np.empty(n), np.empty(n)
     bit_generator = state.rng.bit_generator
     with bit_generator.lock:
         lib.specmarket_run(
-            bit_generator.ctypes.bit_generator, cfg.horizon, n, k,
+            bit_generator.ctypes.bit_generator, horizon, n, k,
             k if cfg.producer_kind == "random" else 0, cfg.use_param, cfg.epsilon,
             _endo_states(cfg.info_mode), _address(cum), 0 if cum is None else cum.size,
             _address(queue), 0 if queue is None else queue.size,
-            state.strategies.ctypes.data, state.mu,
+            state.strategies.ctypes.data, state.mu, state.last_seen.ctypes.data,
             state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
-            prices.ctypes.data, mus.ctypes.data, capital.ctypes.data, _address(agent_caps),
+            prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, taus.ctypes.data,
+            capital.ctypes.data, _address(agent_caps),
         )
-    if queue is not None and cfg.horizon > 1:
-        state._exo_queue = queue
-
-
-def _finish(state, prices, mus, capital, agent_caps) -> SimulationRecord:
-    """Returns and taus from the recorded prices and states; the state as step() leaves it."""
-    cfg = state.config
-    horizon, k = cfg.horizon, cfg.n_producers
-    # math.log10 of each price ratio, as settle() computes it
-    returns = np.fromiter(map(math.log10, prices[1:] / prices[:-1]), dtype=float,
-                          count=horizon - 1)
-    order = np.argsort(mus, kind="stable")
-    ordered = mus[order]
-    repeat = ordered[1:] == ordered[:-1]
-    taus = np.full(horizon, np.nan)
-    taus[order[1:][repeat]] = (order[1:] - order[:-1])[repeat]
-    last = np.append(~repeat, True)
-    state.last_seen[ordered[last]] = order[last]
     state.t, state.mu = horizon, int(mus[-1])
     state.last_price = float(prices[-1])
-    state.last_return = math.log10(state.last_price / (prices[-2] if horizon > 1 else 1.0))
-    if state._exo_queue is not None:
+    state.last_return = float(returns[-1]) if horizon > 1 else math.log10(state.last_price)
+    if queue is not None and horizon > 1:
+        state._exo_queue = queue
         state._exo_pos = (horizon - 2) % _EXO_CHUNK + 1  # draws made: horizon - 1
-    return SimulationRecord(
-        prices=prices,
-        returns=returns,
-        mus=mus,
-        taus=taus,
-        mean_spec_capital=capital,
-        final_spec_capitals=(state.money[k:] + state.stocks[k:]) / 2.0,
-        agent_capitals=agent_caps,
-    )

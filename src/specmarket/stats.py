@@ -53,7 +53,7 @@ class SurpriseSummary:
     bin_means: np.ndarray       # mean |r| per bin
     bin_counts: np.ndarray
     log_correlation: float      # Pearson correlation of log tau with log |r|; NaN if undefined
-    tau_tail: Optional[TailFit]  # None when there are too few recurrences to fit
+    tau_tail: Optional[TailFit]  # None with too few recurrences, or all of one tau, to fit
 
 
 def normalize_by_std(x: Sequence[float]) -> np.ndarray:
@@ -123,7 +123,9 @@ def hill_fit_ks(
         tails = np.unique(np.rint(grid).astype(np.int64))
     csum = np.cumsum(logx)
     hill_means = csum[tails - 1] / tails - logx[tails - 1]
-    eligible = ~(hill_means <= 0.0)  # degenerate tails of identical values are skipped
+    # a tail of identical values has a mean of cumsum rounding noise: its largest
+    # value must exceed its cutoff
+    eligible = (x[0] > x[tails - 1]) & (hill_means > 0.0)
     tails, hill_means = tails[eligible], hill_means[eligible]
 
     threshold = math.inf  # smallest full KS distance evaluated so far
@@ -280,8 +282,9 @@ def surprise_stats(
     Pairs each step's tau with the magnitude of the return realized at that
     step, then reports (i) mean |r| in log-spaced tau bins (bins with fewer
     than ``min_bin_count`` samples are dropped), (ii) the Pearson correlation
-    of log tau with log |r|, and (iii) the Hill fit of the tau tail.
-    The Hill exponent is the CCDF exponent; the density P(tau) falls off one
+    of log tau with log |r|, and (iii) the Hill fit of the tau tail, None
+    under 100 recurrences or where every tail candidate holds a single tau
+    value. The Hill exponent is the CCDF exponent; the density P(tau) falls off one
     power faster.
     """
     taus = record.taus
@@ -306,7 +309,10 @@ def surprise_stats(
     positive = mags > 0
     log_corr = _log_correlation(tau[positive], mags[positive])
 
-    tau_tail = hill_fit_ks(tau) if tau.size >= 100 else None
+    try:
+        tau_tail = hill_fit_ks(tau) if tau.size >= 100 else None
+    except DegenerateInputError:  # every recurrence has the same tau
+        tau_tail = None
     return SurpriseSummary(
         series=series,
         bin_centers=centers,

@@ -24,6 +24,7 @@ from .market import (
     Exogenous,
     MarketConfig,
     SimulationRecord,
+    check_market_size,
     run,
     uniform_weights,
     validate_config,
@@ -122,6 +123,8 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
         elif name in ("alpha", "n_states"):
             if name == "alpha":
                 d_exact = float(value) * cfg.n_speculators
+                # before round(), which raises on a product that overflowed to inf
+                check_market_size(d_exact, cfg.n_agents, "alpha")
                 d = round(d_exact)
                 if d < 1 or abs(d - d_exact) > 1e-9:
                     raise ConfigError(
@@ -132,6 +135,7 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
                 d = _integral(name, value)
                 if d < 1:
                     raise ConfigError(f"n_states must be >= 1, got {value}")
+                check_market_size(d, cfg.n_agents, "n_states")
             cfg = replace(cfg, info_mode=_resize_mode(cfg.info_mode, d))
         else:
             raise ConfigError(f"axis name must be one of {AXIS_NAMES}, got {name!r}")

@@ -1,6 +1,7 @@
 """The C kernel behind ``run`` against the step-by-step reference and ``run``'s loop over it."""
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -139,8 +140,25 @@ def test_memory_budget_covers_the_record():
         run(config, memory_budget=record_bytes(config) - 1)
 
 
+#: the fields of a ``MarketState`` that ``run`` leaves and ``step`` would
+STATE_FIELDS = ("t", "mu", "last_price", "last_return", "last_seen", "money", "stocks",
+                "_exo_queue", "_exo_pos")
+
+
+def assert_same_state(ours, theirs):
+    for name in STATE_FIELDS:
+        x, y = getattr(ours, name), getattr(theirs, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    # the generator's state holds small arrays (counter, key, buffer), printed whole
+    assert repr(ours.rng.bit_generator.state) == repr(theirs.rng.bit_generator.state)
+
+
 def test_states_end_as_step_leaves_them(monkeypatch):
-    """The engine's market states can be stepped on, as if run step by step."""
+    """The engine's market states equal stepped ones, field by field, and can be stepped on."""
     created = []
     original = market.new_market
 
@@ -151,15 +169,50 @@ def test_states_end_as_step_leaves_them(monkeypatch):
     monkeypatch.setattr(market, "new_market", capture)
     base = MarketConfig(n_speculators=6, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
                         horizon=50, seed=1)
-    for config in (base, replace(base, seed=2), replace(base, horizon=5000)):
+    # horizon 4097 ends on the last draw of the first refill
+    for config in (base, replace(base, seed=2), replace(base, horizon=5000),
+                   replace(base, horizon=1), replace(base, horizon=2),
+                   replace(base, info_mode=Endogenous(3), n_producers=2, producer_kind="random"),
+                   replace(base, info_mode=Exogenous(exponential_weights(0.4, 7)), horizon=4097)):
         run(config)
     monkeypatch.undo()
     for state in created:
         horizon = state.config.horizon
+        stepped = new_market(state.config)
+        for _ in range(horizon):
+            step(stepped)
+        assert_same_state(state, stepped)
         longer = run(replace(state.config, horizon=horizon + 10))
         tail = [step(state) for _ in range(10)]
         assert [o.price for o in tail] == longer.prices[horizon:].tolist()
         assert [o.mu for o in tail] == longer.mus[horizon:].tolist()
+
+
+@pytest.mark.parametrize("config", [
+    MarketConfig(n_speculators=5, use_param=0.5, info_mode=Endogenous(2), horizon=1, seed=7),
+    MarketConfig(n_speculators=5, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
+                 horizon=1, seed=7),
+    MarketConfig(n_speculators=5, use_param=0.5, info_mode=Endogenous(2), horizon=2, seed=8),
+    MarketConfig(n_speculators=5, use_param=0.5, info_mode=Exogenous(uniform_weights(3)),
+                 horizon=2, seed=8),
+    MarketConfig(n_speculators=9, use_param=0.7, info_mode=Mixed(2, 1, uniform_weights(2)),
+                 horizon=300, seed=9, n_producers=4, producer_kind="random", record_agents=True),
+    MarketConfig(n_speculators=7, use_param=0.5, info_mode=Exogenous(uniform_weights(64)),
+                 horizon=4400, seed=10),
+], ids=["horizon1_endogenous", "horizon1_mixed", "horizon2_endogenous", "horizon2_exogenous",
+        "record_agents_random_producers", "taus_across_refill"])
+def test_kernel_record_edges(config):
+    """The returns and taus the kernel writes, at the edges of their lengths and of a refill."""
+    record = run(config)
+    assert record.returns.shape == (config.horizon - 1,)
+    assert record.taus.shape == (config.horizon,) and np.isnan(record.taus[0])
+    assert_matches_step(record, config)
+    assert_same_bytes(record, fallback_run(config))
+    if config.horizon > market._EXO_CHUNK + 1:
+        # steps after the first refill whose state last occurred before it
+        t = np.arange(config.horizon)
+        across = (t > market._EXO_CHUNK + 1) & (t - record.taus <= market._EXO_CHUNK)
+        assert across.sum() >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +302,30 @@ def test_unwritable_cache_builds_for_the_process(monkeypatch, tmp_path):
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
+#: ``_kernel.FLAGS`` for the x86-64 baseline: no instruction beyond SSE2
+PORTABLE_FLAGS = tuple("-march=x86-64" if f == "-march=native" else f for f in _kernel.FLAGS)
+X86_64 = platform.machine() == "x86_64"
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings():
-    done = subprocess.run(["cc", *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-fsyntax-only", str(_kernel.SOURCE)], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    for flags in (_kernel.FLAGS, PORTABLE_FLAGS) if X86_64 else (_kernel.FLAGS,):
+        done = subprocess.run(["cc", *flags, "-Wall", "-Wextra", "-Werror",
+                               "-fsyntax-only", str(_kernel.SOURCE)], capture_output=True, text=True)
+        assert done.returncode == 0, (flags, done.stderr)
+
+
+@pytest.mark.skipif(not X86_64, reason="the portable target is x86-64")
+def test_portable_build_gives_the_same_records(monkeypatch, tmp_path):
+    """The vector lanes of the pairwise tree add as scalars on any x86-64, not only this CPU."""
+    native = {case: run(config) for case, config in CASES.items()}
+    monkeypatch.setattr(_kernel, "FLAGS", PORTABLE_FLAGS)
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_kernel, "_LIBRARY", _kernel.load())
+    assert [p.name for p in tmp_path.glob("*.so")] == [
+        _kernel.library_name(_kernel.SOURCE.read_bytes(), PORTABLE_FLAGS, _kernel.cpu_identity())]
+    for case, config in CASES.items():
+        assert_same_bytes(run(config), native[case])
 
 
 def test_cache_name_keys_source_flags_and_cpu():

@@ -169,7 +169,7 @@ class TestArtifacts:
         assert data["config_hash"] == config_hash(config)
 
     def test_undefined_correlation_written_as_null(self, tmp_path, make_config):
-        """All recurring taus equal 2: no warning, and summary.json is strict JSON."""
+        """All recurring taus equal 2: no warning, summary.json is strict JSON, no tau tail fit."""
         record = _record_from(np.arange(400) % 2, np.random.default_rng(3).normal(scale=1e-3, size=399))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -179,7 +179,7 @@ class TestArtifacts:
             raise ValueError(f"summary.json holds the non-JSON token {token}")
 
         summary = json.loads(files["summary"].read_text(), parse_constant=refuse)
-        assert summary["surprise"]["log_correlation"] is None
+        assert summary["surprise"] == {"log_correlation": None}
 
     def test_unknown_version_refused(self, tmp_path):
         path = tmp_path / "run.csv"

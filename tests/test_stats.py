@@ -109,6 +109,23 @@ class TestHillFit:
         fit = hill_fit_ks(np.random.default_rng(10).pareto(2.0, size=500) + 1.0)
         assert fit.n_tail >= 10
 
+    def test_constant_sample_refused(self):
+        """Every tail of identical values is degenerate, whatever cumsum's rounding leaves."""
+        for fit in (hill_fit_ks, reference_hill_fit_ks):
+            with pytest.raises(DegenerateInputError):
+                fit(np.full(150, 2.0))
+        # three values one ulp up: some tails span two values yet have a mean of 0.0 or below
+        x = np.r_[np.full(3, np.nextafter(7.0, 8.0)), np.full(147, 7.0)]
+        assert_same_fit(x, 10, DEFAULT_MAX_CUTOFFS)
+
+    @pytest.mark.parametrize("x, exponent, n_tail, ks", [
+        (np.r_[np.full(75, 3.0), np.full(75, 2.0)], 4.209157909122442, 128, 0.40625),
+        (np.r_[np.full(30, 5.0), np.full(120, 2.0)], 1.8916848910913011, 52, 0.40384615384615385),
+    ], ids=["even", "uneven"])
+    def test_two_level_sample_keeps_its_fit(self, x, exponent, n_tail, ks):
+        """Tails cut at the top level are refused; the fit across both levels stands."""
+        assert hill_fit_ks(x) == TailFit(exponent=exponent, cutoff=2.0, ks_distance=ks, n_tail=n_tail)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_values_refused_with_count(self, bad):
         x = np.random.default_rng(11).pareto(2.5, size=1000) + 1.0
@@ -139,7 +156,7 @@ def reference_hill_fit_ks(magnitudes, min_tail=10, max_cutoffs=DEFAULT_MAX_CUTOF
     ranks = np.arange(1, n + 1, dtype=float)
     best = None  # (ks, n_tail, xi)
     for k, mean_log in zip(tails, hill_means):
-        if mean_log <= 0.0:  # degenerate tail of identical values
+        if not (x[0] > x[k - 1] and mean_log > 0.0):  # degenerate tail of identical values
             continue
         xi = 1.0 / mean_log
         model = np.exp(-xi * (logx[:k] - logx[k - 1]))
@@ -358,6 +375,12 @@ class TestSurprise:
             warnings.simplefilter("error")
             summary = surprise_stats(_record_from(mus, returns))
         assert math.isnan(summary.log_correlation)
+
+    def test_single_tau_has_no_tail_fit(self):
+        """All 399 recurring taus are 2: the surprise block stands without a tau tail."""
+        summary = surprise_stats(_record_from(np.arange(400) % 2, np.full(399, 1e-3)))
+        assert summary.series.taus.size == 398
+        assert summary.tau_tail is None
 
     def test_requires_recurrence(self):
         record = _record_from([0, 1, 2, 3], [0.1, 0.2, 0.3])

@@ -47,6 +47,15 @@ class TestNodeConfig:
         with pytest.raises(ConfigError, match="alpha"):
             node_config(base_config(n_speculators=10), {"alpha": 0.15})
 
+    @pytest.mark.parametrize("axis, value", [
+        ("alpha", 2.8088955232223686e+306),  # times 64 speculators: inf
+        ("alpha", 1e12),
+        ("n_states", 10**15),
+    ])
+    def test_state_counts_beyond_the_cap_refused_before_allocation(self, axis, value):
+        with pytest.raises(ConfigError, match=f"^{axis}: .* states x 64 agents"):
+            node_config(base_config(), {axis: value})
+
     def test_non_uniform_weights_cannot_be_resized(self):
         weights = np.array([0.5, 0.25, 0.125, 0.125])
         with pytest.raises(ConfigError, match="uniform"):

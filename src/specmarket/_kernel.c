@@ -467,19 +467,17 @@ static char *put_double(char *p, double x)
     return p + n + 1;
 }
 
-enum { CELL_FLOAT = 0, CELL_INT = 1, CELL_TEXT = 2 };
+enum { CELL_FLOAT = 0, CELL_INT = 1 };
 
 /* Writes n_rows rows "a,b,c\n" of n_cols columns to out and returns the bytes written.
  *
- * values[c] is a column of float64 (CELL_FLOAT) or int64 (CELL_INT) values,
- * or, for CELL_TEXT, the bytes of all its cells, cell r being bytes
- * offsets[c][r] to offsets[c][r + 1]. A row r where masks[c] is not NULL and
- * masks[c][r] is nonzero gets an empty cell. out must hold 24 bytes per float
- * cell, 20 per int cell, the text cells' bytes and n_cols bytes per row.
+ * values[c] is a column of float64 (CELL_FLOAT) or int64 (CELL_INT) values. A
+ * row r where masks[c] is not NULL and masks[c][r] is nonzero gets an empty
+ * cell. out must hold 24 bytes per float cell, 20 per int cell and n_cols
+ * bytes per row.
  */
 int64_t specmarket_write_rows(int64_t n_rows, int64_t n_cols, const int64_t *kinds,
-                              const void *const *values, const int64_t *const *offsets,
-                              const uint8_t *const *masks, char *out)
+                              const void *const *values, const uint8_t *const *masks, char *out)
 {
     char *p = out;
     for (int64_t r = 0; r < n_rows; r++) {
@@ -492,12 +490,8 @@ int64_t specmarket_write_rows(int64_t n_rows, int64_t n_cols, const int64_t *kin
             }
             if (kinds[c] == CELL_FLOAT) {
                 p = put_double(p, ((const double *)values[c])[r]);
-            } else if (kinds[c] == CELL_INT) {
-                p = put_int(p, ((const int64_t *)values[c])[r]);
             } else {
-                const int64_t *o = offsets[c];
-                memcpy(p, (const char *)values[c] + o[r], (size_t)(o[r + 1] - o[r]));
-                p += o[r + 1] - o[r];
+                p = put_int(p, ((const int64_t *)values[c])[r]);
             }
         }
         *p++ = '\n';

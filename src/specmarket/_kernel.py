@@ -30,8 +30,9 @@ states, taus, capitals) with the bits of ``market.step``:
 - The draws go through the bit generator's ``next_double`` in the order of
   ``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
 
-The row writer writes each float64 as ``repr`` does (shortest round-trip
-digits, by Ryu), each int64 as ``str`` does, and text cells as given.
+The row writer takes float64 and int64 columns only. It writes each float64
+as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
+does, and an empty cell where a column's mask is set.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ RUN_ARGTYPES = (
     _p, _p, _p, _p,               # prices, returns, mus, taus
     _p, _p,                       # capital, agent_caps
 )
-#: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, offsets, masks, out
-WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p, _p)
+#: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, masks, out
+WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p)
 #: the writer's power-of-5 tables: their lengths in ``_kernel.c`` and the bits of each entry
 POW5_COUNT, POW5_INV_COUNT, POW5_BITS = 326, 342, 125
 
@@ -170,7 +171,8 @@ def library():
 
     The first failure emits one ``RuntimeWarning`` naming ``_kernel.c`` and the
     cause; ``market.run`` then loops over ``market.step``, and
-    ``io.write_columns`` formats its cells with ``io._cells``.
+    ``io.write_columns`` formats every table's cells with ``io._cells``, as it
+    does a table with a column the row writer does not take.
     """
     global _LIBRARY
     if _LIBRARY is None:

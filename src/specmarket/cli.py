@@ -95,11 +95,12 @@ def cmd_sweep(args) -> int:
         values = np.array([np.nan if row["value"] is None else row["value"] for row in rows],
                           dtype=float)
         columns = [np.array([row[name] for row in rows], dtype=float) for name in axis_names]
-        columns += [[row["metric"] for row in rows],
-                    np.ma.masked_invalid(values),  # failed nodes and non-finite values stay empty
+        columns += [[row["metric"] for row in rows], values,
                     np.array([row["n_runs"] for row in rows])]
+        # failed nodes and non-finite values stay empty
+        empty = [None] * len(axis_names) + [None, ~np.isfinite(values), None]
         io.write_columns(outdir / "grid.csv", ("config-hash", chash),
-                         axis_names + ["metric", "value", "n_runs"], columns)
+                         axis_names + ["metric", "value", "n_runs"], columns, empty)
     n_failed = sum(1 for node in result.nodes for rep in node.reps if rep.error)
     print(f"sweep: {len(result.nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
     return 0

@@ -36,6 +36,7 @@ from .market import (
 )
 from .sweep import SweepAxis, SweepSpec
 from . import stats
+from .stats import post_transient
 
 FORMAT_VERSION = 1
 
@@ -305,11 +306,6 @@ def analyze_returns(returns: np.ndarray) -> ReturnsAnalysis:
     )
 
 
-def post_transient(returns: np.ndarray) -> np.ndarray:
-    """The analysis window of a model run: the final half of the return series."""
-    return returns[len(returns) // 2:]
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -317,98 +313,93 @@ def post_transient(returns: np.ndarray) -> np.ndarray:
 #: rows formatted per write in ``write_columns``; it caps the bytes held at once
 _CHUNK_ROWS = 1 << 13
 
-#: cell kinds of the C row writer, and the longest cell of each fixed-width kind:
-#: repr of a float64 ("-2.2250738585072014e-308") and str of an int64
-_FLOAT, _INT, _TEXT = 0, 1, 2
-_WIDTH = {_FLOAT: 24, _INT: 20, _TEXT: 0}
+#: cell kinds of the C row writer, and the longest cell of each: repr of a
+#: float64 ("-2.2250738585072014e-308") and str of an int64
+_FLOAT, _INT = 0, 1
+_WIDTH = {_FLOAT: 24, _INT: 20}
 
 
 def _header(key: str, value) -> str:
     return f"# specmarket-format: {FORMAT_VERSION}\n# {key}: {value}\n"
 
 
-def _cells(column) -> list:
-    """Cell strings of one column: repr for floats, str for integers and strings.
-
-    Entries masked in a ``numpy.ma`` array are written as empty cells.
-    """
-    data = np.ma.getdata(column)
+def _cells(column, empty=None) -> list:
+    """Cell strings of one column: repr for floats, str for anything else, "" where ``empty``."""
+    data = np.asarray(column)
     text = list(map(repr if data.dtype.kind == "f" else str, data.tolist()))
-    if np.ma.isMaskedArray(column):
-        for i in np.flatnonzero(np.ma.getmaskarray(column)):
+    if empty is not None:
+        for i in np.flatnonzero(empty):
             text[i] = ""
     return text
 
 
-def _writer_column(column) -> tuple:
-    """``(kind, values, offsets, mask)`` of one column for the C row writer.
+def _writer_columns(columns) -> Optional[list]:
+    """``(kind, values)`` of each column for the C row writer; None if one does not fit it.
 
     Floats of up to 64 bits become float64 and integers that fit become int64,
-    whose cells the writer formats as ``_cells`` would; any other column is
-    formatted by ``_cells`` and passed as UTF-8 bytes with row offsets.
+    whose cells the writer formats as ``_cells`` would.
     """
-    data = np.ma.getdata(column)
-    mask = np.ascontiguousarray(np.ma.getmaskarray(column)) if np.ma.isMaskedArray(column) else None
-    if data.dtype.kind == "f" and data.dtype.itemsize <= 8:
-        return _FLOAT, np.ascontiguousarray(data, dtype=np.float64), None, mask
-    if data.dtype.kind in "iu" and np.can_cast(data.dtype, np.int64):
-        return _INT, np.ascontiguousarray(data, dtype=np.int64), None, mask
-    cells = [cell.encode() for cell in _cells(column)]
-    offsets = np.zeros(len(cells) + 1, dtype=np.int64)
-    np.cumsum([len(cell) for cell in cells], out=offsets[1:])
-    return _TEXT, np.frombuffer(b"".join(cells), dtype=np.uint8), offsets, None
+    prepared = []
+    for column in columns:
+        data = np.asarray(column)
+        if data.dtype.kind == "f" and data.dtype.itemsize <= 8:
+            prepared.append((_FLOAT, np.ascontiguousarray(data, dtype=np.float64)))
+        elif data.dtype.kind in "iu" and np.can_cast(data.dtype, np.int64):
+            prepared.append((_INT, np.ascontiguousarray(data, dtype=np.int64)))
+        else:
+            return None
+    return prepared
 
 
-def _write_rows(lib, fh, columns, n_rows: int) -> None:
-    """Write the rows of ``columns`` to binary ``fh``, one C writer call per chunk."""
-    prepared = [_writer_column(column) for column in columns]
+def _write_rows(lib, fh, prepared, empty, n_rows: int) -> None:
+    """Write the rows of ``_writer_columns`` output, with ``empty`` as in ``write_columns``
+    but contiguous, to binary ``fh``: one C writer call per chunk."""
     n_cols = len(prepared)
-    kinds = (ctypes.c_int64 * n_cols)(*(kind for kind, _, _, _ in prepared))
-    row_bytes = n_cols + sum(_WIDTH[kind] for kind in kinds)
+    kinds = (ctypes.c_int64 * n_cols)(*(kind for kind, _ in prepared))
     pointers = ctypes.c_void_p * n_cols
-    buffer = np.empty(0, dtype=np.uint8)
+    buffer = np.empty(min(n_rows, _CHUNK_ROWS) * (n_cols + sum(_WIDTH[kind] for kind in kinds)),
+                      dtype=np.uint8)
     for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_rows - start)
-        values, offsets, masks, size = pointers(), pointers(), pointers(), rows * row_bytes
-        for c, (kind, data, cut, mask) in enumerate(prepared):
-            if kind == _TEXT:
-                values[c] = data.ctypes.data
-                offsets[c] = cut.ctypes.data + 8 * start
-                size += int(cut[start + rows] - cut[start])
-            else:
-                values[c] = data.ctypes.data + data.itemsize * start
-            if mask is not None:
-                masks[c] = mask.ctypes.data + start
-        if buffer.size < size:
-            buffer = np.empty(size, dtype=np.uint8)
-        written = lib.specmarket_write_rows(rows, n_cols, kinds, values, offsets, masks,
-                                            buffer.ctypes.data)
+        values = pointers(*(data.ctypes.data + data.itemsize * start for _, data in prepared))
+        masks = pointers(*(None if mask is None else mask.ctypes.data + start for mask in empty))
+        written = lib.specmarket_write_rows(min(_CHUNK_ROWS, n_rows - start), n_cols, kinds,
+                                            values, masks, buffer.ctypes.data)
         fh.write(buffer[:written])
 
 
-def write_columns(path, tag: tuple, names, columns) -> Path:
+def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
     """Write a specmarket CSV: format header, ``# key: value`` tag line, column names, rows.
 
     ``tag`` is ``("config-hash", hash)`` for the outputs of a config and
     ``("states", D)`` for the analytic bounds. ``columns`` are equal-length
-    arrays or sequences. Cells are ``repr`` of floats, ``str`` of anything
-    else and empty where a ``numpy.ma`` mask is set (see ``_cells``). The C
-    row writer of ``_kernel.c`` writes them in chunks of ``_CHUNK_ROWS`` rows;
-    where it cannot be loaded, ``_cells`` formats the same bytes in Python.
+    arrays or sequences; ``empty``, if given, holds a bool mask of that length,
+    or None, per column. Cells are ``repr`` of floats, ``str`` of anything else
+    and empty where their mask is set. The C row writer of ``_kernel.c``
+    writes a table of float and integer columns in chunks of ``_CHUNK_ROWS``
+    rows; ``_cells`` formats any other table, and every table where that
+    library cannot be loaded.
     """
-    n_rows = len(columns[0])
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"columns of unequal lengths {[len(column) for column in columns]}")
+    empty = [None if mask is None else np.ascontiguousarray(mask, dtype=bool)
+             for mask in ([None] * len(columns) if empty is None else empty)]
+    lengths = [len(x) for x in (*columns, *empty) if x is not None]
+    if len(empty) != len(columns):
+        raise ValueError(f"{len(empty)} masks for {len(columns)} columns")
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns and masks of unequal lengths {lengths}")
+    n_rows = lengths[0]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lib = _kernel.library()
+    prepared = _writer_columns(columns) if lib else None
     with open(path, "wb") as fh:
         fh.write((_header(*tag) + ",".join(names) + "\n").encode())
-        if lib:
-            _write_rows(lib, fh, columns, n_rows)
+        if prepared:
+            _write_rows(lib, fh, prepared, empty, n_rows)
         else:
             for start in range(0, n_rows, _CHUNK_ROWS):
-                cells = [_cells(column[start:start + _CHUNK_ROWS]) for column in columns]
+                chunk = slice(start, start + _CHUNK_ROWS)
+                cells = [_cells(column[chunk], None if mask is None else mask[chunk])
+                         for column, mask in zip(columns, empty)]
                 fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
     return path
 
@@ -464,13 +455,13 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     files["config"] = outdir / "config.ini"
     files["config"].write_text(_header(*tag) + emit_config(config))
 
+    t = np.arange(len(record.prices))
     missing_tau = np.isnan(record.taus)
-    tau = np.ma.masked_array(np.where(missing_tau, 0.0, record.taus).astype(np.int64),
-                             mask=missing_tau)
-    log_return = np.ma.concatenate((np.ma.masked_all(1), record.returns))  # none at t = 0
-    files["run"] = write_columns(outdir / "run.csv", tag, ("t", "mu", "tau", "price", "log_return"),
-                                 (np.arange(len(record.prices)), record.mus, tau, record.prices,
-                                  log_return))
+    files["run"] = write_columns(
+        outdir / "run.csv", tag, ("t", "mu", "tau", "price", "log_return"),
+        (t, record.mus, np.where(missing_tau, 0.0, record.taus).astype(np.int64), record.prices,
+         np.concatenate(([0.0], record.returns))),
+        empty=(None, None, missing_tau, None, t == 0))  # no log return at t = 0
 
     extra = {"seed": config.seed}
     half = len(record.prices) // 2

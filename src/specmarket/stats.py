@@ -56,6 +56,11 @@ class SurpriseSummary:
     tau_tail: Optional[TailFit]  # None with too few recurrences, or all of one tau, to fit
 
 
+def post_transient(returns: np.ndarray) -> np.ndarray:
+    """The analysis window of a model run: the final half of the return series."""
+    return returns[len(returns) // 2:]
+
+
 def normalize_by_std(x: Sequence[float]) -> np.ndarray:
     """Divide by the sample standard deviation so the output has std 1."""
     a = np.asarray(x, dtype=float)
@@ -96,6 +101,8 @@ def hill_fit_ks(
     CCDF of the tail against ``(x / x_min)**-xi``. Ties in KS go to the larger
     tail. Samples with more candidates than ``max_cutoffs`` are scanned on a
     log-spaced subset of tail sizes (pass ``None`` to force the full scan).
+    A tail of one value, or with a Hill mean within ``n_tail`` ulps of its
+    logs, is no candidate; with none left it raises ``DegenerateInputError``.
 
     The scan prunes in passes over more and more sampled ranks per tail (see
     ``_KS_SAMPLES``). Each pass takes a lower bound on every candidate's KS
@@ -123,9 +130,10 @@ def hill_fit_ks(
         tails = np.unique(np.rint(grid).astype(np.int64))
     csum = np.cumsum(logx)
     hill_means = csum[tails - 1] / tails - logx[tails - 1]
-    # a tail of identical values has a mean of cumsum rounding noise: its largest
-    # value must exceed its cutoff
-    eligible = (x[0] > x[tails - 1]) & (hill_means > 0.0)
+    # the mean of a tail of identical values, or of values a few ulps apart, is
+    # cumsum rounding noise; the latter's exponent would be near 2**52
+    floor = tails * np.finfo(float).eps * np.fmax(np.abs(logx[0]), np.abs(logx[tails - 1]))
+    eligible = (x[0] > x[tails - 1]) & (hill_means > floor)
     tails, hill_means = tails[eligible], hill_means[eligible]
 
     threshold = math.inf  # smallest full KS distance evaluated so far
@@ -147,7 +155,7 @@ def hill_fit_ks(
         if best is None or ks <= best[0]:
             best = (ks, int(k), xi)
     if best is None:
-        raise DegenerateInputError("all cutoff candidates have an empty log-spacing")
+        raise DegenerateInputError("all cutoff candidates have an empty or unresolved log-spacing")
     ks, n_tail, xi = best
     return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
 

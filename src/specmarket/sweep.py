@@ -169,7 +169,7 @@ def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
     r = record.returns
     if r.size < 4:
         raise SampleSizeError("horizon too short for sweep metrics")
-    post = r[r.size // 2:]
+    post = stats.post_transient(r)
     out = {}
     for name in metrics:
         if name == "variance":
@@ -177,7 +177,7 @@ def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
         elif name == "kurtosis":
             out[name] = stats.kurtosis(post)
         elif name == "reduction":
-            out[name] = stats.reduction_ratio(np.abs(r), 10, r.size - r.size // 2)
+            out[name] = stats.reduction_ratio(np.abs(r), 10, post.size)
         elif name == "income_factor":
             out[name] = stats.income_factor(record.mean_spec_capital, len(record.mean_spec_capital) // 2)
         elif name == "gini":

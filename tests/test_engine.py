@@ -2,6 +2,7 @@
 
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -232,6 +233,22 @@ def test_kernel_total_equals_add_reduce():
     for n in lengths:
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
         assert kernel_total(lib, values).tobytes() == np.add.reduce(values).tobytes(), n
+
+
+def test_bound_signatures_match_the_c_definitions():
+    """Each entry point's ``argtypes`` has one type per parameter of its C definition, so a
+    parameter dropped on one side fails here instead of passing stray pointers."""
+    source = _kernel.SOURCE.read_text()
+    lib = _kernel.library()
+    assert lib
+    for name, argtypes in (("specmarket_run", _kernel.RUN_ARGTYPES),
+                           ("specmarket_write_rows", _kernel.WRITE_ARGTYPES),
+                           ("specmarket_total", None)):
+        definition = re.search(rf"^\w+ {name}\(([^)]*)\)\n{{", source, re.MULTILINE)
+        assert definition, name
+        n_params = len(definition.group(1).split(","))
+        assert len(getattr(lib, name).argtypes) == n_params, name
+        assert argtypes is None or len(argtypes) == n_params, name
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2), (3, 5), (7, 9), (8, 8), (5, 13), (16, 33),

@@ -388,6 +388,20 @@ class TestCli:
         assert lines[2] == "alpha,metric,value,n_runs"
         assert len(lines) == 3 + 2 * 3  # two nodes x three default metrics
 
+    def test_sweep_csv_empty_cells(self, tmp_path):
+        """A node with no valid repetition and a NaN aggregate both write an empty value."""
+        config_text = MINIMAL + ("\n[sweep]\naxes = use_param\nuse_param = 0.5, 1.5\n"
+                                 "repetitions = 3\nmetrics = variance, income_factor\n")
+        config = write(tmp_path, config_text, "sweep.ini")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "g" / "grid.csv").read_text().splitlines()[3:]]
+        variance = float(rows[0][2])
+        # every repetition's income factor is negative here, so its log-domain mean is NaN
+        assert rows == [["0.5", "variance", repr(variance), "3"], ["0.5", "income_factor", "", "3"],
+                        ["1.5", "variance", "", "0"], ["1.5", "income_factor", "", "0"]]
+        assert variance > 0
+
     def test_sweep_json_format(self, tmp_path):
         config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 2\n"
         config = write(tmp_path, config_text, "sweep.ini")

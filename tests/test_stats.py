@@ -110,13 +110,14 @@ class TestHillFit:
         assert fit.n_tail >= 10
 
     def test_constant_sample_refused(self):
-        """Every tail of identical values is degenerate, whatever cumsum's rounding leaves."""
-        for fit in (hill_fit_ks, reference_hill_fit_ks):
-            with pytest.raises(DegenerateInputError):
-                fit(np.full(150, 2.0))
-        # three values one ulp up: some tails span two values yet have a mean of 0.0 or below
-        x = np.r_[np.full(3, np.nextafter(7.0, 8.0)), np.full(147, 7.0)]
-        assert_same_fit(x, 10, DEFAULT_MAX_CUTOFFS)
+        """Every tail of identical values is degenerate, whatever cumsum's rounding leaves,
+        and so is one whose log spacings are float64 rounding: three values one ulp
+        above 147 copies of 7.0 would fit an exponent of 2**52."""
+        one_ulp = np.r_[np.full(3, np.nextafter(7.0, 8.0)), np.full(147, 7.0)]
+        for x in (np.full(150, 2.0), one_ulp):
+            for fit in (hill_fit_ks, reference_hill_fit_ks):
+                with pytest.raises(DegenerateInputError):
+                    fit(x)
 
     @pytest.mark.parametrize("x, exponent, n_tail, ks", [
         (np.r_[np.full(75, 3.0), np.full(75, 2.0)], 4.209157909122442, 128, 0.40625),
@@ -154,9 +155,11 @@ def reference_hill_fit_ks(magnitudes, min_tail=10, max_cutoffs=DEFAULT_MAX_CUTOF
     hill_means = csum[tails - 1] / tails - logx[tails - 1]
 
     ranks = np.arange(1, n + 1, dtype=float)
+    eps = np.finfo(float).eps
     best = None  # (ks, n_tail, xi)
     for k, mean_log in zip(tails, hill_means):
-        if not (x[0] > x[k - 1] and mean_log > 0.0):  # degenerate tail of identical values
+        # a tail of identical values, or a mean below float64 resolution, is degenerate
+        if not (x[0] > x[k - 1] and mean_log > k * eps * max(abs(logx[0]), abs(logx[k - 1]))):
             continue
         xi = 1.0 / mean_log
         model = np.exp(-xi * (logx[:k] - logx[k - 1]))
@@ -164,7 +167,7 @@ def reference_hill_fit_ks(magnitudes, min_tail=10, max_cutoffs=DEFAULT_MAX_CUTOF
         if best is None or ks <= best[0]:
             best = (ks, int(k), xi)
     if best is None:
-        raise DegenerateInputError("all cutoff candidates have an empty log-spacing")
+        raise DegenerateInputError("all cutoff candidates have an empty or unresolved log-spacing")
     ks, n_tail, xi = best
     return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
 

@@ -3,8 +3,17 @@
  *
  * Built and loaded by specmarket._kernel; see its docstring for the rules
  * that keep the bits equal to numpy's and Python's: the pairwise totals, the
- * order of the draws, the unfused settle updates (compile with
- * -ffp-contract=off) and the C library's log10.
+ * order of the draws, the settle updates (compile with -ffp-contract=off, so
+ * the one fused multiply-add is the explicit fma of the settle quotient) and
+ * the C library's log10.
+ *
+ * The settle quotient m / price is correctly rounded on either path. Where
+ * the compiler targets FMA (__FMA__) and a step is inside the guard (price
+ * in [2^-60, 2^60], every order +0.0 or in [2^-900, 2^901)), it is
+ * Markstein's FMA-corrected quotient from y = 1 / price (P. W. Markstein,
+ * IBM J. Res. Dev. 34(1), 1990; J.-M. Muller et al., Handbook of
+ * Floating-Point Arithmetic, division with an FMA): nothing in it underflows
+ * or overflows, so it equals the division. Any other step divides.
  */
 
 #include <math.h>
@@ -82,6 +91,59 @@ double specmarket_total(const double *a, int64_t n)
     return 0.0 + pairwise2(a, a, n).a;
 }
 
+/* The guard of the FMA quotient, on the bits of one order: set unless the
+ * order is +0.0 or its biased exponent is in [1023 - 900, 1023 + 900]. Signs,
+ * infinities and NaNs fall outside. Integer ops, so the order loops vectorise. */
+static inline uint64_t order_wide(double m)
+{
+    uint64_t bits;
+    memcpy(&bits, &m, sizeof bits);
+    return (bits != 0) & ((bits >> 52) - 123 > 1800);
+}
+
+/* whether a step may take the FMA quotient: the build targets FMA, the
+ * price is in [2^-60, 2^60] and no order is wide */
+static inline int fma_step(double price, uint64_t wide)
+{
+#ifdef __FMA__
+    return !wide && price >= 0x1p-60 && price <= 0x1p60;
+#else
+    (void)price, (void)wide;
+    return 0;
+#endif
+}
+
+/* m / price, correctly rounded. On an fma_step, from y = 1 / price:
+ * q0 = m * y is within a few ulps, the inner fma gives its remainder
+ * m - q0 * price exactly, and the outer one rounds the corrected quotient. */
+static inline double settle_quotient(double m, double price, double y, int fast)
+{
+#ifdef __FMA__
+    if (fast) {
+        double q0 = m * y;
+        return fma(fma(-q0, price, m), y, q0);
+    }
+#endif
+    (void)y, (void)fast;
+    return m / price;
+}
+
+/* q[i] = m[i] / price as the settle loop computes it, for m[0..n) taken as
+ * one step's orders. Returns 1 if it took the FMA quotient, 0 if it divided. */
+int64_t specmarket_divide(const double *m, int64_t n, double price, double *q)
+{
+    uint64_t wide = 0;
+    for (int64_t i = 0; i < n; i++) {
+        wide |= order_wide(m[i]);
+    }
+    const int fast = fma_step(price, wide);
+    const double y = 1.0 / price;
+    for (int64_t i = 0; i < n; i++) {
+        q[i] = settle_quotient(m[i], price, y, fast);
+    }
+    return fast;
+}
+
 /* searchsorted(cum, u, side="right"): the number of values <= u. They form a
  * prefix for any u in [0, 1): cum is a cumulative sum of nonnegative weights,
  * and its last value is set to 1.0, which exceeds u as does any value rounded
@@ -108,8 +170,12 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  * returns (horizon - 1 of them), states, taus (NaN on a state's first
  * occurrence), the speculators' capital sum and, if agent_caps is not NULL,
  * each speculator's capital.
+ *
+ * Returns horizon, or the first step t whose price is not finite and
+ * positive or whose return's ratio price / before is not (before is 1.0 at
+ * t = 0); it stops there, with prices[t] written and nothing settled.
  */
-void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t n_random,
+int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t n_random,
                     double gamma, double eps, int64_t endo_states,
                     const double *cum, int64_t n_cum, int64_t *queue, int64_t n_queue,
                     const uint8_t *strategies, int64_t mu, int64_t *last_seen,
@@ -149,29 +215,38 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
         taus[t] = last_seen[mu] >= 0 ? (double)(t - last_seen[mu]) : NAN;
         last_seen[mu] = t;
         const uint8_t *row = strategies + mu * n;
+        uint64_t wide = 0;
         for (int64_t i = 0; i < n_random; i++) {
             int buy = bg->next_double(bg->state) < 0.5;
             m[i] = (money[i] * gamma) * (double)buy;
             s[i] = (stocks[i] * gamma) * (double)!buy;
+            wide |= order_wide(m[i]);
         }
         for (int64_t i = n_random; i < n; i++) {
             m[i] = (money[i] * gamma) * (double)row[i];
             s[i] = (stocks[i] * gamma) * (double)!row[i];
+            wide |= order_wide(m[i]);
         }
         before = price;
         totals orders = pairwise2(m, s, n);
         price = ((0.0 + orders.a) + eps) / ((0.0 + orders.b) + eps);
         prices[t] = price;
+        double ratio = price / before;
+        if (!(price > 0.0 && price < INFINITY && ratio > 0.0 && ratio < INFINITY)) {
+            return t;
+        }
         if (t > 0) {
-            returns[t - 1] = log10(price / before);
+            returns[t - 1] = log10(ratio);
         }
         for (int64_t i = k; i < n; i++) {
             double tmp = s[i] * price;
             tmp -= m[i];
             money[i] += tmp;
         }
+        const int fast = fma_step(price, wide);
+        const double y = 1.0 / price;
         for (int64_t i = k; i < n; i++) {
-            double tmp = m[i] / price;
+            double tmp = settle_quotient(m[i], price, y, fast);
             tmp -= s[i];
             stocks[i] += tmp;
         }
@@ -185,6 +260,7 @@ void specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t
             }
         }
     }
+    return horizon;
 }
 
 /* ------------------------------------------------------------------------

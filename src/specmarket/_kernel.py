@@ -29,6 +29,20 @@ states, taus, capitals) with the bits of ``market.step``:
   updates in place; NaN on a state's first occurrence.
 - The draws go through the bit generator's ``next_double`` in the order of
   ``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
+- The one explicit ``fma`` is the settle quotient ``m / price``: where the
+  build targets FMA (``__FMA__``, as ``-march=native`` does on x86 CPUs
+  with FMA) and a step is inside the guard (price in [2^-60, 2^60], every
+  order +0.0 or in [2^-900, 2^901)), it is Markstein's FMA-corrected
+  quotient from ``y = 1 / price``, ``q0 = m * y``,
+  ``q = fma(fma(-q0, price, m), y, q0)`` (P. W. Markstein, IBM J. Res. Dev.
+  34(1), 1990; J.-M. Muller et al., *Handbook of Floating-Point
+  Arithmetic*, division with an FMA). Nothing in it underflows or
+  overflows there, so it is the correctly rounded quotient, the bits of
+  ``/``. Other steps, and builds without FMA, divide. ``specmarket_divide``
+  exposes the guarded quotient of one step's orders.
+- A step whose price is not finite and positive, or whose return is not
+  finite, stops the kernel, which returns that step; ``market.run`` then
+  raises the ``ConfigError`` that ``market.settle`` raises on that step.
 
 The row writer takes float64 and int64 columns only. It writes each float64
 as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
@@ -67,6 +81,8 @@ RUN_ARGTYPES = (
     _p, _p, _p, _p,               # prices, returns, mus, taus
     _p, _p,                       # capital, agent_caps
 )
+#: argument types of ``specmarket_divide``: m, n, price, q
+DIVIDE_ARGTYPES = (_p, _i64, _f64, _p)
 #: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, masks, out
 WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p)
 #: the writer's power-of-5 tables: their lengths in ``_kernel.c`` and the bits of each entry
@@ -151,7 +167,9 @@ def _pow5_tables() -> tuple[list[int], list[int]]:
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the entry points' signatures and fill the writer's tables."""
     lib.specmarket_run.argtypes = RUN_ARGTYPES
-    lib.specmarket_run.restype = None
+    lib.specmarket_run.restype = _i64
+    lib.specmarket_divide.argtypes = DIVIDE_ARGTYPES
+    lib.specmarket_divide.restype = _i64
     lib.specmarket_total.argtypes = (_p, _i64)
     lib.specmarket_total.restype = _f64
     lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES

@@ -421,8 +421,29 @@ def clear_price(demand: float, supply: float) -> float:
     return demand / supply
 
 
+def check_clearing(config: MarketConfig, t: int, price: float, before: float) -> None:
+    """Raise :class:`ConfigError` naming ``epsilon`` unless step ``t``'s price is finite
+    and positive and its log return ``log10(price / before)`` is finite.
+
+    Only a tiny ``epsilon`` gets there: it bounds how far one side of the
+    order book can outweigh the other.
+    """
+    ratio = price / before
+    if not (0.0 < price < math.inf and 0.0 < ratio < math.inf):
+        raise ConfigError(
+            f"epsilon = {config.epsilon!r} is too small for this market: step {t} clears at "
+            f"price {price!r} after {before!r}; a price must be finite and positive and its "
+            "log return finite"
+        )
+
+
 def settle(state: MarketState, orders: Orders, price: float) -> MarketState:
-    """Settle all orders at ``price``; producers are restored, time advances."""
+    """Settle all orders at ``price``; producers are restored, time advances.
+
+    Raises ``check_clearing``'s :class:`ConfigError`, before settling, on a
+    price that is not finite and positive or a return that is not finite.
+    """
+    check_clearing(state.config, state.t, price, state.last_price)
     k = state.config.n_producers
     m = orders.money_orders
     s = orders.stock_orders
@@ -469,7 +490,9 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
 
     The record is bit-identical to stepping the market with :func:`step`, so
     equal configs replay bit-identically. ``memory_budget`` caps the record's
-    per-step arrays, the optional per-agent capitals included.
+    per-step arrays, the optional per-agent capitals included. A step whose
+    price is not finite and positive, or whose return is not finite, raises
+    the :class:`ConfigError` of :func:`check_clearing`, as :func:`step` does.
     """
     validate_config(config)
     needed = record_bytes(config)
@@ -531,7 +554,7 @@ def _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps) ->
     m, s = np.empty(n), np.empty(n)
     bit_generator = state.rng.bit_generator
     with bit_generator.lock:
-        lib.specmarket_run(
+        done = lib.specmarket_run(
             bit_generator.ctypes.bit_generator, horizon, n, k,
             k if cfg.producer_kind == "random" else 0, cfg.use_param, cfg.epsilon,
             _endo_states(cfg.info_mode), _address(cum), 0 if cum is None else cum.size,
@@ -541,6 +564,8 @@ def _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps) ->
             prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, taus.ctypes.data,
             capital.ctypes.data, _address(agent_caps),
         )
+    if done < horizon:
+        check_clearing(cfg, done, float(prices[done]), float(prices[done - 1]) if done else 1.0)
     state.t, state.mu = horizon, int(mus[-1])
     state.last_price = float(prices[-1])
     state.last_return = float(returns[-1]) if horizon > 1 else math.log10(state.last_price)

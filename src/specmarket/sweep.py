@@ -125,7 +125,7 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
                 d_exact = float(value) * cfg.n_speculators
                 # before round(), which raises on a product that overflowed to inf
                 check_market_size(d_exact, cfg.n_agents, "alpha")
-                d = round(d_exact)
+                d = round(d_exact) if d_exact >= 1 else 0  # round(-inf) raises too
                 if d < 1 or abs(d - d_exact) > 1e-9:
                     raise ConfigError(
                         f"alpha = {value} gives a non-integer state count {d_exact} "
@@ -227,7 +227,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     Each cell is one :func:`~specmarket.market.run`; ``workers > 1`` maps
     the cells to processes in chunks, a few per worker. A cell whose
-    config fails validation is recorded with the error and never run.
+    config fails validation, or whose node's coordinates give no config,
+    is recorded with the error and never run.
     """
     spec.validate()
     names = [axis.name for axis in spec.axes]
@@ -238,7 +239,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     seeds_seen = {}
     for node_index, values in enumerate(grid):
         coords = dict(zip(names, values))
-        cfg = node_config(spec.base, coords)
+        try:
+            cfg, node_error = node_config(spec.base, coords), None
+        except ConfigError as exc:
+            cfg, node_error = None, _error(exc)
         for rep in range(spec.repetitions):
             seed = derive_seed(spec.base.seed, node_index, rep)
             if seed in seeds_seen:
@@ -246,7 +250,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     f"seed collision between cells {seeds_seen[seed]} and {(node_index, rep)}"
                 )
             seeds_seen[seed] = (node_index, rep)
-            records[(node_index, rep)] = record = RepRecord(seed=seed)
+            records[(node_index, rep)] = record = RepRecord(seed=seed, error=node_error)
+            if node_error:
+                continue
             cell_cfg = replace(cfg, seed=seed)
             try:
                 validate_config(cell_cfg)

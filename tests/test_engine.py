@@ -26,7 +26,7 @@ from specmarket import (
     uniform_weights,
 )
 from specmarket import _kernel, market
-from specmarket.errors import MemoryBudgetError
+from specmarket.errors import ConfigError, MemoryBudgetError
 from specmarket.io import write_run_artifact
 from specmarket.market import record_bytes
 from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
@@ -216,6 +216,58 @@ def test_kernel_record_edges(config):
         assert across.sum() >= 20
 
 
+def price_outside_guard(record, config):
+    """A step clears outside [2^-60, 2^60], so it divides."""
+    return bool(np.any((record.prices < 2.0**-60) | (record.prices > 2.0**60)))
+
+
+def tiny_buyer(record, config):
+    """A speculator whose capital is in (2^-1000, 2^-902) buys at the next step.
+
+    Its money is below 2^-901, and above zero since a use below 1 never
+    spends all of it, so its order is a nonzero normal below 2^-900.
+    """
+    assert config.use_param < 1.0 and config.record_agents
+    caps = record.agent_capitals[:-1]
+    buys = new_market(config).strategies[record.mus[1:], config.n_producers:]
+    return bool(np.any((caps > 2.0**-1000) & (caps < 2.0**-902) & buys))
+
+
+@pytest.mark.parametrize("config, tripped", [
+    (MarketConfig(n_speculators=1, use_param=1.0, info_mode=Endogenous(1), epsilon=1e-30,
+                  horizon=400, seed=3), price_outside_guard),
+    (MarketConfig(n_speculators=4, use_param=0.9, info_mode=Endogenous(2), horizon=800, seed=12,
+                  record_agents=True), tiny_buyer),
+], ids=["price_above_2^60", "holdings_below_2^-900"])
+def test_steps_outside_the_fma_guard_match_step(config, tripped):
+    """Steps outside the FMA quotient's guard divide, with the bits of ``step``."""
+    record = run(config)
+    assert tripped(record, config)
+    assert_matches_step(record, config)
+    assert_same_bytes(record, fallback_run(config))
+
+
+@pytest.mark.parametrize("n_speculators, use_param, epsilon, seed, at", [
+    (2, 0.5, 1e-300, 4, "step 2 clears at price 9.999999999999999e+299 after 2e-300"),
+    (2, 0.5, 5e-324, 4, "step 2 clears at price inf after 1e-323"),
+    (2, 1.0, 5e-324, 4, "step 0 clears at price 0.0 after 1.0"),
+    (3, 0.5, 5e-324, 12, "step 2 clears at price 5e-324 after 2.0"),
+], ids=["return_inf", "price_inf", "price_zero", "return_zero"])
+def test_tiny_epsilon_is_refused_by_name_on_both_engines(n_speculators, use_param, epsilon, seed,
+                                                         at):
+    """A price that is not finite and positive, or a return that is not finite, raises one
+    ``ConfigError`` naming epsilon from the kernel, ``run``'s loop and ``step``."""
+    config = MarketConfig(n_speculators=n_speculators, use_param=use_param,
+                          info_mode=Endogenous(1), epsilon=epsilon, horizon=200, seed=seed)
+    messages = []
+    for engine in (run, fallback_run, reference_run):
+        with pytest.raises(ConfigError, match=f"^epsilon = {epsilon!r} is too small") as raised:
+            engine(config)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert at in messages[0]
+
+
 # ---------------------------------------------------------------------------
 # kernel pieces
 # ---------------------------------------------------------------------------
@@ -235,6 +287,84 @@ def test_kernel_total_equals_add_reduce():
         assert kernel_total(lib, values).tobytes() == np.add.reduce(values).tobytes(), n
 
 
+#: whether the kernel was built with FMA (``__FMA__``): -march=native on an x86 CPU with FMA
+FMA_BUILD = platform.machine() == "x86_64" and bool(
+    re.search(r"^flags\s*:.*\bfma\b", _kernel.cpu_identity(), re.MULTILINE))
+
+
+def kernel_divide(lib, m, price):
+    """``specmarket_divide``: the settle quotients m / price, and whether they took the FMA path."""
+    m = np.ascontiguousarray(m, dtype=float)
+    q = np.empty_like(m)
+    fast = lib.specmarket_divide(m.ctypes.data, m.size, price, q.ctypes.data)
+    return q, bool(fast)
+
+
+def assert_divides(lib, m, price, fast):
+    q, took = kernel_divide(lib, m, price)
+    assert took == (fast and FMA_BUILD), (m, price)
+    with np.errstate(over="ignore", under="ignore"):  # beyond the guard, quotients may
+        expected = np.asarray(m, dtype=float) / np.float64(price)  # overflow or underflow
+    assert q.tobytes() == expected.tobytes(), (m, price)
+
+
+def test_fma_quotient_equals_division_inside_the_guard():
+    """1.2e7 random orders and prices inside the guard, and a block of quotients at the
+    top of their binade, where q0 = m * (1 / price) is farthest from m / price."""
+    lib = _kernel.library()
+    assert lib
+    rng = np.random.default_rng(12)
+    for _ in range(1200):
+        price = float(np.ldexp(rng.uniform(1.0, 2.0), rng.integers(-60, 60)))
+        m = np.ldexp(rng.uniform(1.0, 2.0, 10_000), rng.integers(-900, 901, 10_000))
+        m[rng.random(m.size) < 0.1] = 0.0
+        assert_divides(lib, m, price, fast=True)
+    top = rng.uniform(2.0 - 2.0**-20, 2.0, 100_000)
+    for price in (1.0 + 2.0**-52, 1.0 + 2.0**-30, 1.5, np.nextafter(2.0, 0.0) / 2**40):
+        assert_divides(lib, top, float(price), fast=True)
+        assert_divides(lib, top * price, float(price), fast=True)
+
+
+def test_fma_quotient_edges_equal_division():
+    """The guard's bounds and their neighbours, zero, subnormal and negative orders, powers of
+    two, and prices just outside [2^-60, 2^60]: each equals the division, on its path."""
+    lib = _kernel.library()
+    assert lib
+    lowest, highest = 2.0**-900, np.nextafter(2.0**901, 0.0)  # biased exponents 123 and 1923
+    inside = [0.0, lowest, np.nextafter(lowest, 1.0), highest, np.nextafter(highest, 0.0), 1.0,
+              *(2.0**e for e in range(-900, 901, 7))]
+    outside = [np.nextafter(lowest, 0.0), 2.0**901, 2.0**-1000, 2.0**-1022, 5e-324,
+               np.nextafter(2.0**-1022, 0.0), -0.0, -1.0, np.inf, 2.0**1023]
+    low_price, high_price = 2.0**-60, 2.0**60
+    prices = [low_price, np.nextafter(low_price, 1.0), high_price, np.nextafter(high_price, 0.0),
+              1.0, 3.0, *(2.0**e for e in range(-60, 61, 3))]
+    beyond = [np.nextafter(low_price, 0.0), np.nextafter(high_price, np.inf), 2.0**-61, 2.0**61,
+              1e-30, 1e30]
+    for price in prices:
+        price = float(price)
+        assert_divides(lib, inside, price, fast=True)
+        for m in inside:
+            assert_divides(lib, [m], price, fast=True)
+        for m in outside:
+            assert_divides(lib, [m], price, fast=False)
+            assert_divides(lib, [1.0, m, 2.0], price, fast=False)
+    for price in beyond:
+        for m in inside + outside:
+            assert_divides(lib, [m], float(price), fast=False)
+    assert_divides(lib, [], 1.0, fast=True)
+    # where the FMA quotient would differ: a remainder that underflows, a quotient that
+    # overflows, or one that is subnormal
+    rng = np.random.default_rng(13)
+    small = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-1074, -900, 100_000))
+    large = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(901, 1024, 100_000))
+    for price in (0.7, 3.0, 1e-10, 1e10, low_price, high_price):
+        assert_divides(lib, small, price, fast=False)
+        assert_divides(lib, large, price, fast=False)
+    m = np.ldexp(rng.uniform(1.0, 2.0, 10_000), rng.integers(-900, 901, 10_000))
+    for price in np.ldexp(rng.uniform(1.0, 2.0, 100), rng.integers(-1022, -60, 100)):
+        assert_divides(lib, m, float(price), fast=False)
+
+
 def test_bound_signatures_match_the_c_definitions():
     """Each entry point's ``argtypes`` has one type per parameter of its C definition, so a
     parameter dropped on one side fails here instead of passing stray pointers."""
@@ -243,6 +373,7 @@ def test_bound_signatures_match_the_c_definitions():
     assert lib
     for name, argtypes in (("specmarket_run", _kernel.RUN_ARGTYPES),
                            ("specmarket_write_rows", _kernel.WRITE_ARGTYPES),
+                           ("specmarket_divide", _kernel.DIVIDE_ARGTYPES),
                            ("specmarket_total", None)):
         definition = re.search(rf"^\w+ {name}\(([^)]*)\)\n{{", source, re.MULTILINE)
         assert definition, name

@@ -462,6 +462,16 @@ class TestCli:
         assert code == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_simulate_refuses_a_tiny_epsilon_by_name(self, tmp_path, capsys):
+        """Non-finite returns end in an error naming epsilon, and no run.csv is written."""
+        config = write(tmp_path, MINIMAL.replace("n_speculators = 64", "n_speculators = 2")
+                       .replace("memory_bits = 4", "memory_bits = 1")
+                       .replace("seed = 3", "seed = 4\nepsilon = 1e-300"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: epsilon = 1e-300 is too small")
+        assert not (tmp_path / "o" / "run.csv").exists()
+
     def test_missing_input_is_error_exit(self, tmp_path, capsys):
         code = main(["stats", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 1

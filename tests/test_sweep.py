@@ -47,6 +47,10 @@ class TestNodeConfig:
         with pytest.raises(ConfigError, match="alpha"):
             node_config(base_config(n_speculators=10), {"alpha": 0.15})
 
+    def test_alpha_overflowing_to_minus_inf_refused_by_name(self):
+        with pytest.raises(ConfigError, match="^alpha = .* state count -inf"):
+            node_config(base_config(), {"alpha": -2.8088955232223686e+306})
+
     @pytest.mark.parametrize("axis, value", [
         ("alpha", 2.8088955232223686e+306),  # times 64 speculators: inf
         ("alpha", 1e12),
@@ -160,6 +164,18 @@ class TestRunSweep:
         assert ran == [0.5, 0.5]
         assert result.nodes[0].n_success == 2
         assert all(rep.error.startswith("ConfigError: use_param") for rep in result.nodes[1].reps)
+
+    def test_node_without_a_config_recorded_and_others_run(self):
+        """A node whose alpha gives a non-integer state count fails alone, on each of its cells."""
+        spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("alpha", (0.25, 0.3)),),
+                         repetitions=2, metrics=("variance",))
+        result = run_sweep(spec)
+        good, bad = result.nodes
+        assert good.n_success == 2 and good.aggregates is not None
+        assert bad.n_success == 0 and bad.aggregates is None
+        assert [rep.seed for rep in bad.reps] == [derive_seed(99, 1, rep) for rep in range(2)]
+        assert all(rep.error == "ConfigError: alpha = 0.3 gives a non-integer state count 19.2 "
+                   "at n_speculators = 64" for rep in bad.reps)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunked_parallel_results_equal_serial(self, workers):

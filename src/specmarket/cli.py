@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -64,6 +65,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise SpecmarketError(f"--threads must be >= 1, got {args.threads}")
     spec = io.parse_sweep_spec(args.config)
     if args.seed is not None:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
@@ -75,10 +78,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for node in result.nodes:
         for metric in spec.metrics:
+            value = node.aggregates[metric] if node.valid else math.nan
             rows.append({
                 **{name: node.coords[name] for name in axis_names},
                 "metric": metric,
-                "value": node.aggregates[metric] if node.valid else None,
+                "value": value if math.isfinite(value) else None,  # failed or undefined
                 "n_runs": node.n_success,
             })
     if args.format == "json":
@@ -97,8 +101,7 @@ def cmd_sweep(args) -> int:
         columns = [np.array([row[name] for row in rows], dtype=float) for name in axis_names]
         columns += [[row["metric"] for row in rows], values,
                     np.array([row["n_runs"] for row in rows])]
-        # failed nodes and non-finite values stay empty
-        empty = [None] * len(axis_names) + [None, ~np.isfinite(values), None]
+        empty = [None] * len(axis_names) + [None, np.isnan(values), None]
         io.write_columns(outdir / "grid.csv", ("config-hash", chash),
                          axis_names + ["metric", "value", "n_runs"], columns, empty)
     n_failed = sum(1 for node in result.nodes for rep in node.reps if rep.error)

@@ -15,7 +15,7 @@ import datetime
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -227,21 +227,17 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+#: the text of a [market] value, by the converter of ``_MARKET_KEYS`` that reads it back
+_FORMATS = {_to_int: str, _to_float: _format_float, _to_word: str,
+            _to_bool: lambda b: "true" if b else "false"}
+
+
 def emit_config(config: MarketConfig) -> str:
     """Resolved config as INI text; parsing it back reproduces the config."""
-    lines = [
-        "[market]",
-        f"n_speculators = {config.n_speculators}",
-        f"n_producers = {config.n_producers}",
-        f"producer_kind = {config.producer_kind}",
-        f"use_param = {_format_float(config.use_param)}",
-        f"epsilon = {_format_float(config.epsilon)}",
-        f"horizon = {config.horizon}",
-        f"seed = {config.seed}",
-        f"record_agents = {'true' if config.record_agents else 'false'}",
-        "",
-        "[info]",
-    ]
+    lines = ["[market]"]
+    lines += [f"{key} = {_FORMATS[convert](getattr(config, key))}"
+              for key, convert in _MARKET_KEYS.items()]
+    lines += ["", "[info]"]
     mode = config.info_mode
     if isinstance(mode, Endogenous):
         lines += ["mode = endogenous", f"memory_bits = {mode.memory_bits}"]
@@ -280,16 +276,7 @@ class ReturnsAnalysis:
     autocorr: np.ndarray
 
     def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "kurtosis": self.kurtosis,
-            "tail": {
-                "exponent": self.tail.exponent,
-                "cutoff": self.tail.cutoff,
-                "ks_distance": self.tail.ks_distance,
-                "n_tail": self.tail.n_tail,
-            },
-        }
+        return {"n": self.n, "kurtosis": self.kurtosis, "tail": asdict(self.tail)}
 
 
 def analyze_returns(returns: np.ndarray) -> ReturnsAnalysis:
@@ -405,10 +392,14 @@ def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
 
 
 def write_json(path, payload: dict) -> Path:
-    """Write ``payload`` and the format version as sorted, indented JSON with a trailing newline."""
+    """Write ``payload`` and the format version as sorted, indented JSON with a trailing newline.
+
+    The JSON is strict: a NaN or infinite value raises ``ValueError``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"format": FORMAT_VERSION, **payload}, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps({"format": FORMAT_VERSION, **payload}, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
     return path
 
 
@@ -443,8 +434,10 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
 def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -> dict:
     """Write run.csv, ccdf.csv, autocorr.csv, surprise.csv, summary.json, config.ini.
 
-    Statistics are computed on the post-transient (final-half) window, as in
-    ``write_analysis``; the surprise statistics use the same half of the run.
+    For a horizon of T steps, the return statistics are computed on the
+    post-transient window, as in ``write_analysis``: returns (T - 1) // 2 onward.
+    The surprise statistics use steps T // 2 onward, whose recurrences pair with
+    returns T // 2 onward, so for an even T the return window holds one more return.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

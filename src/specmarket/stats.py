@@ -39,16 +39,9 @@ class CcdfCurve:
 
 
 @dataclass(frozen=True)
-class SurpriseSeries:
-    """Parallel (tau, |r|) samples for steps whose information state recurred."""
-
-    taus: np.ndarray
-    magnitudes: np.ndarray
-
-
-@dataclass(frozen=True)
 class SurpriseSummary:
-    series: SurpriseSeries
+    taus: np.ndarray            # tau of each step whose information state recurred
+    magnitudes: np.ndarray      # |r| realized at that step, parallel to taus
     bin_centers: np.ndarray     # geometric centers of surviving log-spaced tau bins
     bin_means: np.ndarray       # mean |r| per bin
     bin_counts: np.ndarray
@@ -91,7 +84,7 @@ def ccdf_rank_ordered(magnitudes: Sequence[float]) -> CcdfCurve:
 def hill_fit_ks(
     magnitudes: Sequence[float],
     min_tail: int = 10,
-    max_cutoffs: Optional[int] = DEFAULT_MAX_CUTOFFS,
+    max_cutoffs: int = DEFAULT_MAX_CUTOFFS,
 ) -> TailFit:
     """Hill tail fit with the cutoff that minimizes the Kolmogorov-Smirnov distance.
 
@@ -100,16 +93,18 @@ def hill_fit_ks(
     ``ln(x_i / x_min)`` over the tail and the KS distance compares the rank
     CCDF of the tail against ``(x / x_min)**-xi``. Ties in KS go to the larger
     tail. Samples with more candidates than ``max_cutoffs`` are scanned on a
-    log-spaced subset of tail sizes (pass ``None`` to force the full scan).
+    log-spaced subset of tail sizes: ``max_cutoffs`` geometric steps from
+    ``min_tail`` to the sample size, rounded, each size once.
     A tail of one value, or with a Hill mean within ``n_tail`` ulps of its
     logs, is no candidate; with none left it raises ``DegenerateInputError``.
 
     The scan prunes in passes over more and more sampled ranks per tail (see
     ``_KS_SAMPLES``). Each pass takes a lower bound on every candidate's KS
     distance (see ``_ks_lower_bound``), evaluates the full KS distance of the
-    candidate with the smallest bound, and drops the candidates whose bound
-    exceeds the smallest full distance seen so far. A dropped candidate's
-    distance is larger than the winner's, so the result equals the full scan's.
+    candidate with the smallest bound (the bound with every rank sampled), and
+    drops the candidates whose bound exceeds the smallest full distance seen so
+    far. A dropped candidate's distance is larger than the winner's, so the
+    result, the survivor with the smallest full distance, equals the full scan's.
     """
     x = np.asarray(magnitudes, dtype=float)
     n_bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -125,39 +120,44 @@ def hill_fit_ks(
     n = x.size
 
     tails = np.arange(min_tail, n + 1)
-    if max_cutoffs is not None and tails.size > max_cutoffs:
-        grid = np.geomspace(min_tail, n, max_cutoffs)
-        tails = np.unique(np.rint(grid).astype(np.int64))
+    if tails.size > max_cutoffs:
+        # the rounded grid is nondecreasing, so dropping repeats leaves each size once
+        tails = np.rint(np.geomspace(min_tail, n, max_cutoffs)).astype(np.int64)
+        tails = tails[np.diff(tails, prepend=0) != 0]
     csum = np.cumsum(logx)
     hill_means = csum[tails - 1] / tails - logx[tails - 1]
     # the mean of a tail of identical values, or of values a few ulps apart, is
     # cumsum rounding noise; the latter's exponent would be near 2**52
     floor = tails * np.finfo(float).eps * np.fmax(np.abs(logx[0]), np.abs(logx[tails - 1]))
     eligible = (x[0] > x[tails - 1]) & (hill_means > floor)
-    tails, hill_means = tails[eligible], hill_means[eligible]
+    tails, xis = tails[eligible], 1.0 / hill_means[eligible]
+    if tails.size == 0:
+        raise DegenerateInputError("all cutoff candidates have an empty or unresolved log-spacing")
+
+    full = {}  # full KS distance by tail size, each evaluated once
+
+    def distance(i):
+        """The full KS distance of candidate ``i``: every rank of its tail sampled."""
+        k = int(tails[i])
+        if k not in full:
+            full[k] = _ks_lower_bound(logx, tails[i:i + 1], xis[i:i + 1], n)[0]
+        return full[k]
 
     threshold = math.inf  # smallest full KS distance evaluated so far
     for samples in _KS_SAMPLES:
         if tails.size <= 1:
             break
-        xis = 1.0 / hill_means
         lower = _ks_lower_bound(logx, tails, xis, samples)
-        j = int(np.argmin(lower))
-        threshold = min(threshold, _ks_distance(logx, tails[j], xis[j]))
+        threshold = min(threshold, distance(int(np.argmin(lower))))
         # NaN bounds compare false, so they prune nothing
         keep = ~(lower > threshold + _KS_TOLERANCE)
-        tails, hill_means = tails[keep], hill_means[keep]
+        tails, xis = tails[keep], xis[keep]
 
-    best: Optional[tuple[float, int, float]] = None  # (ks, n_tail, xi)
-    for k, mean_log in zip(tails, hill_means):
-        xi = 1.0 / mean_log
-        ks = _ks_distance(logx, k, xi)
-        if best is None or ks <= best[0]:
-            best = (ks, int(k), xi)
-    if best is None:
-        raise DegenerateInputError("all cutoff candidates have an empty or unresolved log-spacing")
-    ks, n_tail, xi = best
-    return TailFit(exponent=xi, cutoff=float(x[n_tail - 1]), ks_distance=ks, n_tail=n_tail)
+    ks = np.array([distance(i) for i in range(tails.size)])
+    best = tails.size - 1 - int(np.argmin(ks[::-1]))  # the last minimum: ties go to the larger tail
+    n_tail = int(tails[best])
+    return TailFit(exponent=float(xis[best]), cutoff=float(x[n_tail - 1]),
+                   ks_distance=float(ks[best]), n_tail=n_tail)
 
 
 #: sampled ranks per candidate in the successive pruning passes of hill_fit_ks
@@ -168,12 +168,6 @@ _KS_SAMPLES = (16, 64, 256, 1024, 4096, 8192)
 _KS_TOLERANCE = 1e-12
 #: elements per block of a pruning pass, which caps its memory
 _KS_BLOCK = 1 << 15
-
-
-def _ks_distance(logx, k, xi):
-    """KS distance between the rank CCDF of the ``k`` largest values and the Hill model."""
-    model = np.exp(-xi * (logx[:k] - logx[k - 1]))
-    return float(np.abs(np.arange(1.0, k + 1) / k - model).max())
 
 
 def _ks_lower_bound(logx, tails, xis, samples):
@@ -192,9 +186,16 @@ def _ks_lower_bound(logx, tails, xis, samples):
     for start in range(0, tails.size, rows):
         block = slice(start, start + rows)
         k = tails[block, None]
-        ranks = 1 + steps * (k - 1) // samples
-        model = np.exp(-xis[block, None] * (logx[ranks - 1] - logx[k - 1]))
-        lower[block] = np.abs(ranks / k - model).max(axis=1)
+        # in place, with the same bits: a tail of 1e5 ranks makes 800 kB temporaries
+        index = steps * (k - 1)
+        index //= samples  # rank - 1
+        model = logx[index]
+        model -= logx[k - 1]
+        model *= -xis[block, None]
+        index += 1
+        gap = index / k
+        gap -= np.exp(model, out=model)
+        lower[block] = np.abs(gap, out=gap).max(axis=1)
     return lower
 
 
@@ -302,7 +303,6 @@ def surprise_stats(
         raise DegenerateInputError("record contains no recurrent information states")
     tau = taus[ok]
     mags = np.abs(record.returns[np.flatnonzero(ok) - 1])
-    series = SurpriseSeries(taus=tau.astype(np.int64), magnitudes=mags)
 
     # conditional means on a 10^(1/bins_per_decade) ladder starting at tau = 1
     n_edges = int(math.ceil(math.log10(tau.max()) * bins_per_decade)) + 2
@@ -322,7 +322,8 @@ def surprise_stats(
     except DegenerateInputError:  # every recurrence has the same tau
         tau_tail = None
     return SurpriseSummary(
-        series=series,
+        taus=tau.astype(np.int64),
+        magnitudes=mags,
         bin_centers=centers,
         bin_means=means,
         bin_counts=counts[keep],

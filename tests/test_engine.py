@@ -189,6 +189,50 @@ def test_states_end_as_step_leaves_them(monkeypatch):
         assert [o.mu for o in tail] == longer.mus[horizon:].tolist()
 
 
+def assert_counterparty_side(before, after, expected, terms):
+    """``sum(after) - sum(before)`` equals ``expected`` to a few ulps per agent of the
+    magnitudes involved: both sums and the positive ``terms`` of the trade."""
+    scale = before.sum() + after.sum() + sum(terms)
+    tolerance = 4 * (before.size + 2) * np.finfo(float).eps * scale
+    assert abs((after.sum() - before.sum()) - expected) <= tolerance
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_invariants_over_generated_configs(config):
+    """Stepped through the public phase functions, every holding stays nonnegative and the
+    producers keep theirs; a pure-speculator market's money and stock totals change by
+    exactly the epsilon counterparty's side of each trade, p S - M and M / p - S. ``run``
+    replays byte for byte and ends with the stepped holdings."""
+    created = []
+    original = market.new_market
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "new_market", lambda c: created.append(original(c)) or created[-1])
+        first, second = run(config), run(config)
+    assert len(created) == 2
+    assert_same_bytes(first, second)
+
+    state = new_market(config)
+    k = config.n_producers
+    for t in range(config.horizon):
+        if t > 0:
+            state.mu = market.next_information(state)
+        orders = market.form_orders(state)
+        price = market.clear_price(orders.demand, orders.supply)
+        money, stocks = state.money.copy(), state.stocks.copy()
+        market.settle(state, orders, price)
+        assert state.money.min() >= 0.0 and state.stocks.min() >= 0.0
+        assert state.money[:k].tobytes() == money[:k].tobytes()
+        assert state.stocks[:k].tobytes() == stocks[:k].tobytes()
+        if k == 0:
+            m, s = float(orders.money_orders.sum()), float(orders.stock_orders.sum())
+            assert_counterparty_side(money, state.money, price * s - m, (price * s, m))
+            assert_counterparty_side(stocks, state.stocks, m / price - s, (m / price, s))
+    for ended in created:
+        assert ended.money.tobytes() == state.money.tobytes()
+        assert ended.stocks.tobytes() == state.stocks.tobytes()
+
+
 @pytest.mark.parametrize("config", [
     MarketConfig(n_speculators=5, use_param=0.5, info_mode=Endogenous(2), horizon=1, seed=7),
     MarketConfig(n_speculators=5, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -402,6 +405,33 @@ class TestCli:
                         ["1.5", "variance", "", "0"], ["1.5", "income_factor", "", "0"]]
         assert variance > 0
 
+    def test_sweep_json_writes_null_for_a_nan_aggregate(self, tmp_path):
+        """The config of ``test_sweep_csv_empty_cells`` as JSON: strict, with null where csv is empty."""
+        config_text = MINIMAL + ("\n[sweep]\naxes = use_param\nuse_param = 0.5, 1.5\n"
+                                 "repetitions = 3\nmetrics = variance, income_factor\n")
+        config = write(tmp_path, config_text, "sweep.ini")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "g"),
+                     "--format", "json"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"grid.json holds {constant}")
+
+        payload = json.loads((tmp_path / "g" / "grid.json").read_text(), parse_constant=refuse)
+        values = [(row["use_param"], row["metric"], row["value"]) for row in payload["grid"]]
+        assert values[0][2] > 0
+        assert values == [(0.5, "variance", values[0][2]), (0.5, "income_factor", None),
+                          (1.5, "variance", None), (1.5, "income_factor", None)]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_sweep_refuses_threads_below_one_by_name(self, tmp_path, capsys, threads):
+        config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n"
+        config = write(tmp_path, config_text, "sweep.ini")
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "g"),
+                     "--threads", threads])
+        assert code == 1
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_sweep_json_format(self, tmp_path):
         config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 2\n"
         config = write(tmp_path, config_text, "sweep.ini")
@@ -503,3 +533,36 @@ class TestCli:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+
+COMMANDS_WITHOUT_MASKED_ARRAYS = """
+import sys
+from specmarket.cli import main
+out, market, sweep, empirical = sys.argv[1:]
+for argv in (["simulate", "--config", market, "--out", out + "/sim"],
+             ["stats", "--input", out + "/sim/run.csv", "--out", out + "/stats"],
+             ["compare", "--config", market, "--empirical", empirical, "--out", out + "/cmp"],
+             ["bounds", "--states", "64", "--alphas", "0.5,2", "--out", out + "/b"],
+             ["sweep", "--config", sweep, "--out", out + "/g"]):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    """Every command in one fresh process leaves ``numpy.ma`` unimported. ``simulate`` on
+    ``configs/market.ini`` fits a window of more returns than the default cutoff grid."""
+    market_ini = Path(__file__).parents[1] / "configs" / "market.ini"
+    returns = parse_market_config(market_ini).horizon - 1
+    assert returns - returns // 2 > specmarket.stats.DEFAULT_MAX_CUTOFFS + 10
+    sweep = write(tmp_path, MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n",
+                  "sweep.ini")
+    closes = 50.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, size=400)))
+    empirical = write(tmp_path, "".join(f"{np.datetime64('1990-01-01') + i},{float(c)!r}\n"
+                                        for i, c in enumerate(closes)), "emp.csv")
+    env = {**os.environ, "PYTHONPATH": str(Path(specmarket.io.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", COMMANDS_WITHOUT_MASKED_ARRAYS, str(tmp_path),
+                           str(market_ini), str(sweep), str(empirical)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

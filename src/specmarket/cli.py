@@ -70,15 +70,16 @@ def cmd_sweep(args) -> int:
     spec = io.parse_sweep_spec(args.config)
     if args.seed is not None:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
-    result = sweep.run_sweep(spec, workers=args.threads)
+    nodes = sweep.run_sweep(spec, workers=args.threads)
     outdir = Path(args.out)
     chash = io.config_hash(spec.base)
     axis_names = [axis.name for axis in spec.axes]
 
     rows = []
-    for node in result.nodes:
+    for node in nodes:
+        aggregates = node.aggregates
         for metric in spec.metrics:
-            value = node.aggregates[metric] if node.valid else math.nan
+            value = math.nan if aggregates is None else aggregates[metric]
             rows.append({
                 **{name: node.coords[name] for name in axis_names},
                 "metric": metric,
@@ -91,21 +92,21 @@ def cmd_sweep(args) -> int:
             "grid": rows,
             "failures": [
                 {"node": node.index, "repetition": i, "reason": rep.error}
-                for node in result.nodes for i, rep in enumerate(node.reps) if rep.error
+                for node in nodes for i, rep in enumerate(node.reps) if rep.error
             ],
         }
         io.write_json(outdir / "grid.json", payload)
     else:
         values = np.array([np.nan if row["value"] is None else row["value"] for row in rows],
                           dtype=float)
-        columns = [np.array([row[name] for row in rows], dtype=float) for name in axis_names]
+        columns = [np.array([row[name] for row in rows]) for name in axis_names]
         columns += [[row["metric"] for row in rows], values,
                     np.array([row["n_runs"] for row in rows])]
         empty = [None] * len(axis_names) + [None, np.isnan(values), None]
         io.write_columns(outdir / "grid.csv", ("config-hash", chash),
                          axis_names + ["metric", "value", "n_runs"], columns, empty)
-    n_failed = sum(1 for node in result.nodes for rep in node.reps if rep.error)
-    print(f"sweep: {len(result.nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
+    n_failed = sum(1 for node in nodes for rep in node.reps if rep.error)
+    print(f"sweep: {len(nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
     return 0
 
 

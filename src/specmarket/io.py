@@ -252,7 +252,7 @@ def emit_config(config: MarketConfig) -> str:
 
 def _emit_weights(weights: np.ndarray, prefix: str) -> list:
     w = np.asarray(weights)
-    if np.all(w == w[0]):
+    if np.array_equal(w, uniform_weights(w.size)):  # what "uniform" parses back to
         return [f"{prefix}distribution = uniform", f"{prefix}states = {w.size}"]
     return [f"{prefix}weights = " + ", ".join(_format_float(v) for v in w)]
 

@@ -27,7 +27,6 @@ from .market import (
     check_market_size,
     run,
     uniform_weights,
-    validate_config,
 )
 from . import stats
 
@@ -68,14 +67,18 @@ class SweepSpec:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.axes:
             raise ConfigError("axes must contain at least one axis")
+        names = [axis.name for axis in self.axes]
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
                 raise ConfigError(f"axis name must be one of {AXIS_NAMES}, got {axis.name!r}")
+            if names.count(axis.name) > 1:
+                raise ConfigError(f"axis {axis.name} is named twice")
             if len(axis.values) < 1:
                 raise ConfigError(f"axis {axis.name} has no values")
             bad = [v for v in axis.values if not math.isfinite(v)]
             if bad:
                 raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]!r}")
+        _check_one_state_axis(names)
         for m in self.metrics:
             if m not in KNOWN_METRICS:
                 raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {m!r}")
@@ -90,32 +93,44 @@ class RepRecord:
 
 @dataclass
 class NodeResult:
+    """One grid node: its coordinates and its repetitions, from which the rest is derived."""
+
     index: int
     coords: dict
     reps: list
-    aggregates: Optional[dict]
-    n_success: int
+
+    @property
+    def n_success(self) -> int:
+        return sum(rep.metrics is not None for rep in self.reps)
 
     @property
     def valid(self) -> bool:
         return self.n_success > 0
 
+    @property
+    def aggregates(self) -> Optional[dict]:
+        ok = [rep.metrics for rep in self.reps if rep.metrics is not None]
+        return aggregate(ok) if ok else None
 
-@dataclass
-class SweepResult:
-    nodes: list
+
+def _check_one_state_axis(names) -> None:
+    if "alpha" in names and "n_states" in names:
+        raise ConfigError("axes alpha and n_states both set the state count; sweep one of them")
 
 
 def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
-    """Apply axis assignments to the base config.
+    """Apply axis assignments to the base config, in the same way for any axis order.
 
     ``alpha`` and ``n_states`` rebuild the information mode at the implied
     number of states: an endogenous mode changes its memory bits (the state
     count must be a power of two), a uniform exogenous mode is rebuilt at the
-    new size. ``alpha`` keeps n_speculators fixed and sets D = alpha * N_s.
+    new size. They are applied after the other axes, so ``alpha`` sets
+    D = alpha * N_s at the node's own N_s. A node gives one of the two at most.
     """
+    _check_one_state_axis(coords)
     cfg = base
-    for name, value in coords.items():
+    # False sorts first: alpha and n_states go last, the other axes keep their order
+    for name, value in sorted(coords.items(), key=lambda item: item[0] in ("alpha", "n_states")):
         if name == "use_param":
             cfg = replace(cfg, use_param=float(value))
         elif name in ("n_producers", "n_speculators"):
@@ -214,33 +229,29 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell(metrics, task):
-    cell, config = task
+def _run_cell(metrics, config):
     try:  # recorded per repetition, never aborts the sweep
-        return cell, compute_metrics(run(config), metrics), None
+        return compute_metrics(run(config), metrics), None
     except Exception as exc:
-        return cell, None, _error(exc)
+        return None, _error(exc)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Simulate every (node, repetition) cell and aggregate per node.
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[NodeResult]:
+    """Simulate every (node, repetition) cell; one :class:`NodeResult` per grid node.
 
     Each cell is one :func:`~specmarket.market.run`; ``workers > 1`` maps
-    the cells to processes in chunks, a few per worker. A cell whose
-    config fails validation, or whose node's coordinates give no config,
-    is recorded with the error and never run.
+    the cells to processes in chunks, a few per worker. A cell whose config
+    ``run`` refuses, or whose node's coordinates give no config, is recorded
+    with the error.
     """
     spec.validate()
     names = [axis.name for axis in spec.axes]
-    grid = list(product(*(axis.values for axis in spec.axes)))
-
-    records = {}
-    valid = []
-    seeds_seen = {}
-    for node_index, values in enumerate(grid):
-        coords = dict(zip(names, values))
+    nodes, cells, seeds_seen = [], [], {}
+    for node_index, values in enumerate(product(*(axis.values for axis in spec.axes))):
+        node = NodeResult(index=node_index, coords=dict(zip(names, values)), reps=[])
+        nodes.append(node)
         try:
-            cfg, node_error = node_config(spec.base, coords), None
+            cfg, node_error = node_config(spec.base, node.coords), None
         except ConfigError as exc:
             cfg, node_error = None, _error(exc)
         for rep in range(spec.repetitions):
@@ -250,39 +261,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     f"seed collision between cells {seeds_seen[seed]} and {(node_index, rep)}"
                 )
             seeds_seen[seed] = (node_index, rep)
-            records[(node_index, rep)] = record = RepRecord(seed=seed, error=node_error)
-            if node_error:
-                continue
-            cell_cfg = replace(cfg, seed=seed)
-            try:
-                validate_config(cell_cfg)
-            except ConfigError as exc:
-                record.error = _error(exc)
-                continue
-            valid.append(((node_index, rep), cell_cfg))
+            record = RepRecord(seed=seed, error=node_error)
+            node.reps.append(record)
+            if cfg is not None:
+                cells.append((record, replace(cfg, seed=seed)))
 
     run_cell = partial(_run_cell, spec.metrics)
-    if workers > 1 and len(valid) > 1:
+    configs = (cfg for _, cfg in cells)
+    if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, valid, chunksize=max(1, len(valid) // (4 * workers))))
+            outcomes = list(pool.map(run_cell, configs, chunksize=max(1, len(cells) // (4 * workers))))
     else:
-        outcomes = map(run_cell, valid)
-    for cell, metrics, error in outcomes:
-        records[cell].metrics, records[cell].error = metrics, error
-
-    nodes = []
-    for node_index, values in enumerate(grid):
-        coords = dict(zip(names, values))
-        reps = [records[(node_index, rep)] for rep in range(spec.repetitions)]
-        ok = [r.metrics for r in reps if r.metrics is not None]
-        nodes.append(NodeResult(
-            index=node_index,
-            coords=coords,
-            reps=reps,
-            aggregates=aggregate(ok) if ok else None,
-            n_success=len(ok),
-        ))
-    return SweepResult(nodes=nodes)
+        outcomes = map(run_cell, configs)
+    for (record, _), (metrics, error) in zip(cells, outcomes):
+        record.metrics, record.error = metrics, error
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +322,7 @@ def alpha_scan(
             repetitions=repetitions,
             metrics=("variance", "kurtosis", "income_factor", "gini"),
         )
-        result = run_sweep(spec)
-        for node in result.nodes:
+        for node in run_sweep(spec):
             row = {"variant": variant, "alpha": node.coords["alpha"], "n_success": node.n_success}
             for metric in spec.metrics:
                 values = [r.metrics[metric] for r in node.reps if r.metrics is not None]

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import specmarket.io
-from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run
+from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run, uniform_weights
 from specmarket.cli import main
 from specmarket.errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError
 from specmarket.io import (
@@ -118,6 +118,16 @@ class TestParseConfig:
             echoed = write(tmp_path, emit_config(config), "echo.ini")
             assert parse_market_config(echoed) == config
 
+    @pytest.mark.parametrize("mode, uniform", [
+        (Exogenous(np.full(7, 0.142857142857143)), Exogenous(uniform_weights(7))),
+        (Mixed(2, 2, np.full(4, 0.25000000000000006)), Mixed(2, 2, uniform_weights(4))),
+    ], ids=["exogenous", "mixed"])
+    def test_round_trip_of_equal_weights_other_than_uniform(self, tmp_path, mode, uniform):
+        """Equal weights other than ``uniform_weights(n)`` are echoed as a list, not as uniform."""
+        config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=mode, horizon=100, seed=1)
+        assert parse_market_config(write(tmp_path, emit_config(config))) == config
+        assert config_hash(config) != config_hash(replace(config, info_mode=uniform))
+
     def test_sweep_spec(self, tmp_path):
         text = MINIMAL + (
             "\n[sweep]\naxes = alpha, use_param\nalpha = 0.5, 1\n"
@@ -128,6 +138,15 @@ class TestParseConfig:
         assert spec.axes[0].values == (0.5, 1.0)
         assert spec.repetitions == 2
         assert spec.metrics == ("variance", "kurtosis")
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("axes = use_param, use_param\nuse_param = 0.2, 0.8\n", "^axis use_param is named twice$"),
+        ("axes = alpha, n_states\nalpha = 0.5\nn_states = 8\n",
+         "^axes alpha and n_states both set the state count"),
+    ], ids=["twice", "alpha_with_n_states"])
+    def test_sweep_refuses_colliding_axes_by_name(self, tmp_path, sweep, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_sweep_spec(write(tmp_path, MINIMAL + "\n[sweep]\n" + sweep))
 
     def test_sweep_integer_axis_refuses_fractions(self, tmp_path):
         text = MINIMAL + "\n[sweep]\naxes = n_speculators\nn_speculators = {}\n"
@@ -277,7 +296,8 @@ class TestRoundTripProperties:
         weights = np.array(data.draw(st.lists(st.floats(1e-300, 1e300), min_size=size,
                                               max_size=size)))
         weights /= weights.sum()
-        assume(abs(weights.sum() - 1.0) <= 1e-12 and not np.all(weights == weights[0]))
+        assume(abs(weights.sum() - 1.0) <= 1e-12
+               and not np.array_equal(weights, uniform_weights(size)))
         mode = Mixed(2, exo_bits, weights) if mixed else Exogenous(weights)
         config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=mode, horizon=100,
                               seed=data.draw(st.integers(0, 2**64 - 1)))
@@ -390,6 +410,17 @@ class TestCli:
         lines = (tmp_path / "g" / "grid.csv").read_text().splitlines()
         assert lines[2] == "alpha,metric,value,n_runs"
         assert len(lines) == 3 + 2 * 3  # two nodes x three default metrics
+
+    def test_sweep_csv_writes_integer_axes_as_integers(self, tmp_path):
+        config_text = MINIMAL + ("\n[sweep]\naxes = n_states, n_producers\nn_states = 8, 16.0\n"
+                                 "n_producers = 0, 4\nrepetitions = 1\nmetrics = variance\n")
+        config = write(tmp_path, config_text, "sweep.ini")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "g" / "grid.csv").read_text().splitlines()[2:]]
+        assert [row[:2] for row in rows] == [["n_states", "n_producers"], ["8", "0"], ["8", "4"],
+                                            ["16", "0"], ["16", "4"]]
+        assert [row[4] for row in rows[1:]] == ["1"] * 4
 
     def test_sweep_csv_empty_cells(self, tmp_path):
         """A node with no valid repetition and a NaN aggregate both write an empty value."""

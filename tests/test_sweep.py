@@ -65,6 +65,29 @@ class TestNodeConfig:
         with pytest.raises(ConfigError, match="uniform"):
             node_config(base_config(info_mode=Exogenous(weights)), {"alpha": 1.0})
 
+    def test_any_axis_order_gives_the_same_market(self):
+        """alpha sets D = alpha * N_s at the node's own N_s, wherever n_speculators stands."""
+        base = base_config(n_speculators=32)
+        forward = node_config(base, {"n_speculators": 64, "alpha": 1.0})
+        backward = node_config(base, {"alpha": 1.0, "n_speculators": 64})
+        assert forward == backward
+        assert backward.n_speculators == 64 and backward.n_states == 64
+
+    def test_alpha_with_n_states_refused_by_name(self):
+        with pytest.raises(ConfigError, match="^axes alpha and n_states both set the state count"):
+            node_config(base_config(), {"n_states": 16, "alpha": 0.25})
+
+    @pytest.mark.parametrize("axes, message", [
+        (("use_param", "use_param"), "^axis use_param is named twice$"),
+        (("n_states", "alpha"), "^axes alpha and n_states both set the state count"),
+    ], ids=["twice", "alpha_with_n_states"])
+    def test_colliding_axes_refused_by_name(self, axes, message):
+        values = {"use_param": (0.2, 0.8), "n_states": (16,), "alpha": (0.25,)}
+        spec = SweepSpec(base=base_config(), repetitions=1,
+                         axes=tuple(SweepAxis(name, values[name]) for name in axes))
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(spec)
+
     def test_scalar_axes(self):
         cfg = node_config(base_config(), {"use_param": 0.25, "n_producers": 4})
         assert cfg.use_param == 0.25 and cfg.n_producers == 4
@@ -108,8 +131,7 @@ class TestRunSweep:
     def test_single_node_equals_direct_runs(self):
         spec = SweepSpec(base=base_config(), axes=(SweepAxis("use_param", (0.5,)),),
                         repetitions=3, metrics=("variance", "kurtosis"))
-        result = run_sweep(spec)
-        node = result.nodes[0]
+        node, = run_sweep(spec)
         for rep_index, rep in enumerate(node.reps):
             seed = derive_seed(spec.base.seed, 0, rep_index)
             assert rep.seed == seed
@@ -128,9 +150,9 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "derive_seed", counting)
         spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.5, 1.5)),),
                          repetitions=3, metrics=("variance",))
-        result = run_sweep(spec)
+        nodes = run_sweep(spec)
         assert sorted(derived) == [(99, node, rep) for node in range(2) for rep in range(3)]
-        assert [[rep.seed for rep in node.reps] for node in result.nodes] == \
+        assert [[rep.seed for rep in node.reps] for node in nodes] == \
             [[derive_seed(99, node, rep) for rep in range(3)] for node in range(2)]
 
     def test_derived_seeds_distinct(self):
@@ -141,36 +163,26 @@ class TestRunSweep:
         spec = SweepSpec(base=base_config(horizon=3),
                          axes=(SweepAxis("use_param", (0.5,)),),
                          repetitions=2, metrics=("kurtosis",))
-        result = run_sweep(spec)
-        node = result.nodes[0]
+        node, = run_sweep(spec)
         assert not node.valid
         assert node.aggregates is None
         assert all("Error" in rep.error for rep in node.reps)
 
-    def test_invalid_cells_recorded_and_left_out_of_batches(self, monkeypatch):
-        from specmarket import sweep
-
-        ran = []
-        original = sweep.run
-
-        def counting(config):
-            ran.append(config.use_param)
-            return original(config)
-
-        monkeypatch.setattr(sweep, "run", counting)
+    def test_cells_run_refuses_recorded_with_its_error(self):
+        """A node whose config ``run`` refuses records that ConfigError on each repetition."""
         spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.5, 1.5)),),
                          repetitions=2, metrics=("variance",))
-        result = run_sweep(spec)
-        assert ran == [0.5, 0.5]
-        assert result.nodes[0].n_success == 2
-        assert all(rep.error.startswith("ConfigError: use_param") for rep in result.nodes[1].reps)
+        good, bad = run_sweep(spec)
+        assert good.n_success == 2 and all(rep.error is None for rep in good.reps)
+        assert bad.n_success == 0 and bad.aggregates is None
+        assert [rep.error for rep in bad.reps] == \
+            ["ConfigError: use_param must be in (0, 1], got 1.5"] * 2
 
     def test_node_without_a_config_recorded_and_others_run(self):
         """A node whose alpha gives a non-integer state count fails alone, on each of its cells."""
         spec = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("alpha", (0.25, 0.3)),),
                          repetitions=2, metrics=("variance",))
-        result = run_sweep(spec)
-        good, bad = result.nodes
+        good, bad = run_sweep(spec)
         assert good.n_success == 2 and good.aggregates is not None
         assert bad.n_success == 0 and bad.aggregates is None
         assert [rep.seed for rep in bad.reps] == [derive_seed(99, 1, rep) for rep in range(2)]
@@ -185,12 +197,12 @@ class TestRunSweep:
                          repetitions=3, metrics=("variance", "gini"))
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=workers)
-        assert [n.n_success for n in serial.nodes] == [3, 0, 3, 0]
-        for a, b in zip(serial.nodes, parallel.nodes):
+        assert [n.n_success for n in serial] == [3, 0, 3, 0]
+        for a, b in zip(serial, parallel):
             assert a.coords == b.coords
             assert [(r.seed, r.metrics, r.error) for r in a.reps] == \
                 [(r.seed, r.metrics, r.error) for r in b.reps]
-        for node in serial.nodes[::2]:
+        for node in serial[::2]:
             cfg = node_config(spec.base, node.coords)
             for rep in node.reps:
                 assert rep.metrics == compute_metrics(run(replace(cfg, seed=rep.seed)), spec.metrics)
@@ -201,7 +213,7 @@ class TestRunSweep:
                          repetitions=2, metrics=("variance", "reduction"))
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
-        for a, b in zip(serial.nodes, parallel.nodes):
+        for a, b in zip(serial, parallel):
             assert a.coords == b.coords
             assert [r.metrics for r in a.reps] == [r.metrics for r in b.reps]
             assert a.aggregates == b.aggregates
@@ -244,6 +256,18 @@ class TestAlphaScan:
         rows = alpha_scan(cfg, alphas=(0.25, 2.0), variants=("reference",), repetitions=2)
         variance = {row["alpha"]: row["variance"] for row in rows}
         assert variance[2.0] / variance[0.25] >= 100.0
+
+    def test_never_aggregates(self, monkeypatch):
+        """Rows carry plain means, so no log-domain aggregate is computed for them."""
+        from specmarket import sweep
+
+        def refuse(rep_metrics):
+            raise AssertionError("alpha_scan computed a log-domain aggregate")
+
+        monkeypatch.setattr(sweep, "aggregate", refuse)
+        rows = alpha_scan(base_config(horizon=200), alphas=(0.5, 1.0), variants=("reference",),
+                          repetitions=2)
+        assert [row["n_success"] for row in rows] == [2, 2]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):

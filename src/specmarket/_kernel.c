@@ -1,11 +1,12 @@
-/* One market's whole horizon, bit for bit as specmarket.market.step, and the
- * CSV row writer of specmarket.io.write_columns.
+/* One market's whole horizon, bit for bit as specmarket.market.step, the
+ * span-counting chain of specmarket.analytics.dim_distribution, and the CSV
+ * row writer of specmarket.io.write_columns.
  *
  * Built and loaded by specmarket._kernel; see its docstring for the rules
  * that keep the bits equal to numpy's and Python's: the pairwise totals, the
- * order of the draws, the settle updates (compile with -ffp-contract=off, so
- * the one fused multiply-add is the explicit fma of the settle quotient) and
- * the C library's log10.
+ * order of the draws, the settle updates and the chain's cell updates
+ * (compile with -ffp-contract=off, so the one fused multiply-add is the
+ * explicit fma of the settle quotient) and the C library's log10.
  *
  * The settle quotient m / price is correctly rounded on either path. Where
  * the compiler targets FMA (__FMA__) and a step is inside the guard (price
@@ -261,6 +262,34 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         }
     }
     return horizon;
+}
+
+/* ------------------------------------------------------------------------
+ * The span-counting birth chain of specmarket.analytics.dim_distribution.
+ *
+ * Up to n_steps steps; step s updates cells start .. min(start + s, cap) with
+ * the numpy loop's three operations per cell, in its order: moved = p * escape,
+ * then p[j] = (p[j] - moved[j]) + moved[j - 1]. The first step whose moved
+ * amounts are all zero is the fixed point, and the chain stops after it. Every
+ * p is >= +0, so the + 0.0 at the bottom cell and the writes of that last step
+ * leave the bits as the numpy loop leaves them.
+ */
+void specmarket_dim_chain(const double *escape, int64_t start, int64_t cap, int64_t n_steps,
+                          double *p)
+{
+    for (int64_t s = 1; s <= n_steps; s++) {
+        int64_t top = start + s < cap ? start + s : cap;
+        double below = 0.0;
+        int moving = 0;
+        for (int64_t j = start; j <= top; j++) {
+            double moved = p[j] * escape[j];
+            p[j] = (p[j] - moved) + below;
+            moving |= moved != 0.0;
+            below = moved;
+        }
+        if (!moving)
+            return;
+    }
 }
 
 /* ------------------------------------------------------------------------

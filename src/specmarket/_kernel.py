@@ -1,7 +1,8 @@
 """Build and load the C kernel (``_kernel.c``) without a build step.
 
-The library holds two things: the step kernel behind ``market.run`` and the
-CSV row writer behind ``io.write_columns``. It is compiled on first use with
+The library holds three things: the step kernel behind ``market.run``, the
+span-counting chain behind ``analytics.dim_distribution`` and the CSV row
+writer behind ``io.write_columns``. It is compiled on first use with
 the system C compiler and cached in the package's ``__pycache__/``. The cache
 file is named by a hash of the C source, the compiler flags, the libraries it
 links and the host CPU's identity, because ``-march=native`` code must never
@@ -11,8 +12,8 @@ in a temporary directory for the process. A build writes under a temporary
 name and renames into place, so concurrent cold builds cannot race, and
 loading from a warm cache starts no process. ``library()`` loads it once per
 process and, where it cannot be built or loaded, warns once; ``market.run``
-then loops over ``market.step`` and ``io.write_columns`` formats its cells in
-Python.
+then loops over ``market.step``, ``analytics.dim_distribution`` runs its chain
+in numpy and ``io.write_columns`` formats its cells in Python.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
 states, taus, capitals) with the bits of ``market.step``:
@@ -43,6 +44,12 @@ states, taus, capitals) with the bits of ``market.step``:
 - A step whose price is not finite and positive, or whose return is not
   finite, stops the kernel, which returns that step; ``market.run`` then
   raises the ``ConfigError`` that ``market.settle`` raises on that step.
+
+The chain runs the three float64 operations per cell of the numpy loop in
+``analytics.dim_distribution``, in its order, over the same window of cells,
+and stops after the same step: ``moved = p * escape``, then
+``p[j] = (p[j] - moved[j]) + moved[j - 1]`` in one pass, with
+``-ffp-contract=off`` keeping ``p - p * escape`` unfused.
 
 The row writer takes float64 and int64 columns only. It writes each float64
 as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
@@ -172,6 +179,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.specmarket_divide.restype = _i64
     lib.specmarket_total.argtypes = (_p, _i64)
     lib.specmarket_total.restype = _f64
+    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _p)  # escape, start, cap, n_steps, p
+    lib.specmarket_dim_chain.restype = None
     lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES
     lib.specmarket_write_rows.restype = _i64
     for name, values in zip(("specmarket_pow5", "specmarket_pow5_inv"), _pow5_tables()):
@@ -188,7 +197,8 @@ def library():
     """The library ``load`` gives, loaded once per process; False where that failed.
 
     The first failure emits one ``RuntimeWarning`` naming ``_kernel.c`` and the
-    cause; ``market.run`` then loops over ``market.step``, and
+    cause; ``market.run`` then loops over ``market.step``,
+    ``analytics.dim_distribution`` runs its chain in numpy, and
     ``io.write_columns`` formats every table's cells with ``io._cells``, as it
     does a table with a column the row writer does not take.
     """
@@ -198,7 +208,8 @@ def library():
             _LIBRARY = load()
         except OSError as exc:
             warnings.warn(f"specmarket: the C kernel {SOURCE.name} could not be built or loaded "
-                          f"({exc}); run() and write_columns() fall back to Python",
+                          f"({exc}); run(), dim_distribution() and write_columns() "
+                          "fall back to Python and numpy",
                           RuntimeWarning, stacklevel=3)
             _LIBRARY = False
     return _LIBRARY

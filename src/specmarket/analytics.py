@@ -10,7 +10,10 @@ space), and a mixing rule in between gives the heuristic curve.
 The chain runs only over the window of cells that can hold probability mass
 and stops at its fixed point (see ``dim_distribution``): the same bits as a
 full-array update at a cost of O(n_vectors * W) instead of O(n_vectors**2),
-where W, about 54 / increment, counts the cells with D - 54 < d < D.
+where W, about 54 / increment, counts the cells with D - 54 < d < D. Its
+arrays hold O(D / increment) cells, whatever n_vectors is, and its loop is
+``specmarket_dim_chain`` of the C kernel (``_kernel.c``), or a numpy loop over
+the same window where the kernel cannot be built.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigError
 
 LN10 = math.log(10.0)
@@ -74,13 +78,17 @@ def dim_distribution(
       nothing, and neither does any later step, so the loop stops there.
 
     The cost is O(n_vectors * W) for a window of W = 54 / increment cells or
-    so, not O(n_vectors**2). Returns ``(dims, probs)`` with probs
-    summing to 1.
+    so, not O(n_vectors**2). No step reads past the cap, whose index is at
+    most ceil((D - 1) / step) in exact arithmetic, so the arrays hold
+    ceil((D - 1) / step) + 2 cells (one spare for a quotient rounded down),
+    or n_vectors if that is fewer: O(D / step) cells, with n_vectors only the
+    number of steps. The loop runs in the C kernel, and in numpy where the
+    kernel cannot be built. Returns ``(dims, probs)`` with probs summing to 1.
     """
     if not 1 <= dimension <= MAX_DIMENSION:
         raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
-    if n_vectors < 1:
-        raise ConfigError(f"n_vectors must be >= 1, got {n_vectors}")
+    if not 1 <= n_vectors < 1 << 63:
+        raise ConfigError(f"n_vectors must be in [1, 2**63), got {n_vectors}")
     if increment not in INCREMENT_MODES:
         raise ConfigError(f"increment must be one of {INCREMENT_MODES}, got {increment!r}")
 
@@ -92,22 +100,28 @@ def dim_distribution(
         p1 = min(1.0, (n_vectors + 1) / (2.0 * dimension))
         step = p1 + (1.0 - p1) * 0.5
 
-    dims = np.minimum(1.0 + step * np.arange(n_vectors), float(dimension))
+    size = min(n_vectors, math.ceil((dimension - 1) / step) + 2)
+    dims = np.minimum(1.0 + step * np.arange(size), float(dimension))
     escape = np.maximum(0.0, 1.0 - np.exp2(dims - dimension))
-    last = n_vectors - 1
+    last = size - 1
     start = _first(escape < 1.0, last)
     cap = _first(escape == 0.0, last)
-    probs = np.zeros(n_vectors)
-    moved = np.zeros(n_vectors)
+    probs = np.zeros(size)
     probs[start] = 1.0
-    for reach in range(start + 1, n_vectors):
-        window = slice(start, min(reach, cap) + 1)
-        p, m = probs[window], moved[window]
-        np.multiply(p, escape[window], out=m)
-        if not np.count_nonzero(m):
-            break
-        p -= m
-        p[1:] += m[:-1]
+    lib = _kernel.library()
+    if lib:
+        lib.specmarket_dim_chain(escape.ctypes.data, start, cap, n_vectors - 1 - start,
+                                 probs.ctypes.data)
+    else:
+        moved = np.zeros(size)
+        for reach in range(start + 1, n_vectors):
+            window = slice(start, min(reach, cap) + 1)
+            p, m = probs[window], moved[window]
+            np.multiply(p, escape[window], out=m)
+            if not np.count_nonzero(m):
+                break
+            p -= m
+            p[1:] += m[:-1]
     top = int(np.flatnonzero(probs)[-1])
     return dims[: top + 1], probs[: top + 1]
 
@@ -134,10 +148,17 @@ def p_cant_cancel(dimension: int, n_speculators: int, increment: str = "full") -
 
 
 def speculators_at(dimension: int, alpha: float) -> int:
-    """The market size N_s = D / alpha, rounded and at least 1, of one bounds row."""
+    """The market size N_s = D / alpha, rounded and at least 1, of one bounds row.
+
+    Raises ``ConfigError`` naming alpha where D / alpha is not below 2**63.
+    """
     if not (0 < alpha < math.inf):
         raise ConfigError(f"alpha must be positive and finite, got {alpha}")
-    return max(1, round(dimension / alpha))
+    n_spec = dimension / alpha
+    if not n_spec < 2.0**63:
+        raise ConfigError(f"alpha = {alpha} gives N_s = D / alpha = {n_spec} at D = {dimension}, "
+                          f"which does not fit a 64-bit integer; alpha must exceed D / 2**63")
+    return max(1, round(n_spec))
 
 
 def variance_curve(dimension: int, alphas: Sequence[float]) -> list[VarianceBounds]:

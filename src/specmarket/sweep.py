@@ -167,7 +167,7 @@ def _resize_mode(mode, n_states: int):
         return Endogenous(bits)
     if isinstance(mode, Exogenous):
         w = np.asarray(mode.weights)
-        if not np.allclose(w, 1.0 / w.size, rtol=0, atol=1e-15):
+        if not np.array_equal(w, uniform_weights(w.size)):
             raise ConfigError("alpha/n_states: only uniform exogenous weights can be resized")
         return Exogenous(uniform_weights(n_states))
     raise ConfigError("alpha/n_states: mixed information cannot be resized over a sweep axis")

@@ -1,14 +1,17 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from specmarket import _kernel
 from specmarket.analytics import (
     INCREMENT_MODES,
     VarianceBounds,
     dim_distribution,
     p_cant_cancel,
+    speculators_at,
     var_r0,
     variance_curve,
 )
@@ -62,6 +65,18 @@ class TestDimDistribution:
         with pytest.raises(ConfigError):
             dim_distribution(8, 3, "steep")
 
+    def test_rejects_a_step_count_past_int64(self):
+        with pytest.raises(ConfigError, match="^n_vectors"):
+            dim_distribution(512, 2**63)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_chain_runs_in_the_kernel(self, monkeypatch):
+        lib = _kernel.library()
+        chain, calls = lib.specmarket_dim_chain, []
+        monkeypatch.setattr(lib, "specmarket_dim_chain", lambda *args: calls.append(args) or chain(*args))
+        dim_distribution(64, 100, "half")
+        assert len(calls) == 1
+
 
 def reference_dim_distribution(dimension, n_vectors, increment):
     """The full-array recursion: every step updates all n_vectors cells."""
@@ -94,11 +109,17 @@ def assert_same_bits(dimension, n_vectors, increment):
 README_ALPHAS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
+def oracle_cases(test):
+    """Random (dimension, n_vectors, increment) cases; one Hypothesis test runs in one class."""
+    cases = given(st.integers(1, 2048), st.integers(1, 6000), st.sampled_from(INCREMENT_MODES))
+    return settings(max_examples=120, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])(cases(test))
+
+
 class TestDimDistributionOracle:
     """The windowed recursion returns exactly the full-array recursion's bits."""
 
-    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.integers(1, 2048), st.integers(1, 6000), st.sampled_from(INCREMENT_MODES))
+    @oracle_cases
     def test_equals_full_recursion(self, dimension, n_vectors, increment):
         assert_same_bits(dimension, n_vectors, increment)
 
@@ -131,6 +152,30 @@ class TestDimDistributionOracle:
         # the calls variance_curve(512, README_ALPHAS) makes; the small alphas
         # strand subnormal mass below the cap
         assert_same_bits(512, max(1, round(512 / alpha) - 1), increment)
+
+    @pytest.mark.parametrize("increment", INCREMENT_MODES)
+    def test_arrays_bounded_by_the_dimension(self, increment):
+        # the chain reaches its fixed point long before 1e5 vectors; 1e12 cells,
+        # or 2**63 - 1, would not fit in memory
+        dims, probs = dim_distribution(512, 10**5, increment)
+        for n_vectors in (10**12, 2**63 - 1):
+            far_dims, far_probs = dim_distribution(512, n_vectors, increment)
+            assert far_dims.tobytes() == dims.tobytes()
+            assert far_probs.tobytes() == probs.tobytes()
+
+
+class TestDimDistributionOracleNumpy(TestDimDistributionOracle):
+    """The numpy loop, run where the C kernel cannot be built, gives the same bits."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def numpy_chain(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_LIBRARY", False)
+            yield
+
+    @oracle_cases
+    def test_equals_full_recursion(self, dimension, n_vectors, increment):
+        assert_same_bits(dimension, n_vectors, increment)
 
 
 class TestCancellation:
@@ -186,6 +231,12 @@ class TestVarianceCurve:
             assert bounds.lower == pytest.approx(target, rel=1e-2)
             assert bounds.upper == pytest.approx(target, rel=1e-2)
             assert bounds.heuristic == pytest.approx(target, rel=1e-2)
+
+    def test_market_past_int64_refused_by_name(self):
+        assert speculators_at(512, math.nextafter(2.0**-54, 1.0)) == 2**63 - 2048
+        for alpha in (2.0**-54, 1e-200, 1e-320):
+            with pytest.raises(ConfigError, match="^alpha = .* does not fit a 64-bit integer"):
+                variance_curve(512, [1.0, alpha])
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, -1.0, math.nan, math.inf):

@@ -26,9 +26,12 @@ from specmarket import (
     uniform_weights,
 )
 from specmarket import _kernel, market
+from specmarket.analytics import variance_curve
+from specmarket.cli import main
 from specmarket.errors import ConfigError, MemoryBudgetError
 from specmarket.io import write_run_artifact
 from specmarket.market import record_bytes
+from test_analytics import README_ALPHAS
 from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
 
 FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals",
@@ -447,6 +450,8 @@ def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch, tmp_path):
                           horizon=300, seed=4, n_producers=2, producer_kind="random",
                           record_agents=True)
     expected = run(config)
+    bounds_argv = ["bounds", "--states", "512", "--alphas", ",".join(map(str, README_ALPHAS))]
+    assert main([*bounds_argv, "--out", str(tmp_path / "native")]) == 0
 
     def fail():
         raise OSError("cc: not found")
@@ -457,8 +462,11 @@ def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch, tmp_path):
         record = run(config)
     assert_same_bytes(record, expected)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # one warning per process, for run and write_columns
+        warnings.simplefilter("error")  # one warning per process, for run, the chain and write_columns
         assert_same_bytes(run(config), expected)
+        assert main([*bounds_argv, "--out", str(tmp_path / "numpy")]) == 0
+        assert ((tmp_path / "numpy" / "bounds.csv").read_bytes()
+                == (tmp_path / "native" / "bounds.csv").read_bytes())
         for case in ARTIFACT_CASES:  # the Python cell path writes the pinned bytes
             files = write_run_artifact(tmp_path / case, CASES[case], run(CASES[case]))
             assert file_digests(files.values()) == GOLDEN_ARTIFACTS[case]
@@ -509,8 +517,10 @@ def test_kernel_source_compiles_without_warnings():
 
 @pytest.mark.skipif(not X86_64, reason="the portable target is x86-64")
 def test_portable_build_gives_the_same_records(monkeypatch, tmp_path):
-    """The vector lanes of the pairwise tree add as scalars on any x86-64, not only this CPU."""
+    """The vector lanes of the pairwise tree add as scalars on any x86-64, not only this CPU,
+    and the span-counting chain gives the same bounds."""
     native = {case: run(config) for case, config in CASES.items()}
+    native_bounds = variance_curve(512, README_ALPHAS)
     monkeypatch.setattr(_kernel, "FLAGS", PORTABLE_FLAGS)
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
     monkeypatch.setattr(_kernel, "_LIBRARY", _kernel.load())
@@ -518,6 +528,7 @@ def test_portable_build_gives_the_same_records(monkeypatch, tmp_path):
         _kernel.library_name(_kernel.SOURCE.read_bytes(), PORTABLE_FLAGS, _kernel.cpu_identity())]
     for case, config in CASES.items():
         assert_same_bytes(run(config), native[case])
+    assert variance_curve(512, README_ALPHAS) == native_bounds
 
 
 def test_cache_name_keys_source_flags_and_cpu():

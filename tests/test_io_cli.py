@@ -558,6 +558,7 @@ class TestCli:
 
     @pytest.mark.parametrize("alphas, named", [
         ("1,nan", "alpha"), ("1,inf", "alpha"), ("", "--alphas"), (" , ", "--alphas"),
+        ("1,1e-200", "alpha"), ("1e-320", "alpha"),
     ])
     def test_bounds_bad_alphas_fail_by_name(self, tmp_path, capsys, alphas, named):
         code = main(["bounds", "--states", "16", "--alphas", alphas, "--out", str(tmp_path / "b")])

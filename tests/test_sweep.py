@@ -65,6 +65,15 @@ class TestNodeConfig:
         with pytest.raises(ConfigError, match="uniform"):
             node_config(base_config(info_mode=Exogenous(weights)), {"alpha": 1.0})
 
+    def test_weights_near_uniform_cannot_be_resized(self):
+        """Weights a rounding away from 1/D are not the uniform market, even at the base's own D."""
+        near = Exogenous(np.full(7, 0.142857142857143))
+        with pytest.raises(ConfigError, match="^alpha/n_states: only uniform exogenous weights"):
+            node_config(base_config(n_speculators=14, info_mode=near), {"alpha": 0.5})
+        cfg = node_config(base_config(n_speculators=14, info_mode=Exogenous(uniform_weights(7))),
+                          {"alpha": 0.5})
+        assert cfg.info_mode.weights.tobytes() == uniform_weights(7).tobytes()
+
     def test_any_axis_order_gives_the_same_market(self):
         """alpha sets D = alpha * N_s at the node's own N_s, wherever n_speculators stands."""
         base = base_config(n_speculators=32)

@@ -168,7 +168,7 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  * holds the cumulative exogenous weights (NULL if none), and queue receives
  * each refill of n_queue states. money, stocks and last_seen are updated in
  * place; m and s are scratch of length n. Records prices, base-10 log
- * returns (horizon - 1 of them), states, taus (NaN on a state's first
+ * returns (horizon - 1 of them), states, taus (0 on a state's first
  * occurrence), the speculators' capital sum and, if agent_caps is not NULL,
  * each speculator's capital.
  *
@@ -181,7 +181,7 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
                     const double *cum, int64_t n_cum, int64_t *queue, int64_t n_queue,
                     const uint8_t *strategies, int64_t mu, int64_t *last_seen,
                     double *money, double *stocks, double *m, double *s,
-                    double *prices, double *returns, int64_t *mus, double *taus,
+                    double *prices, double *returns, int64_t *mus, int64_t *taus,
                     double *capital, double *agent_caps)
 {
     const int64_t n_spec = n - k;
@@ -213,7 +213,7 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
             }
         }
         mus[t] = mu;
-        taus[t] = last_seen[mu] >= 0 ? (double)(t - last_seen[mu]) : NAN;
+        taus[t] = last_seen[mu] >= 0 ? t - last_seen[mu] : 0;
         last_seen[mu] = t;
         const uint8_t *row = strategies + mu * n;
         uint64_t wide = 0;

@@ -27,7 +27,7 @@ states, taus, capitals) with the bits of ``market.step``:
   ``math.log10`` calls for a finite positive argument; ``-lm`` is linked
   explicitly.
 - Taus count the steps since the state's ``last_seen``, which the kernel
-  updates in place; NaN on a state's first occurrence.
+  updates in place; 0 on a state's first occurrence.
 - The draws go through the bit generator's ``next_double`` in the order of
   ``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
 - The one explicit ``fma`` is the settle quotient ``m / price``: where the

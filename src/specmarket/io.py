@@ -449,12 +449,10 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     files["config"].write_text(_header(*tag) + emit_config(config))
 
     t = np.arange(len(record.prices))
-    missing_tau = np.isnan(record.taus)
     files["run"] = write_columns(
         outdir / "run.csv", tag, ("t", "mu", "tau", "price", "log_return"),
-        (t, record.mus, np.where(missing_tau, 0.0, record.taus).astype(np.int64), record.prices,
-         np.concatenate(([0.0], record.returns))),
-        empty=(None, None, missing_tau, None, t == 0))  # no log return at t = 0
+        (t, record.mus, record.taus, record.prices, np.concatenate(([0.0], record.returns))),
+        empty=(None, None, record.taus == 0, None, t == 0))  # no log return at t = 0
 
     extra = {"seed": config.seed}
     half = len(record.prices) // 2
@@ -499,9 +497,11 @@ def _reject_rows(path, values: np.ndarray, valid: np.ndarray, first_row: int, ru
 def read_run_csv(path) -> dict:
     """Read back a run.csv; refuses files with an unknown format version.
 
-    A row whose mu is not an integer in [0, 2**63), whose tau is not a
-    positive integer below 2**63, whose price is not finite and positive, or
-    whose log return is not finite is refused by its number.
+    A row whose t is not its index, whose mu is not an integer in [0, 2**63),
+    whose tau is not empty or a positive integer below 2**63, whose price is
+    not finite and positive, or whose log return is not finite (empty at
+    t = 0) is refused by its number. An empty tau, a state's first
+    occurrence, reads as 0.
     """
     lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("# specmarket-format:"):
@@ -520,13 +520,15 @@ def read_run_csv(path) -> dict:
         raise DataFormatError(f"{path}: no data rows after the column header")
     prices = np.empty(n)
     mus = np.empty(n, dtype=np.int64)
-    taus = np.full(n, np.nan)
+    taus = np.zeros(n, dtype=np.int64)
     returns = np.empty(n - 1)
     for i, line in enumerate(body[1:]):
         parts = line.split(",")
         if len(parts) != 5:
             raise DataFormatError(f"{path}: row {i + 1}: expected 5 fields, got {len(parts)}")
         try:
+            if parts[0] != str(i):
+                raise ValueError(f"t must be the row's index {i}, got {parts[0]!r}")
             mu = int(parts[1])
             if not 0 <= mu < 1 << 63:
                 raise ValueError(f"mu must be an integer in [0, 2**63), got {parts[1]!r}")
@@ -541,6 +543,8 @@ def read_run_csv(path) -> dict:
             prices[i] = float(parts[3])
             if i > 0:
                 returns[i - 1] = float(parts[4])
+            elif parts[4]:
+                raise ValueError(f"log_return must be empty at t = 0, got {parts[4]!r}")
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i + 1}: {exc}") from exc
     _reject_rows(path, prices, np.isfinite(prices) & (prices > 0), 1,

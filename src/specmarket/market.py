@@ -227,12 +227,17 @@ def validate_config(config: MarketConfig) -> None:
         raise ConfigError(f"epsilon must satisfy 0 < epsilon << 1e-3, got {config.epsilon!r}")
     if not isinstance(config.horizon, int) or config.horizon < 1:
         raise ConfigError(f"horizon must be a positive integer, got {config.horizon!r}")
-    if not isinstance(config.seed, int) or config.seed < 0 or config.seed >= 1 << 64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed!r}")
+    check_seed(config.seed)
     if not isinstance(config.info_mode, (Endogenous, Exogenous, Mixed)):
         raise ConfigError(f"info_mode must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
     config.info_mode.validate()
     check_market_size(config.n_states, config.n_agents, "info_mode/n_speculators")
+
+
+def check_seed(seed) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is an integer in [0, 2**64)."""
+    if not isinstance(seed, int) or seed < 0 or seed >= 1 << 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def check_market_size(n_states: int, n_agents: int, field: str) -> None:
@@ -286,7 +291,7 @@ class StepOutput(NamedTuple):
     price: float
     log_return: float
     mu: int
-    tau: Optional[int]
+    tau: int
 
 
 @dataclass
@@ -296,7 +301,7 @@ class SimulationRecord:
     prices: np.ndarray             # (T,)
     returns: np.ndarray            # (T-1,), returns[i] = log10 prices[i+1] - log10 prices[i]
     mus: np.ndarray                # (T,) int
-    taus: np.ndarray               # (T,) float, NaN where the state had not occurred before
+    taus: np.ndarray               # (T,) int, 0 where the state had not occurred before
     mean_spec_capital: np.ndarray  # (T,)
     final_spec_capitals: np.ndarray  # (N_s,)
     agent_capitals: Optional[np.ndarray] = None  # (T, N_s) when recorded
@@ -461,14 +466,14 @@ def step(state: MarketState) -> StepOutput:
 
     The initial step uses the mu(0) drawn at construction; afterwards the
     information rule of the configured mode applies. ``tau`` is the number of
-    steps since the step's information state occurred last, absent on first
+    steps since the step's information state occurred last, 0 on its first
     occurrence.
     """
     if state.t > 0:
         state.mu = next_information(state)
     mu = state.mu
     seen = int(state.last_seen[mu])
-    tau = state.t - seen if seen >= 0 else None
+    tau = state.t - seen if seen >= 0 else 0
     orders = form_orders(state)
     price = clear_price(orders.demand, orders.supply)
     settle(state, orders, price)
@@ -504,8 +509,8 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
         )
     state = new_market(config)
     horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
-    prices, returns, taus = np.empty(horizon), np.empty(horizon - 1), np.empty(horizon)
-    mus = np.empty(horizon, dtype=np.int64)
+    prices, returns = np.empty(horizon), np.empty(horizon - 1)
+    mus, taus = np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64)
     capital = np.empty(horizon)
     agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
     lib = _kernel.library()
@@ -514,8 +519,7 @@ def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sim
     else:
         for t in range(horizon):
             out = step(state)
-            prices[t], mus[t] = out.price, out.mu
-            taus[t] = np.nan if out.tau is None else out.tau
+            prices[t], mus[t], taus[t] = out.price, out.mu, out.tau
             if t:
                 returns[t - 1] = out.log_return
             money, stocks = state.money[k:], state.stocks[k:]

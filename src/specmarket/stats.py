@@ -297,7 +297,7 @@ def surprise_stats(
     power faster.
     """
     taus = record.taus
-    ok = np.isfinite(taus)
+    ok = taus > 0
     ok[0] = False  # no return is defined at the first step
     if not ok.any():
         raise DegenerateInputError("record contains no recurrent information states")
@@ -322,7 +322,7 @@ def surprise_stats(
     except DegenerateInputError:  # every recurrence has the same tau
         tau_tail = None
     return SurpriseSummary(
-        taus=tau.astype(np.int64),
+        taus=tau,
         magnitudes=mags,
         bin_centers=centers,
         bin_means=means,

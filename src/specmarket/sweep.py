@@ -25,6 +25,7 @@ from .market import (
     MarketConfig,
     SimulationRecord,
     check_market_size,
+    check_seed,
     run,
     uniform_weights,
 )
@@ -63,6 +64,7 @@ class SweepSpec:
     metrics: tuple[str, ...] = DEFAULT_METRICS
 
     def validate(self) -> None:
+        check_seed(self.base.seed)
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.axes:
@@ -102,10 +104,6 @@ class NodeResult:
     @property
     def n_success(self) -> int:
         return sum(rep.metrics is not None for rep in self.reps)
-
-    @property
-    def valid(self) -> bool:
-        return self.n_success > 0
 
     @property
     def aggregates(self) -> Optional[dict]:

@@ -65,8 +65,7 @@ def assert_matches_step(record, config):
     assert record.prices.tobytes() == np.array([o.price for o in outputs]).tobytes()
     assert record.returns.tobytes() == np.array([o.log_return for o in outputs[1:]]).tobytes()
     assert record.mus.tolist() == [o.mu for o in outputs]
-    taus = np.array([np.nan if o.tau is None else o.tau for o in outputs])
-    assert record.taus.tobytes() == taus.tobytes()
+    assert record.taus.tolist() == [o.tau for o in outputs]
     assert record.mean_spec_capital.tobytes() == capital.tobytes()
     assert record.final_spec_capitals.tobytes() == agents[-1].tobytes()
     if config.record_agents:
@@ -253,13 +252,15 @@ def test_kernel_record_edges(config):
     """The returns and taus the kernel writes, at the edges of their lengths and of a refill."""
     record = run(config)
     assert record.returns.shape == (config.horizon - 1,)
-    assert record.taus.shape == (config.horizon,) and np.isnan(record.taus[0])
+    assert record.taus.shape == (config.horizon,)
+    assert record.taus.dtype == np.int64 and record.taus[0] == 0
     assert_matches_step(record, config)
     assert_same_bytes(record, fallback_run(config))
     if config.horizon > market._EXO_CHUNK + 1:
         # steps after the first refill whose state last occurred before it
         t = np.arange(config.horizon)
-        across = (t > market._EXO_CHUNK + 1) & (t - record.taus <= market._EXO_CHUNK)
+        across = ((t > market._EXO_CHUNK + 1) & (record.taus > 0)
+                  & (t - record.taus <= market._EXO_CHUNK))
         assert across.sum() >= 20
 
 

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from specmarket.errors import ConfigError, DataFormatError, SpecmarketError
@@ -110,9 +110,8 @@ def mutate_value(text: str, index: int, value: bytes) -> bytes:
 
 
 def run_csv_loaded(data):
-    taus = data["taus"][~np.isnan(data["taus"])]
-    assert np.all(data["mus"] >= 0)
-    assert np.all(taus >= 1) and np.all(taus == np.floor(taus))
+    assert data["mus"].dtype == data["taus"].dtype == np.int64
+    assert np.all(data["mus"] >= 0) and np.all(data["taus"] >= 0)
     assert np.all(np.isfinite(data["prices"]) & (data["prices"] > 0))
     assert np.all(np.isfinite(data["returns"]))
 
@@ -198,6 +197,27 @@ def test_arbitrary_bytes(input_file, reader, data):
 def test_run_csv_cell_mutations(input_file, cell, value):
     input_file.write_bytes(mutate_cell(RUN_CSV, cell, value))
     assert_loaded_or_refused("run_csv", input_file)
+
+
+#: the cells of ``RUN_CSV`` that hold the only content valid there: each row's t
+#: and the empty log return of row 1 (t = 0)
+FIXED_CELLS = [(3 + row, 0) for row in range(4)] + [(3, 4)]
+
+
+def in_cell(value: bytes) -> bool:
+    """``value`` stays one cell of its line and does not make the line a comment."""
+    text = value.decode(errors="replace")
+    return "," not in text and len(f"x{text}x".splitlines()) == 1 and not text.startswith("#")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cell=st.sampled_from(FIXED_CELLS), value=VALUES.filter(in_cell))
+def test_run_csv_fixed_cell_mutations_refused(input_file, cell, value):
+    line, column = cell
+    assume(value != RUN_CSV.splitlines()[line].split(",")[column].encode())
+    input_file.write_bytes(mutate_cell(RUN_CSV, cell, value))
+    with pytest.raises(DataFormatError, match=re.escape(str(input_file))):
+        read_run_csv(input_file)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

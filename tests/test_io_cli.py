@@ -236,6 +236,26 @@ class TestArtifacts:
         with pytest.raises(DataFormatError, match="run.csv"):
             read_run_csv(path)
 
+    def test_tau_reads_back_exactly(self, tmp_path):
+        """A tau above 2**53 reads back as the int64 written, not rounded through float64."""
+        path = tmp_path / "run.csv"
+        path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
+                        f"t,mu,tau,price,log_return\n0,1,,1.0,\n1,1,{2**53 + 1},1.0,0.0\n")
+        taus = read_run_csv(path)["taus"]
+        assert taus.dtype == np.int64 and taus.tolist() == [0, 2**53 + 1]
+
+    @pytest.mark.parametrize("rows, rule", [
+        ("7,1,,1.0,\n1,1,1,1.0,0.0\n", "row 1: t must be the row's index 0, got '7'"),
+        ("0,1,,1.0,abc\n1,1,1,1.0,0.0\n", "row 1: log_return must be empty at t = 0, got 'abc'"),
+        ("0,1,,1.0,0.0\n1,1,1,1.0,0.0\n", "row 1: log_return must be empty at t = 0, got '0.0'"),
+    ], ids=["t_row1", "first_return_text", "first_return_number"])
+    def test_t_and_first_return_refused_by_row(self, tmp_path, rows, rule):
+        path = tmp_path / "run.csv"
+        path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
+                        f"t,mu,tau,price,log_return\n{rows}")
+        with pytest.raises(DataFormatError, match=rf"run\.csv: {re.escape(rule)}$"):
+            read_run_csv(path)
+
     def test_non_numeric_field_names_row(self, tmp_path):
         path = tmp_path / "run.csv"
         path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
@@ -258,6 +278,8 @@ class TestArtifacts:
         ("mu", "-3", "mu must be an integer in [0, 2**63), got '-3'"),
         ("mu", "9" * 20, f"mu must be an integer in [0, 2**63), got '{'9' * 20}'"),
         ("mu", str(2**63), f"mu must be an integer in [0, 2**63), got '{2**63}'"),
+        ("t", "150", "t must be the row's index 149, got '150'"),
+        ("t", " 149", "t must be the row's index 149, got ' 149'"),
     ])
     def test_bad_value_refused_by_row(self, tmp_path, make_config, column, value, rule):
         files = write_run_artifact(tmp_path / "out", make_config(horizon=300), run(make_config(horizon=300)))
@@ -461,6 +483,15 @@ class TestCli:
                      "--threads", threads])
         assert code == 1
         assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_sweep_refuses_seed_outside_uint64_by_name(self, tmp_path, capsys, seed):
+        config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n"
+        config = write(tmp_path, config_text, "sweep.ini")
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "g"), "--seed", seed])
+        assert code == 1
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
     def test_sweep_json_format(self, tmp_path):

@@ -236,7 +236,7 @@ class TestStep:
 
     def test_first_occurrence_has_no_tau(self, make_config):
         state = new_market(make_config())
-        assert step(state).tau is None
+        assert step(state).tau == 0
 
     def test_tau_counts_steps_since_last_visit(self, make_config):
         state = new_market(make_config(info_mode=Exogenous(uniform_weights(1))))
@@ -260,7 +260,7 @@ class TestRun:
         assert np.array_equal(a.prices, b.prices)
         assert np.array_equal(a.returns, b.returns)
         assert np.array_equal(a.mus, b.mus)
-        assert np.array_equal(a.taus, b.taus, equal_nan=True)
+        assert np.array_equal(a.taus, b.taus)
         assert np.array_equal(a.final_spec_capitals, b.final_spec_capitals)
 
     def test_asset_conservation_pure_speculators(self, make_config):

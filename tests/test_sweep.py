@@ -173,7 +173,7 @@ class TestRunSweep:
                          axes=(SweepAxis("use_param", (0.5,)),),
                          repetitions=2, metrics=("kurtosis",))
         node, = run_sweep(spec)
-        assert not node.valid
+        assert node.n_success == 0
         assert node.aggregates is None
         assert all("Error" in rep.error for rep in node.reps)
 
@@ -281,3 +281,8 @@ class TestAlphaScan:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             alpha_scan(base_config(), alphas=(1.0,), variants=("hybrid",))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_base_seed_outside_uint64_refused_by_name(self, seed):
+        with pytest.raises(ConfigError, match=rf"seed must be an integer in \[0, 2\*\*64\), got {seed}"):
+            alpha_scan(base_config(seed=seed), alphas=(1.0,), variants=("reference",), repetitions=1)

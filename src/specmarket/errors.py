@@ -23,6 +23,3 @@ class SampleSizeError(SpecmarketError, ValueError):
 class DataFormatError(SpecmarketError, ValueError):
     """A file could not be parsed; the message carries row/key diagnostics."""
 
-
-class MemoryBudgetError(SpecmarketError, RuntimeError):
-    """A requested recording would exceed the configured memory budget."""

@@ -410,18 +410,26 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
     window. ``extra`` entries are added to the summary. Returns the written
     paths keyed ``ccdf``, ``autocorr`` and ``summary``.
     """
+    return _write_analysis(outdir, *_analyze(chash, returns, extra))
+
+
+def _analyze(chash: str, returns: np.ndarray, extra: Optional[dict]) -> tuple:
+    """The analysis of ``write_analysis`` and its summary payload, computed before any file is written."""
     window = post_transient(returns)
     analysis = analyze_returns(window)
-    reduction = stats.reduction_ratio(np.abs(returns), 10, window.size)
-    outdir = Path(outdir)
-    tag = ("config-hash", chash)
     summary = {
         "config_hash": chash,
         "variance": float(np.var(window)),
-        "reduction": reduction,
+        "reduction": stats.reduction_ratio(returns),
         "analysis": analysis.summary(),
         **(extra or {}),
     }
+    return analysis, summary
+
+
+def _write_analysis(outdir, analysis: ReturnsAnalysis, summary: dict) -> dict:
+    outdir = Path(outdir)
+    tag = ("config-hash", summary["config_hash"])
     return {
         "ccdf": write_columns(outdir / "ccdf.csv", tag, ("x", "ccdf"),
                               (analysis.ccdf.values, analysis.ccdf.probabilities)),
@@ -431,6 +439,19 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
     }
 
 
+def write_run_csv(path, chash: str, record: SimulationRecord) -> Path:
+    """Write a record's run.csv, the file ``read_run_csv`` reads back.
+
+    Rows are t, mu, tau, price and log return; tau is empty where the state had
+    not occurred before, and the log return is empty at t = 0.
+    """
+    t = np.arange(len(record.prices))
+    return write_columns(
+        path, ("config-hash", chash), ("t", "mu", "tau", "price", "log_return"),
+        (t, record.mus, record.taus, record.prices, np.concatenate(([0.0], record.returns))),
+        empty=(None, None, record.taus == 0, None, t == 0))
+
+
 def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -> dict:
     """Write run.csv, ccdf.csv, autocorr.csv, surprise.csv, summary.json, config.ini.
 
@@ -438,22 +459,10 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     post-transient window, as in ``write_analysis``: returns (T - 1) // 2 onward.
     The surprise statistics use steps T // 2 onward, whose recurrences pair with
     returns T // 2 onward, so for an even T the return window holds one more return.
+    Every statistic is computed before the first file is written, so a run the
+    analysis refuses leaves no file.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
-    tag = ("config-hash", chash)
-    files = {}
-
-    files["config"] = outdir / "config.ini"
-    files["config"].write_text(_header(*tag) + emit_config(config))
-
-    t = np.arange(len(record.prices))
-    files["run"] = write_columns(
-        outdir / "run.csv", tag, ("t", "mu", "tau", "price", "log_return"),
-        (t, record.mus, record.taus, record.prices, np.concatenate(([0.0], record.returns))),
-        empty=(None, None, record.taus == 0, None, t == 0))  # no log return at t = 0
-
     extra = {"seed": config.seed}
     half = len(record.prices) // 2
     tail_rec = SimulationRecord(
@@ -467,9 +476,6 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     except (SampleSizeError, DegenerateInputError):  # e.g. no state recurs in the window
         surprise = None
     if surprise is not None:
-        files["surprise"] = write_columns(
-            outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
-            (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
         corr = surprise.log_correlation
         extra["surprise"] = {"log_correlation": corr if math.isfinite(corr) else None}
         if surprise.tau_tail is not None:
@@ -479,7 +485,19 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
                 "tau_ks_distance": surprise.tau_tail.ks_distance,
                 "tau_n_tail": surprise.tau_tail.n_tail,
             })
-    files.update(write_analysis(outdir, chash, record.returns, extra))
+    analysis, summary = _analyze(chash, record.returns, extra)
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    tag = ("config-hash", chash)
+    files = {"config": outdir / "config.ini"}
+    files["config"].write_text(_header(*tag) + emit_config(config))
+    files["run"] = write_run_csv(outdir / "run.csv", chash, record)
+    if surprise is not None:
+        files["surprise"] = write_columns(
+            outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
+            (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
+    files.update(_write_analysis(outdir, analysis, summary))
     return files
 
 

@@ -23,7 +23,6 @@ library's ``log10``, which ``math.log10`` calls. The kernel is compiled on
 first use and cached in the package's ``__pycache__/`` under a hash of its
 source, its flags and the host CPU (see ``specmarket._kernel``). Where it
 cannot be built, ``run`` warns once and loops over ``step`` itself.
-``memory_budget`` caps each run's record.
 """
 
 from __future__ import annotations
@@ -35,17 +34,18 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, MemoryBudgetError
+from .errors import ConfigError
 
 #: refill size of the buffered exogenous-draw queue
 _EXO_CHUNK = 4096
 
-#: default cap on per-agent trajectory storage (bytes)
-DEFAULT_MEMORY_BUDGET = 1 << 30
-
 #: markets whose strategy table and per-state arrays exceed this size (bytes)
 #: are rejected at config time
 _MAX_MARKET_BYTES = 1 << 32
+
+#: runs whose record (see :func:`record_bytes`) exceeds this size are rejected
+#: at config time
+_MAX_RECORD_BYTES = 1 << 30
 
 #: most bits of an information state, an int64 index; checked before ``1 << bits``
 _MAX_STATE_BITS = 62
@@ -232,6 +232,12 @@ def validate_config(config: MarketConfig) -> None:
         raise ConfigError(f"info_mode must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
     config.info_mode.validate()
     check_market_size(config.n_states, config.n_agents, "info_mode/n_speculators")
+    size = record_bytes(config)
+    if size > _MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"horizon: {config.horizon} steps need {size} bytes of record, "
+            f"above the supported {_MAX_RECORD_BYTES}"
+        )
 
 
 def check_seed(seed) -> None:
@@ -490,23 +496,14 @@ def record_bytes(config: MarketConfig) -> int:
     return 8 * config.horizon * per_step
 
 
-def run(config: MarketConfig, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SimulationRecord:
+def run(config: MarketConfig) -> SimulationRecord:
     """Execute ``config.horizon`` steps and return the full record.
 
     The record is bit-identical to stepping the market with :func:`step`, so
-    equal configs replay bit-identically. ``memory_budget`` caps the record's
-    per-step arrays, the optional per-agent capitals included. A step whose
-    price is not finite and positive, or whose return is not finite, raises
-    the :class:`ConfigError` of :func:`check_clearing`, as :func:`step` does.
+    equal configs replay bit-identically. A step whose price is not finite and
+    positive, or whose return is not finite, raises the :class:`ConfigError`
+    of :func:`check_clearing`, as :func:`step` does.
     """
-    validate_config(config)
-    needed = record_bytes(config)
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"record needs {needed} bytes for horizon={config.horizon}, "
-            f"n_speculators={config.n_speculators}, record_agents={config.record_agents}; "
-            f"budget is {memory_budget}"
-        )
     state = new_market(config)
     horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
     prices, returns = np.empty(horizon), np.empty(horizon - 1)

@@ -234,21 +234,19 @@ def kurtosis(x: Sequence[float]) -> float:
     return m4 / (m2 * m2)
 
 
-def reduction_ratio(magnitudes: Sequence[float], head: int, tail: int) -> float:
-    """Mean of the first ``head`` magnitudes over the mean of the last ``tail``.
+def reduction_ratio(returns: Sequence[float]) -> float:
+    """Mean |r| of the first 10 returns over the mean |r| of the :func:`post_transient` window.
 
-    A zero tail mean yields +inf so fully quieted markets stay representable.
+    A zero window mean yields +inf so fully quieted markets stay representable.
     """
-    a = np.asarray(magnitudes, dtype=float)
-    if head < 1 or tail < 1:
-        raise ValueError("head and tail must be >= 1")
-    if head + tail > a.size:
-        raise SampleSizeError(f"head + tail = {head + tail} exceeds sample size {a.size}")
-    head_mean = float(a[:head].mean())
-    tail_mean = float(a[-tail:].mean())
-    if tail_mean == 0.0:
+    a = np.abs(np.asarray(returns, dtype=float))
+    window = post_transient(a)
+    if 10 + window.size > a.size:
+        raise SampleSizeError(f"reduction needs 10 returns before the final half, got {a.size} returns")
+    window_mean = float(window.mean())
+    if window_mean == 0.0:
         return math.inf
-    return head_mean / tail_mean
+    return float(a[:10].mean()) / window_mean
 
 
 def gini(values: Sequence[float]) -> float:
@@ -267,13 +265,12 @@ def gini(values: Sequence[float]) -> float:
     return float(2.0 * np.dot(ranks, v) / (n * total) - (n + 1.0) / n)
 
 
-def income_factor(mean_capitals: Sequence[float], t0: int) -> float:
-    """Least-squares slope of squared mean capital versus time, over t >= t0."""
+def income_factor(mean_capitals: Sequence[float]) -> float:
+    """Least-squares slope of squared mean capital versus time over the final half, t >= T // 2."""
     c = np.asarray(mean_capitals, dtype=float)
-    if not 0 <= t0 < c.size:
-        raise ValueError(f"t0 = {t0} outside the series of length {c.size}")
+    t0 = c.size // 2
     if c.size - t0 < 10:
-        raise SampleSizeError(f"need at least 10 points after t0, got {c.size - t0}")
+        raise SampleSizeError(f"need at least 10 points in the final half, got {c.size - t0}")
     t = np.arange(t0, c.size, dtype=float)
     y = c[t0:] ** 2
     dt = t - t.mean()

@@ -80,10 +80,17 @@ class SweepSpec:
             bad = [v for v in axis.values if not math.isfinite(v)]
             if bad:
                 raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]!r}")
+            repeated = [v for i, v in enumerate(axis.values) if v in axis.values[:i]]
+            if repeated:
+                raise ConfigError(f"axis {axis.name} lists the value {repeated[0]!r} twice")
         _check_one_state_axis(names)
+        if not self.metrics:
+            raise ConfigError("metrics must name at least one metric")
         for m in self.metrics:
             if m not in KNOWN_METRICS:
                 raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {m!r}")
+            if self.metrics.count(m) > 1:
+                raise ConfigError(f"metric {m} is named twice")
 
 
 @dataclass
@@ -178,7 +185,11 @@ def derive_seed(base_seed: int, node_index: int, repetition: int) -> int:
 
 
 def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
-    """Phase-diagram metric conventions: final half of the series, head of 10 steps."""
+    """Phase-diagram metrics of one record.
+
+    Series statistics take the final half (``stats.post_transient``);
+    ``reduction`` and ``income_factor`` apply that window themselves.
+    """
     r = record.returns
     if r.size < 4:
         raise SampleSizeError("horizon too short for sweep metrics")
@@ -190,9 +201,9 @@ def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
         elif name == "kurtosis":
             out[name] = stats.kurtosis(post)
         elif name == "reduction":
-            out[name] = stats.reduction_ratio(np.abs(r), 10, post.size)
+            out[name] = stats.reduction_ratio(r)
         elif name == "income_factor":
-            out[name] = stats.income_factor(record.mean_spec_capital, len(record.mean_spec_capital) // 2)
+            out[name] = stats.income_factor(record.mean_spec_capital)
         elif name == "gini":
             out[name] = stats.gini(record.final_spec_capitals)
         elif name == "tail_exponent":

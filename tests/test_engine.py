@@ -28,9 +28,9 @@ from specmarket import (
 from specmarket import _kernel, market
 from specmarket.analytics import variance_curve
 from specmarket.cli import main
-from specmarket.errors import ConfigError, MemoryBudgetError
+from specmarket.errors import ConfigError
 from specmarket.io import write_run_artifact
-from specmarket.market import record_bytes
+from specmarket.market import record_bytes, validate_config
 from test_analytics import README_ALPHAS
 from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
 
@@ -134,13 +134,14 @@ def test_exogenous_queue_crosses_chunks():
         assert_same_bytes(record, fallback_run(config))
 
 
-def test_memory_budget_covers_the_record():
-    config = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Endogenous(2), horizon=100,
+def test_record_cap_is_a_config_rule():
+    """A record of exactly 2**30 bytes is accepted; one more step is refused by name."""
+    config = MarketConfig(n_speculators=3, use_param=0.5, info_mode=Endogenous(2), horizon=1 << 24,
                           seed=1, record_agents=True)
-    assert record_bytes(config) == 8 * 100 * (5 + 8)
-    assert run(config, memory_budget=record_bytes(config)).agent_capitals.shape == (100, 8)
-    with pytest.raises(MemoryBudgetError):
-        run(config, memory_budget=record_bytes(config) - 1)
+    assert record_bytes(config) == 1 << 30
+    validate_config(config)
+    with pytest.raises(ConfigError, match="horizon"):
+        validate_config(replace(config, horizon=config.horizon + 1))
 
 
 #: the fields of a ``MarketState`` that ``run`` leaves and ``step`` would

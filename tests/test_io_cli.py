@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import specmarket.io
 from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run, uniform_weights
 from specmarket.cli import main
-from specmarket.errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError
+from specmarket.errors import ConfigError, DataFormatError
 from specmarket.io import (
     FORMAT_VERSION,
     analyze_returns,
@@ -27,6 +27,7 @@ from specmarket.io import (
     parse_sweep_spec,
     read_run_csv,
     write_run_artifact,
+    write_run_csv,
 )
 from test_engine import configs
 from test_stats import _record_from
@@ -300,11 +301,7 @@ class TestRoundTripProperties:
     def test_run_csv_reads_back_the_record_bits(self, config):
         record = run(config)
         with tempfile.TemporaryDirectory() as out:
-            try:
-                write_run_artifact(out, config, record)
-            except (SampleSizeError, DegenerateInputError):
-                pass  # too few or constant returns to analyze; run.csv is written before that
-            data = read_run_csv(Path(out) / "run.csv")
+            data = read_run_csv(write_run_csv(Path(out) / "run.csv", config_hash(config), record))
         for name in ("prices", "mus", "taus", "returns"):
             ours, theirs = data[name], getattr(record, name)
             assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
@@ -563,6 +560,27 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: epsilon = 1e-300 is too small")
         assert not (tmp_path / "o" / "run.csv").exists()
+
+    def test_simulate_refused_by_the_analysis_writes_no_file(self, tmp_path, capsys):
+        """A horizon of 2 leaves one return, too few to analyze: exit 1 and an empty --out."""
+        config = self.write_config(tmp_path, horizon=2)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "need at least 2 values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sweep_keys, message", [
+        ("axes = alpha\nalpha = 0.25\nmetrics =\n", "metrics must name at least one metric"),
+        ("axes = alpha\nalpha = 0.25\nmetrics = variance variance\n", "metric variance is named twice"),
+        ("axes = use_param\nuse_param = 0.5, 0.5\n", "axis use_param lists the value 0.5 twice"),
+        ("axes = n_states\nn_states = 8, 8.0\n", "axis n_states lists the value 8 twice"),
+    ])
+    def test_sweep_refuses_rows_no_reader_can_tell_apart(self, tmp_path, capsys, sweep_keys, message):
+        config = write(tmp_path, MINIMAL + "\n[sweep]\nrepetitions = 1\n" + sweep_keys, "sweep.ini")
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "g")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_missing_input_is_error_exit(self, tmp_path, capsys):
         code = main(["stats", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

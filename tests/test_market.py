@@ -19,7 +19,7 @@ from specmarket import (
     step,
     uniform_weights,
 )
-from specmarket.errors import ConfigError, MemoryBudgetError
+from specmarket.errors import ConfigError
 
 
 class TestExponentialWeights:
@@ -282,10 +282,10 @@ class TestRun:
             assert state.money.min() >= 0.0
             assert state.stocks.min() >= 0.0
 
-    def test_memory_budget(self, make_config):
-        config = make_config(horizon=10_000, record_agents=True)
-        with pytest.raises(MemoryBudgetError):
-            run(config, memory_budget=1000)
+    def test_oversized_record_refused(self, make_config):
+        config = make_config(horizon=1 << 30, record_agents=True)
+        with pytest.raises(ConfigError, match="horizon"):
+            run(config)
 
     def test_agent_capitals_recorded(self, make_config):
         config = make_config(n_speculators=8, n_producers=2, horizon=20, record_agents=True)

@@ -295,19 +295,21 @@ class TestKurtosis:
 
 
 class TestReduction:
+    """The first 10 |r| against the final half of the returns."""
+
     def test_identical_halves(self):
-        assert reduction_ratio([1.0, 2.0, 1.0, 2.0], 2, 2) == 1.0
+        assert reduction_ratio([1.0, -2.0] * 10) == 1.0
 
     def test_hundredfold(self):
-        mags = [0.2] * 10 + [0.002] * 10
-        assert reduction_ratio(mags, 10, 10) == pytest.approx(100.0)
+        assert reduction_ratio([0.2] * 10 + [-0.002] * 10) == pytest.approx(100.0)
 
     def test_zero_tail_gives_inf(self):
-        assert reduction_ratio([1.0, 0.0], 1, 1) == math.inf
+        assert reduction_ratio([1.0] * 10 + [0.0] * 10) == math.inf
 
     def test_window_overflow(self):
+        assert reduction_ratio([1.0] * 20) == 1.0
         with pytest.raises(SampleSizeError):
-            reduction_ratio([1.0, 2.0], 2, 2)
+            reduction_ratio([1.0] * 19)
 
 
 class TestGini:
@@ -334,17 +336,22 @@ class TestGini:
 
 
 class TestIncomeFactor:
+    """The slope of squared mean capital over the final half of the series."""
+
     def test_exact_on_affine_squares(self):
-        t = np.arange(10_000)
+        t = np.arange(20_000)
         capitals = np.sqrt(4.0 + 0.001 * t)
-        assert abs(income_factor(capitals, 0) - 0.001) < 1e-12
+        assert abs(income_factor(capitals) - 0.001) < 1e-12
 
     def test_constant_capitals(self):
-        assert income_factor(np.full(100, 2.0), 50) == 0.0
+        assert income_factor(np.full(100, 2.0)) == 0.0
+        # the first half is outside the window
+        assert income_factor(np.concatenate((np.full(50, 7.0), np.full(50, 2.0)))) == 0.0
 
     def test_needs_points(self):
+        assert income_factor(np.full(19, 2.0)) == 0.0
         with pytest.raises(SampleSizeError):
-            income_factor(np.arange(12, dtype=float), 5)
+            income_factor(np.arange(18, dtype=float))
 
 
 def _record_from(mus, returns):

@@ -267,17 +267,20 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
 /* ------------------------------------------------------------------------
  * The span-counting birth chain of specmarket.analytics.dim_distribution.
  *
- * Up to n_steps steps; step s updates cells start .. min(start + s, cap) with
- * the numpy loop's three operations per cell, in its order: moved = p * escape,
- * then p[j] = (p[j] - moved[j]) + moved[j - 1]. The first step whose moved
- * amounts are all zero is the fixed point, and the chain stops after it. Every
- * p is >= +0, so the + 0.0 at the bottom cell and the writes of that last step
- * leave the bits as the numpy loop leaves them.
+ * Steps first .. last of one walk, so that a walk resumes where it stopped;
+ * step s updates cells start .. min(start + s, cap) with the numpy loop's
+ * three operations per cell, in its order: moved = p * escape, then
+ * p[j] = (p[j] - moved[j]) + moved[j - 1]. The first step whose moved amounts
+ * are all zero is the fixed point: the chain stops after it and returns it,
+ * and every later step would leave p as it is. It returns 0 if no step up to
+ * last was the fixed point. Every p is >= +0, so the + 0.0 at the bottom cell
+ * and the writes of that last step leave the bits as the numpy loop leaves
+ * them.
  */
-void specmarket_dim_chain(const double *escape, int64_t start, int64_t cap, int64_t n_steps,
-                          double *p)
+int64_t specmarket_dim_chain(const double *escape, int64_t start, int64_t cap, int64_t first,
+                             int64_t last, double *p)
 {
-    for (int64_t s = 1; s <= n_steps; s++) {
+    for (int64_t s = first; s <= last; s++) {
         int64_t top = start + s < cap ? start + s : cap;
         double below = 0.0;
         int moving = 0;
@@ -288,8 +291,9 @@ void specmarket_dim_chain(const double *escape, int64_t start, int64_t cap, int6
             below = moved;
         }
         if (!moving)
-            return;
+            return s;
     }
+    return 0;
 }
 
 /* ------------------------------------------------------------------------

@@ -46,10 +46,14 @@ states, taus, capitals) with the bits of ``market.step``:
   raises the ``ConfigError`` that ``market.settle`` raises on that step.
 
 The chain runs the three float64 operations per cell of the numpy loop in
-``analytics.dim_distribution``, in its order, over the same window of cells,
-and stops after the same step: ``moved = p * escape``, then
+``analytics``, in its order, over the same window of cells, and stops after
+the same step: ``moved = p * escape``, then
 ``p[j] = (p[j] - moved[j]) + moved[j - 1]`` in one pass, with
-``-ffp-contract=off`` keeping ``p - p * escape`` unfused.
+``-ffp-contract=off`` keeping ``p - p * escape`` unfused. One call runs steps
+``first`` .. ``last`` of a walk, so a walk resumes where the previous call
+left it, and returns the step at which the walk reached its fixed point (the
+first step that moved nothing), or 0 if it did not; every later step would
+leave the cells as they are.
 
 The row writer takes float64 and int64 columns only. It writes each float64
 as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
@@ -62,7 +66,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -119,6 +122,8 @@ def library_name(source: bytes, flags: tuple, cpu: str) -> str:
 
 
 def _build(source: Path, target: Path) -> None:
+    import subprocess  # imported only for a cold build, so a warm load never pays for it
+
     fd, partial = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
@@ -179,8 +184,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.specmarket_divide.restype = _i64
     lib.specmarket_total.argtypes = (_p, _i64)
     lib.specmarket_total.restype = _f64
-    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _p)  # escape, start, cap, n_steps, p
-    lib.specmarket_dim_chain.restype = None
+    # escape, start, cap, first, last, p; returns the fixed point's step, or 0
+    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _i64, _p)
+    lib.specmarket_dim_chain.restype = _i64
     lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES
     lib.specmarket_write_rows.restype = _i64
     for name, values in zip(("specmarket_pow5", "specmarket_pow5_inv"), _pow5_tables()):

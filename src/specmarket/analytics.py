@@ -14,6 +14,12 @@ where W, about 54 / increment, counts the cells with D - 54 < d < D. Its
 arrays hold O(D / increment) cells, whatever n_vectors is, and its loop is
 ``specmarket_dim_chain`` of the C kernel (``_kernel.c``), or a numpy loop over
 the same window where the kernel cannot be built.
+
+The distribution after n vectors is the chain's state after a number of steps
+that grows with n, so one walk of the chain is read at every n that shares its
+step: ``variance_curve`` costs one walk per distinct step (``full``, ``half``,
+and each ``interpolated`` step below N_s = 2 D), not one per alpha and
+increment, and no step runs twice.
 """
 
 from __future__ import annotations
@@ -82,9 +88,17 @@ def dim_distribution(
     most ceil((D - 1) / step) in exact arithmetic, so the arrays hold
     ceil((D - 1) / step) + 2 cells (one spare for a quotient rounded down),
     or n_vectors if that is fewer: O(D / step) cells, with n_vectors only the
-    number of steps. The loop runs in the C kernel, and in numpy where the
-    kernel cannot be built. Returns ``(dims, probs)`` with probs summing to 1.
+    number of steps. The distribution is one reading of the walk that
+    ``variance_curve`` reads at many counts: its cost there is one walk per
+    distinct step, not one per alpha and increment. The loop runs in the C
+    kernel, and in numpy where the kernel cannot be built. Returns
+    ``(dims, probs)`` with probs summing to 1.
     """
+    _check(dimension, n_vectors, increment)
+    return _walk(dimension, _step(dimension, n_vectors, increment), [n_vectors])[n_vectors]
+
+
+def _check(dimension: int, n_vectors: int, increment: str) -> None:
     if not 1 <= dimension <= MAX_DIMENSION:
         raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
     if not 1 <= n_vectors < 1 << 63:
@@ -92,15 +106,30 @@ def dim_distribution(
     if increment not in INCREMENT_MODES:
         raise ConfigError(f"increment must be one of {INCREMENT_MODES}, got {increment!r}")
 
-    if increment == "full":
-        step = 1.0
-    elif increment == "half":
-        step = 0.5
-    else:
-        p1 = min(1.0, (n_vectors + 1) / (2.0 * dimension))
-        step = p1 + (1.0 - p1) * 0.5
 
-    size = min(n_vectors, math.ceil((dimension - 1) / step) + 2)
+def _step(dimension: int, n_vectors: int, increment: str) -> float:
+    """The chain's increment per escape; ``interpolated`` is exactly 1.0 once n_vectors + 1 >= 2 D."""
+    if increment == "full":
+        return 1.0
+    if increment == "half":
+        return 0.5
+    p1 = min(1.0, (n_vectors + 1) / (2.0 * dimension))
+    return p1 + (1.0 - p1) * 0.5
+
+
+def _walk(dimension: int, step: float,
+          counts: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``dim_distribution`` at each of ``counts`` for one step, from one walk of the chain.
+
+    The distribution for n vectors is the chain's state after n - 1 - start
+    steps, so the walk takes each step once, in order of n, and is read as it
+    passes each n: cut at its last nonzero cell, as a separate run would be.
+    For n - 1 < start the reading is the point mass at cell n - 1, which is
+    what a separate run gives, because below ``start`` every step is a sure
+    move. Once a step moves nothing, every later reading is that fixed point.
+    Returns ``{n: (dims, probs)}``.
+    """
+    size = min(max(counts), math.ceil((dimension - 1) / step) + 2)
     dims = np.minimum(1.0 + step * np.arange(size), float(dimension))
     escape = np.maximum(0.0, 1.0 - np.exp2(dims - dimension))
     last = size - 1
@@ -109,21 +138,43 @@ def dim_distribution(
     probs = np.zeros(size)
     probs[start] = 1.0
     lib = _kernel.library()
-    if lib:
-        lib.specmarket_dim_chain(escape.ctypes.data, start, cap, n_vectors - 1 - start,
-                                 probs.ctypes.data)
-    else:
-        moved = np.zeros(size)
-        for reach in range(start + 1, n_vectors):
-            window = slice(start, min(reach, cap) + 1)
-            p, m = probs[window], moved[window]
-            np.multiply(p, escape[window], out=m)
-            if not np.count_nonzero(m):
-                break
-            p -= m
-            p[1:] += m[:-1]
-    top = int(np.flatnonzero(probs)[-1])
-    return dims[: top + 1], probs[: top + 1]
+    taken = fixed = 0
+    readings = {}
+    for n in sorted(set(counts)):
+        steps = n - 1 - start
+        if steps < 0:
+            point = np.zeros(n)
+            point[-1] = 1.0
+            readings[n] = dims[:n].copy(), point
+            continue
+        if steps > taken and not fixed:
+            if lib:
+                fixed = lib.specmarket_dim_chain(escape.ctypes.data, start, cap, taken + 1, steps,
+                                                 probs.ctypes.data)
+            else:
+                fixed = _chain(escape, start, cap, taken + 1, steps, probs)
+            taken = steps
+        top = int(np.flatnonzero(probs)[-1])
+        readings[n] = dims[: top + 1].copy(), probs[: top + 1].copy()
+    return readings
+
+
+def _chain(escape: np.ndarray, start: int, cap: int, first: int, last: int,
+           probs: np.ndarray) -> int:
+    """Steps ``first`` .. ``last`` of the chain on ``probs`` in numpy, as ``specmarket_dim_chain``.
+
+    Returns the step that moved nothing, after which the chain stops, or 0.
+    """
+    moved = np.zeros(probs.size)
+    for s in range(first, last + 1):
+        window = slice(start, min(start + s, cap) + 1)
+        p, m = probs[window], moved[window]
+        np.multiply(p, escape[window], out=m)
+        if not np.count_nonzero(m):
+            return s
+        p -= m
+        p[1:] += m[:-1]
+    return 0
 
 
 def _first(mask: np.ndarray, default: int) -> int:
@@ -140,11 +191,28 @@ def p_cant_cancel(dimension: int, n_speculators: int, increment: str = "full") -
     in a fraction 1 - d/D of the states. A lone agent uses the d = 1 recursion
     base, giving approximately 1 - 1/D.
     """
-    if n_speculators < 1:
-        raise ConfigError(f"n_speculators must be >= 1, got {n_speculators}")
-    dims, probs = dim_distribution(dimension, max(1, n_speculators - 1), increment)
-    weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
-    return float(np.dot(probs, weights))
+    return _cant_cancel(dimension, [(n_speculators, increment)])[0]
+
+
+def _cant_cancel(dimension: int, cases: Sequence[tuple[int, str]]) -> list[float]:
+    """``p_cant_cancel`` at each ``(n_speculators, increment)`` of ``cases``, one walk per distinct step."""
+    counts: dict[float, list[int]] = {}
+    keys = []
+    for n_speculators, increment in cases:
+        if n_speculators < 1:
+            raise ConfigError(f"n_speculators must be >= 1, got {n_speculators}")
+        n_vectors = max(1, n_speculators - 1)
+        _check(dimension, n_vectors, increment)
+        step = _step(dimension, n_vectors, increment)
+        counts.setdefault(step, []).append(n_vectors)
+        keys.append((step, n_vectors))
+    readings = {step: _walk(dimension, step, ns) for step, ns in counts.items()}
+    out = []
+    for step, n_vectors in keys:
+        dims, probs = readings[step][n_vectors]
+        weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
+        out.append(float(np.dot(probs, weights)))
+    return out
 
 
 def speculators_at(dimension: int, alpha: float) -> int:
@@ -162,13 +230,18 @@ def speculators_at(dimension: int, alpha: float) -> int:
 
 
 def variance_curve(dimension: int, alphas: Sequence[float]) -> list[VarianceBounds]:
-    """Lower/heuristic/upper Var(r) predictions at each alpha, with N_s = D / alpha."""
+    """Lower/heuristic/upper Var(r) predictions at each alpha, with N_s = D / alpha.
+
+    The 3 * len(alphas) span distributions come from one walk of the chain per
+    distinct step (``full``, ``half``, and ``interpolated`` where N_s < 2 D;
+    ``interpolated`` steps by exactly 1 elsewhere), read at each N_s - 1.
+    """
+    sizes = [speculators_at(dimension, alpha) for alpha in alphas]
+    cancels = _cant_cancel(dimension, [(n_spec, increment) for n_spec in sizes
+                                       for increment in ("full", "interpolated", "half")])
     out = []
-    for alpha in alphas:
-        n_spec = speculators_at(dimension, alpha)
+    for i, (alpha, n_spec) in enumerate(zip(alphas, sizes)):
         v0 = var_r0(n_spec)
-        lower = v0 * p_cant_cancel(dimension, n_spec, "full")
-        heuristic = v0 * p_cant_cancel(dimension, n_spec, "interpolated")
-        upper = v0 * p_cant_cancel(dimension, n_spec, "half")
+        lower, heuristic, upper = (v0 * p for p in cancels[3 * i: 3 * i + 3])
         out.append(VarianceBounds(alpha=float(alpha), lower=lower, heuristic=heuristic, upper=upper))
     return out

@@ -460,7 +460,8 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     The surprise statistics use steps T // 2 onward, whose recurrences pair with
     returns T // 2 onward, so for an even T the return window holds one more return.
     Every statistic is computed before the first file is written, so a run the
-    analysis refuses leaves no file.
+    analysis refuses leaves no file; the error, of the analysis's class, names
+    the horizon.
     """
     chash = config_hash(config)
     extra = {"seed": config.seed}
@@ -485,7 +486,10 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
                 "tau_ks_distance": surprise.tau_tail.ks_distance,
                 "tau_n_tail": surprise.tau_tail.n_tail,
             })
-    analysis, summary = _analyze(chash, record.returns, extra)
+    try:
+        analysis, summary = _analyze(chash, record.returns, extra)
+    except (SampleSizeError, DegenerateInputError) as exc:
+        raise type(exc)(f"horizon = {config.horizon} is too short to analyze: {exc}") from exc
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ recorded with their reason and excluded from the aggregate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -278,6 +277,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[NodeResult]:
     run_cell = partial(_run_cell, spec.metrics)
     configs = (cfg for _, cfg in cells)
     if workers > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, configs, chunksize=max(1, len(cells) // (4 * workers))))
     else:

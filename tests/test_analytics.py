@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from specmarket import _kernel
+from specmarket import _kernel, analytics
 from specmarket.analytics import (
     INCREMENT_MODES,
     VarianceBounds,
@@ -108,11 +108,53 @@ def assert_same_bits(dimension, n_vectors, increment):
 
 README_ALPHAS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
+#: a vector count past the chain's fixed point for the full and half steps
+#: (it takes 1127 and 2258 steps past ``start`` at D = 2048, fewer below)
+PAST_FIXED_POINT = 2400
+
+
+def chain_start(dimension, step):
+    """The first cell whose escape is below 1: the walk's mass starts there."""
+    dims = np.minimum(1.0 + step * np.arange(2 * dimension + 2), float(dimension))
+    return int(np.flatnonzero(np.maximum(0.0, 1.0 - np.exp2(dims - dimension)) < 1.0)[0])
+
+
+def assert_walk_readings(dimension, increment, picks):
+    """Each reading of the walks ``variance_curve`` makes equals the full-array recursion.
+
+    The counts are ``picks`` in their order, repeated, with ``start`` (every
+    step a sure move), ``start + 1`` (the first step at ``start``) and
+    2**63 - 1, read past the fixed point and compared with the recursion at
+    ``start + PAST_FIXED_POINT`` vectors.
+    """
+    far = 2**63 - 1
+    start = chain_start(dimension, analytics._step(dimension, far, increment))
+    counts = [*picks[:2], far, start + 1, *picks, max(1, start)]
+    groups = {}
+    for n in counts:
+        groups.setdefault(analytics._step(dimension, n, increment), []).append(n)
+    for step, ns in groups.items():
+        readings = analytics._walk(dimension, step, ns)
+        for n in ns:
+            dims, probs = readings[n]
+            ref_dims, ref_probs = reference_dim_distribution(
+                dimension, start + PAST_FIXED_POINT if n == far else n, increment)
+            assert dims.tobytes() == ref_dims.tobytes(), (step, n)
+            assert probs.tobytes() == ref_probs.tobytes(), (step, n)
+
 
 def oracle_cases(test):
     """Random (dimension, n_vectors, increment) cases; one Hypothesis test runs in one class."""
     cases = given(st.integers(1, 2048), st.integers(1, 6000), st.sampled_from(INCREMENT_MODES))
     return settings(max_examples=120, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])(cases(test))
+
+
+def walk_cases(test):
+    """Random (dimension, increment, unsorted counts with repeats) for the walker."""
+    cases = given(st.integers(1, 300), st.sampled_from(INCREMENT_MODES),
+                  st.lists(st.integers(1, 1500), min_size=1, max_size=5))
+    return settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])(cases(test))
 
 
@@ -122,6 +164,42 @@ class TestDimDistributionOracle:
     @oracle_cases
     def test_equals_full_recursion(self, dimension, n_vectors, increment):
         assert_same_bits(dimension, n_vectors, increment)
+
+    @walk_cases
+    def test_walk_readings_equal_full_recursion(self, dimension, increment, picks):
+        assert_walk_readings(dimension, increment, picks)
+
+    @pytest.mark.parametrize("dimension", [7, 64, 512])
+    def test_variance_curve_is_v0_times_p_cant_cancel(self, dimension):
+        # unsorted, repeated, and on both sides of alpha = 1/2
+        alphas = [2.0, 0.25, 0.5, 0.7, 0.25, 1.0, 0.49, 0.51, 8.0, 0.03125, 0.5, 300.0]
+        for alpha, bounds in zip(alphas, variance_curve(dimension, alphas), strict=True):
+            n_spec = speculators_at(dimension, alpha)
+            v0 = var_r0(n_spec)
+            assert bounds == VarianceBounds(alpha, *(v0 * p_cant_cancel(dimension, n_spec, increment)
+                                                     for increment in ("full", "interpolated", "half")))
+
+    def test_variance_curve_takes_each_chain_step_once(self, monkeypatch):
+        # one walk per distinct step: 1.0 (full, and interpolated at alpha <= 1/2),
+        # 0.5, and the interpolated steps of alpha = 1, 2, 4 and 8; each walk
+        # resumes where its previous call stopped
+        walks, walk = [], analytics._walk
+        monkeypatch.setattr(analytics, "_walk", lambda *args: walks.append([]) or walk(*args))
+        lib = _kernel.library()
+        if lib:
+            chain = lib.specmarket_dim_chain
+            monkeypatch.setattr(lib, "specmarket_dim_chain",
+                                lambda *args: walks[-1].append(args[3:5]) or chain(*args))
+        else:
+            chain = analytics._chain
+            monkeypatch.setattr(analytics, "_chain",
+                                lambda *args: walks[-1].append(args[3:5]) or chain(*args))
+        variance_curve(512, README_ALPHAS)
+        assert len(walks) == 6
+        assert sum(map(len, walks)) >= 2
+        for ranges in walks:
+            assert [first for first, _ in ranges] == [1, *(last + 1 for _, last in ranges)][:len(ranges)]
+            assert all(first <= last for first, last in ranges)
 
     @pytest.mark.parametrize("increment", INCREMENT_MODES)
     @pytest.mark.parametrize("dimension", [53, 54, 55])
@@ -176,6 +254,10 @@ class TestDimDistributionOracleNumpy(TestDimDistributionOracle):
     @oracle_cases
     def test_equals_full_recursion(self, dimension, n_vectors, increment):
         assert_same_bits(dimension, n_vectors, increment)
+
+    @walk_cases
+    def test_walk_readings_equal_full_recursion(self, dimension, increment, picks):
+        assert_walk_readings(dimension, increment, picks)
 
 
 class TestCancellation:

@@ -569,6 +569,20 @@ class TestCli:
         assert "need at least 2 values" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_simulate_too_short_names_the_horizon(self, tmp_path, capsys):
+        """configs/market.ini at horizon 20 leaves 10 returns in the window, too few for the
+        Hill fit: exit 1, an error naming the horizon and the estimator, and no --out."""
+        market_ini = Path(__file__).parents[1] / "configs" / "market.ini"
+        text = market_ini.read_text()
+        assert "horizon = 60000\n" in text
+        config = write(tmp_path, text.replace("horizon = 60000\n", "horizon = 20\n"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "horizon = 20 is too short to analyze" in err
+        assert "hill_fit_ks needs >= 100 positive values" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("sweep_keys, message", [
         ("axes = alpha\nalpha = 0.25\nmetrics =\n", "metrics must name at least one metric"),
         ("axes = alpha\nalpha = 0.25\nmetrics = variance variance\n", "metric variance is named twice"),
@@ -614,6 +628,17 @@ class TestCli:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+
+def test_import_loads_no_process_pool_or_subprocess():
+    """Only a sweep with workers imports the process pool, and only a cold kernel build
+    imports subprocess, so importing the CLI in a fresh process loads neither."""
+    env = {**os.environ, "PYTHONPATH": str(Path(specmarket.io.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys, specmarket.cli; "
+                           "print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 COMMANDS_WITHOUT_MASKED_ARRAYS = """

@@ -11,9 +11,13 @@ load on another CPU. Where the cache cannot be written, or the host's
 in a temporary directory for the process. A build writes under a temporary
 name and renames into place, so concurrent cold builds cannot race, and
 loading from a warm cache starts no process. ``library()`` loads it once per
-process and, where it cannot be built or loaded, warns once; ``market.run``
-then loops over ``market.step``, ``analytics.dim_distribution`` runs its chain
-in numpy and ``io.write_columns`` formats its cells in Python.
+process, under a lock, so threads that call it first build and bind it once;
+where it cannot be built or loaded, it warns once, and ``market.run`` then
+loops over ``market.step``, ``analytics.dim_distribution`` runs its chain in
+numpy and ``io.write_columns`` formats its cells in Python. The library is a
+``ctypes.CDLL``, so every call into it releases the GIL: the markets of a
+sweep's threads run side by side on separate cores. Its only shared state is
+the writer's tables, filled once at load and read-only after.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
 states, taus, capitals) with the bits of ``market.step``:
@@ -67,6 +71,7 @@ import hashlib
 import os
 import shutil
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -197,10 +202,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 #: the loaded library; False once it failed to build or load in this process
 _LIBRARY = None
+_LIBRARY_LOCK = threading.Lock()
 
 
 def library():
     """The library ``load`` gives, loaded once per process; False where that failed.
+
+    Thread-safe: the first load runs under a lock, and threads that arrive
+    meanwhile wait for it and get its result.
 
     The first failure emits one ``RuntimeWarning`` naming ``_kernel.c`` and the
     cause; ``market.run`` then loops over ``market.step``,
@@ -210,12 +219,14 @@ def library():
     """
     global _LIBRARY
     if _LIBRARY is None:
-        try:
-            _LIBRARY = load()
-        except OSError as exc:
-            warnings.warn(f"specmarket: the C kernel {SOURCE.name} could not be built or loaded "
-                          f"({exc}); run(), dim_distribution() and write_columns() "
-                          "fall back to Python and numpy",
-                          RuntimeWarning, stacklevel=3)
-            _LIBRARY = False
+        with _LIBRARY_LOCK:
+            if _LIBRARY is None:  # another thread may have loaded it while this one waited
+                try:
+                    _LIBRARY = load()
+                except OSError as exc:
+                    warnings.warn(f"specmarket: the C kernel {SOURCE.name} could not be built or "
+                                  f"loaded ({exc}); run(), dim_distribution() and write_columns() "
+                                  "fall back to Python and numpy",
+                                  RuntimeWarning, stacklevel=3)
+                    _LIBRARY = False
     return _LIBRARY

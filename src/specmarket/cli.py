@@ -34,7 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid and write node aggregates")
     _add_common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="grid.csv or grid.json")
-    p.add_argument("--threads", type=int, default=1, help="parallel workers")
+    p.add_argument("--threads", type=int, default=None,
+                   help="threads that run the cells, capped at the usable CPUs "
+                        "(default: the CPUs this process may run on)")
 
     p = sub.add_parser("stats", help="re-analyze a stored run.csv")
     p.add_argument("--input", required=True, help="run.csv produced by simulate")
@@ -65,7 +67,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise SpecmarketError(f"--threads must be >= 1, got {args.threads}")
     spec = io.parse_sweep_spec(args.config)
     if args.seed is not None:

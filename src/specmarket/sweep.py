@@ -1,17 +1,21 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
 Every (node, repetition) cell derives its own seed from the base seed and its
-grid coordinates, so a sweep is bit-identical no matter how many workers run it
-or in which order tasks finish. Node aggregates are log-domain means, the
-convention used for the phase-diagram figures; repetitions that fail are
-recorded with their reason and excluded from the aggregate.
+grid coordinates, and its outcome is stored at its own index, so a sweep is
+bit-identical no matter how many threads run it or in which order cells finish.
+Cells run on threads of this process: the C kernel behind ``market.run``
+releases the GIL, so they overlap on separate cores. Node aggregates are
+log-domain means, the convention used for the phase-diagram figures;
+repetitions that fail are recorded with their reason and excluded from the
+aggregate.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -244,11 +248,62 @@ def _run_cell(metrics, config):
         return None, _error(exc)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[NodeResult]:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_cells(metrics, configs: list, threads: int) -> list:
+    """``_run_cell`` of each config, in order, on the calling thread and ``threads - 1`` more.
+
+    Each thread takes the next index from one counter under a lock and stores
+    the outcome at that index. A ``BaseException`` raised on any thread (a
+    ``KeyboardInterrupt``, say) stops every thread taking cells and is
+    re-raised here once all have joined.
+    """
+    outcomes = [None] * len(configs)
+    lock = threading.Lock()
+    taken = 0
+    raised = []
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if raised or taken == len(configs):
+                    return
+                index, taken = taken, taken + 1
+            try:
+                outcomes[index] = _run_cell(metrics, configs[index])
+            except BaseException as exc:  # re-raised by the calling thread after the join
+                with lock:
+                    raised.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if raised:
+        raise raised[0]
+    return outcomes
+
+
+def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult]:
     """Simulate every (node, repetition) cell; one :class:`NodeResult` per grid node.
 
-    Each cell is one :func:`~specmarket.market.run`; ``workers > 1`` maps
-    the cells to processes in chunks, a few per worker. A cell whose config
+    Each cell is one :func:`~specmarket.market.run`. The cells run on
+    min(``workers``, usable CPUs, runnable cells) threads, the calling thread
+    among them, where ``workers`` defaults to the number of CPUs the process
+    may run on; ``workers=1`` runs every cell in the caller and starts no
+    thread. At most that many markets are alive at once. A cell whose config
     ``run`` refuses, or whose node's coordinates give no config, is recorded
     with the error.
     """
@@ -274,15 +329,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[NodeResult]:
             if cfg is not None:
                 cells.append((record, replace(cfg, seed=seed)))
 
-    run_cell = partial(_run_cell, spec.metrics)
-    configs = (cfg for _, cfg in cells)
-    if workers > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, configs, chunksize=max(1, len(cells) // (4 * workers))))
-    else:
-        outcomes = map(run_cell, configs)
+    cpus = _usable_cpus()
+    threads = min(cpus if workers is None else workers, cpus, len(cells))
+    outcomes = _map_cells(spec.metrics, [cfg for _, cfg in cells], threads)
     for (record, _), (metrics, error) in zip(cells, outcomes):
         record.metrics, record.error = metrics, error
     return nodes
@@ -308,7 +357,8 @@ def alpha_scan(
     information and ``endogenous`` its closed-loop counterpart; the producer
     variants add ``n_producers`` of the given kind to the base config's own
     information mode. Rows carry plain across-repetition means, since the
-    income factor can be negative.
+    income factor can be negative. Each variant is one :func:`run_sweep` at
+    its default, so its cells run on every CPU the process may use.
     """
     rows = []
     for variant in variants:

@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -510,6 +512,39 @@ X86_64 = platform.machine() == "x86_64"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("fails", [False, True], ids=["loads", "fails"])
+def test_library_loads_once_across_threads(monkeypatch, fails):
+    """Four threads that call ``library()`` first share one load and get its result;
+    a failed load warns once."""
+    loaded, calls = object(), []
+
+    def slow_load():
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        if fails:
+            raise OSError("cc: not found")
+        return loaded
+
+    monkeypatch.setattr(_kernel, "_LIBRARY", None)
+    monkeypatch.setattr(_kernel, "load", slow_load)
+    got = [None] * 4
+
+    def call(i):
+        got[i] = _kernel.library()
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    assert got == ([False] * 4 if fails else [loaded] * 4)
+    assert [str(w.message).count("cc: not found") for w in caught] == ([1] if fails else [])
+
+
 def test_kernel_source_compiles_without_warnings():
     for flags in (_kernel.FLAGS, PORTABLE_FLAGS) if X86_64 else (_kernel.FLAGS,):
         done = subprocess.run(["cc", *flags, "-Wall", "-Wextra", "-Werror",

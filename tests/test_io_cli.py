@@ -631,8 +631,8 @@ class TestCli:
 
 
 def test_import_loads_no_process_pool_or_subprocess():
-    """Only a sweep with workers imports the process pool, and only a cold kernel build
-    imports subprocess, so importing the CLI in a fresh process loads neither."""
+    """Nothing imports a process pool, and only a cold kernel build imports
+    subprocess, so importing the CLI in a fresh process loads neither."""
     env = {**os.environ, "PYTHONPATH": str(Path(specmarket.io.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", "import sys, specmarket.cli; "
                            "print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))"],

@@ -1,12 +1,16 @@
 import math
 import os
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specmarket import Endogenous, Exogenous, MarketConfig, run, uniform_weights
+from specmarket import Endogenous, Exogenous, MarketConfig, run, sweep, uniform_weights
 from specmarket.errors import ConfigError
 from specmarket.sweep import (
     SweepAxis,
@@ -200,7 +204,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunked_parallel_results_equal_serial(self, workers):
-        """Cells mapped to processes, invalid cells among them, give the serial results."""
+        """Cells mapped to threads, invalid cells among them, give the serial results."""
         spec = SweepSpec(base=base_config(horizon=300),
                          axes=(SweepAxis("alpha", (0.25, 0.5)), SweepAxis("use_param", (0.5, 1.5))),
                          repetitions=3, metrics=("variance", "gini"))
@@ -242,6 +246,129 @@ class TestRunSweep:
             run_sweep(spec, workers=2)
             elapsed = min(elapsed, time.perf_counter() - t0)
         assert elapsed <= (4 / 2 + 1) * single * 1.3
+
+
+def _cpus(monkeypatch, n):
+    """Make the process see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _outcomes(nodes):
+    return [(n.coords, [(r.seed, r.metrics, r.error) for r in n.reps]) for n in nodes]
+
+
+class TestThreadMap:
+    SPEC = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.3, 0.5, 1.5)),),
+                     repetitions=2, metrics=("variance",))
+
+    def test_cells_overlap_on_two_threads(self, monkeypatch):
+        """Each thread's first cell waits for the other's, so this passes only if two run at once."""
+        serial = run_sweep(self.SPEC, workers=1)
+        _cpus(monkeypatch, 2)
+        barrier, started, lock = threading.Barrier(2, timeout=30), set(), threading.Lock()
+
+        def meeting(config):
+            with lock:
+                first = threading.get_ident() not in started
+                started.add(threading.get_ident())
+            if first:
+                barrier.wait()
+            return run(config)
+
+        monkeypatch.setattr(sweep, "run", meeting)
+        assert _outcomes(run_sweep(self.SPEC, workers=2)) == _outcomes(serial)
+        assert len(started) == 2 and not barrier.broken
+
+    @pytest.mark.parametrize("cpus, workers, axis, helpers", [
+        (2, 10**6, ("use_param", (0.3, 0.5, 0.7)), 1),  # capped by the CPUs
+        (8, None, ("use_param", (0.5,)), 1),            # capped by the 2 runnable cells
+        (8, None, ("use_param", (0.3, 0.5, 0.7)), 5),   # the default: every usable CPU
+        (8, 1, ("use_param", (0.3, 0.5, 0.7)), 0),      # serial in the caller
+        (8, None, ("use_param", (1.5,)), 1),            # cells that run refuses are runnable
+        (8, None, ("alpha", (0.3,)), 0),                # a node without a config has none
+    ])
+    def test_thread_count_is_capped(self, monkeypatch, cpus, workers, axis, helpers):
+        """min(workers, usable CPUs, runnable cells) threads, the caller among them."""
+        built = []
+
+        class InlineThread:
+            def __init__(self, target, name=None):
+                built.append(name)
+                self.target = target
+
+            def start(self):
+                self.target()
+
+            def join(self, timeout=None):
+                pass
+
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(threading, "Thread", InlineThread)
+        nodes = run_sweep(replace(self.SPEC, axes=(SweepAxis(*axis),)), workers=workers)
+        assert len(built) == helpers
+        assert all(rep.error is not None or rep.metrics is not None
+                   for node in nodes for rep in node.reps)
+
+    def test_base_exception_on_a_worker_is_reraised(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        calls, lock = [], threading.Lock()
+
+        def interrupted(config):
+            with lock:
+                calls.append(config.seed)
+                third = len(calls) == 3
+            if third:
+                raise KeyboardInterrupt
+            return run(config)
+
+        monkeypatch.setattr(sweep, "run", interrupted)
+        spec = replace(self.SPEC, repetitions=10)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, workers=2)
+        assert threading.active_count() == before
+        assert len(calls) <= 4  # the other thread finished its cell and took no more
+
+    def test_every_cell_runs_once_under_contention(self, monkeypatch):
+        """Eight threads, a short switch interval: no cell is lost or taken twice."""
+        _cpus(monkeypatch, 8)
+        calls = []
+
+        def counting(config):
+            calls.append(config.seed)
+            time.sleep(0)
+            return run(config)
+
+        monkeypatch.setattr(sweep, "run", counting)
+        spec = replace(self.SPEC, base=replace(self.SPEC.base, horizon=50), repetitions=40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            nodes = run_sweep(spec, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        seeds = [rep.seed for node in nodes for rep in node.reps]
+        assert sorted(calls) == sorted(seeds)
+        assert all(rep.metrics is not None for node in nodes[:2] for rep in node.reps)
+
+    def test_threaded_sweep_loads_no_process_pool(self):
+        """A two-thread sweep in a fresh interpreter imports neither concurrent.futures
+        nor multiprocessing."""
+        script = (
+            "import sys\n"
+            "from specmarket import Exogenous, MarketConfig, uniform_weights\n"
+            "from specmarket.sweep import SweepAxis, SweepSpec, run_sweep\n"
+            "base = MarketConfig(n_speculators=64, use_param=0.5, horizon=300, seed=1,\n"
+            "                    info_mode=Exogenous(uniform_weights(32)))\n"
+            "spec = SweepSpec(base=base, axes=(SweepAxis('alpha', (0.25, 0.5)),), repetitions=2)\n"
+            "assert all(node.n_success == 2 for node in run_sweep(spec, workers=2))\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sweep.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestAlphaScan:

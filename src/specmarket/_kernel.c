@@ -169,8 +169,7 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  * each refill of n_queue states. money, stocks and last_seen are updated in
  * place; m and s are scratch of length n. Records prices, base-10 log
  * returns (horizon - 1 of them), states, taus (0 on a state's first
- * occurrence), the speculators' capital sum and, if agent_caps is not NULL,
- * each speculator's capital.
+ * occurrence) and the speculators' capital sum.
  *
  * Returns horizon, or the first step t whose price is not finite and
  * positive or whose return's ratio price / before is not (before is 1.0 at
@@ -182,7 +181,7 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
                     const uint8_t *strategies, int64_t mu, int64_t *last_seen,
                     double *money, double *stocks, double *m, double *s,
                     double *prices, double *returns, int64_t *mus, int64_t *taus,
-                    double *capital, double *agent_caps)
+                    double *capital)
 {
     const int64_t n_spec = n - k;
     double price = 1.0, before = 1.0;
@@ -253,13 +252,6 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         }
         totals held = pairwise2(money + k, stocks + k, n_spec);
         capital[t] = (0.0 + held.a) + (0.0 + held.b);
-        if (agent_caps) {
-            double *caps = agent_caps + t * n_spec;
-            for (int64_t i = 0; i < n_spec; i++) {
-                caps[i] = money[k + i] + stocks[k + i];
-                caps[i] /= 2.0;
-            }
-        }
     }
     return horizon;
 }

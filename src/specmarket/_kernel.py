@@ -94,7 +94,7 @@ RUN_ARGTYPES = (
     _p, _i64, _p,                 # strategies, mu, last_seen
     _p, _p, _p, _p,               # money, stocks, m, s
     _p, _p, _p, _p,               # prices, returns, mus, taus
-    _p, _p,                       # capital, agent_caps
+    _p,                           # capital
 )
 #: argument types of ``specmarket_divide``: m, n, price, q
 DIVIDE_ARGTYPES = (_p, _i64, _f64, _p)

@@ -113,7 +113,6 @@ def _to_floats(raw: str) -> np.ndarray:
 _MARKET_KEYS = {
     "n_speculators": _to_int, "n_producers": _to_int, "producer_kind": _to_word,
     "use_param": _to_float, "epsilon": _to_float, "horizon": _to_int, "seed": _to_int,
-    "record_agents": _to_bool,
 }
 _REQUIRED_MARKET_KEYS = {f.name for f in fields(MarketConfig) if f.default is MISSING}
 _INFO_KEYS = {
@@ -184,8 +183,10 @@ def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     for name in parser.sections():
         if name not in ("market", "info", "sweep"):
             raise ConfigError(f"unknown section [{name}]")
-    _reject_unknown(parser, "market", _MARKET_KEYS)
+    _reject_unknown(parser, "market", {*_MARKET_KEYS, "record_agents"})
     section = parser["market"]
+    if "record_agents" in section and _get(section, "record_agents", _to_bool, "market"):
+        raise ConfigError("market.record_agents must be false: per-agent capitals are not recorded")
     config = MarketConfig(info_mode=None, **{
         key: _get(section, key, convert, "market")
         for key, convert in _MARKET_KEYS.items()
@@ -228,8 +229,7 @@ def _format_float(x: float) -> str:
 
 
 #: the text of a [market] value, by the converter of ``_MARKET_KEYS`` that reads it back
-_FORMATS = {_to_int: str, _to_float: _format_float, _to_word: str,
-            _to_bool: lambda b: "true" if b else "false"}
+_FORMATS = {_to_int: str, _to_float: _format_float, _to_word: str}
 
 
 def emit_config(config: MarketConfig) -> str:
@@ -237,7 +237,9 @@ def emit_config(config: MarketConfig) -> str:
     lines = ["[market]"]
     lines += [f"{key} = {_FORMATS[convert](getattr(config, key))}"
               for key, convert in _MARKET_KEYS.items()]
-    lines += ["", "[info]"]
+    # format 1 echoes this key, so every config hash keeps its bytes; the line goes when the
+    # benchmark's pinned digests move
+    lines += ["record_agents = false", "", "[info]"]
     mode = config.info_mode
     if isinstance(mode, Endogenous):
         lines += ["mode = endogenous", f"memory_bits = {mode.memory_bits}"]
@@ -403,17 +405,16 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict] = None) -> dict:
+def write_analysis(outdir, chash: str, returns: np.ndarray) -> dict:
     """Analyze the post-transient window of ``returns``; write ccdf.csv, autocorr.csv, summary.json.
 
     The reduction ratio compares the first 10 return magnitudes against the
-    window. ``extra`` entries are added to the summary. Returns the written
-    paths keyed ``ccdf``, ``autocorr`` and ``summary``.
+    window. Returns the written paths keyed ``ccdf``, ``autocorr`` and ``summary``.
     """
-    return _write_analysis(outdir, *_analyze(chash, returns, extra))
+    return _write_analysis(outdir, *_analyze(chash, returns, {}))
 
 
-def _analyze(chash: str, returns: np.ndarray, extra: Optional[dict]) -> tuple:
+def _analyze(chash: str, returns: np.ndarray, extra: dict) -> tuple:
     """The analysis of ``write_analysis`` and its summary payload, computed before any file is written."""
     window = post_transient(returns)
     analysis = analyze_returns(window)
@@ -422,7 +423,7 @@ def _analyze(chash: str, returns: np.ndarray, extra: Optional[dict]) -> tuple:
         "variance": float(np.var(window)),
         "reduction": stats.reduction_ratio(returns),
         "analysis": analysis.summary(),
-        **(extra or {}),
+        **extra,
     }
     return analysis, summary
 

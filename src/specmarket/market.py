@@ -198,7 +198,6 @@ class MarketConfig:
     n_producers: int = 0
     producer_kind: str = "deterministic"
     epsilon: float = 1e-10
-    record_agents: bool = False
 
     @property
     def n_agents(self) -> int:
@@ -302,7 +301,7 @@ class StepOutput(NamedTuple):
 
 @dataclass
 class SimulationRecord:
-    """Per-step time series of one run."""
+    """Per-step time series of one run, and the speculators' final capitals."""
 
     prices: np.ndarray             # (T,)
     returns: np.ndarray            # (T-1,), returns[i] = log10 prices[i+1] - log10 prices[i]
@@ -310,7 +309,6 @@ class SimulationRecord:
     taus: np.ndarray               # (T,) int, 0 where the state had not occurred before
     mean_spec_capital: np.ndarray  # (T,)
     final_spec_capitals: np.ndarray  # (N_s,)
-    agent_capitals: Optional[np.ndarray] = None  # (T, N_s) when recorded
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +490,7 @@ def step(state: MarketState) -> StepOutput:
 
 def record_bytes(config: MarketConfig) -> int:
     """Bytes of the per-step arrays of one run's record."""
-    per_step = 5 + (config.n_speculators if config.record_agents else 0)
-    return 8 * config.horizon * per_step
+    return 8 * 5 * config.horizon
 
 
 def run(config: MarketConfig) -> SimulationRecord:
@@ -509,20 +506,16 @@ def run(config: MarketConfig) -> SimulationRecord:
     prices, returns = np.empty(horizon), np.empty(horizon - 1)
     mus, taus = np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64)
     capital = np.empty(horizon)
-    agent_caps = np.empty((horizon, n_spec)) if config.record_agents else None
     lib = _kernel.library()
     if lib:
-        _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps)
+        _step_kernel(lib, state, prices, returns, mus, taus, capital)
     else:
         for t in range(horizon):
             out = step(state)
             prices[t], mus[t], taus[t] = out.price, out.mu, out.tau
             if t:
                 returns[t - 1] = out.log_return
-            money, stocks = state.money[k:], state.stocks[k:]
-            capital[t] = np.add.reduce(money) + np.add.reduce(stocks)
-            if agent_caps is not None:
-                agent_caps[t] = (money + stocks) / 2.0
+            capital[t] = np.add.reduce(state.money[k:]) + np.add.reduce(state.stocks[k:])
     capital /= 2.0 * n_spec
     return SimulationRecord(
         prices=prices,
@@ -531,7 +524,6 @@ def run(config: MarketConfig) -> SimulationRecord:
         taus=taus,
         mean_spec_capital=capital,
         final_spec_capitals=(state.money[k:] + state.stocks[k:]) / 2.0,
-        agent_capitals=agent_caps,
     )
 
 
@@ -546,7 +538,7 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
-def _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps) -> None:
+def _step_kernel(lib, state, prices, returns, mus, taus, capital) -> None:
     """The whole horizon in one call of the C kernel; the state ends as ``step`` leaves it."""
     cfg = state.config
     n, k, horizon = cfg.n_agents, cfg.n_producers, cfg.horizon
@@ -563,7 +555,7 @@ def _step_kernel(lib, state, prices, returns, mus, taus, capital, agent_caps) ->
             state.strategies.ctypes.data, state.mu, state.last_seen.ctypes.data,
             state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
             prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, taus.ctypes.data,
-            capital.ctypes.data, _address(agent_caps),
+            capital.ctypes.data,
         )
     if done < horizon:
         check_clearing(cfg, done, float(prices[done]), float(prices[done - 1]) if done else 1.0)

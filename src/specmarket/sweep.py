@@ -4,10 +4,11 @@ Every (node, repetition) cell derives its own seed from the base seed and its
 grid coordinates, and its outcome is stored at its own index, so a sweep is
 bit-identical no matter how many threads run it or in which order cells finish.
 Cells run on threads of this process: the C kernel behind ``market.run``
-releases the GIL, so they overlap on separate cores. Node aggregates are
-log-domain means, the convention used for the phase-diagram figures;
-repetitions that fail are recorded with their reason and excluded from the
-aggregate.
+releases the GIL, so they overlap on separate cores. A node aggregates each
+metric by its own rule (see :func:`aggregate`): the income factor and the
+Gini take arithmetic means, and every other metric a log-domain mean, the
+convention used for the phase-diagram figures. Repetitions that fail are
+recorded with their reason and excluded from the aggregate.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from . import stats
 
 DEFAULT_METRICS = ("variance", "kurtosis", "reduction")
 KNOWN_METRICS = ("variance", "kurtosis", "reduction", "income_factor", "gini", "tail_exponent")
+#: metrics that ``aggregate`` averages arithmetically; an income factor can be negative
+ARITHMETIC_METRICS = ("income_factor", "gini")
 
 AXIS_NAMES = ("alpha", "n_states", "n_speculators", "n_producers", "use_param")
 INTEGER_AXES = ("n_states", "n_speculators", "n_producers")
@@ -217,11 +220,13 @@ def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
 
 
 def aggregate(rep_metrics: Sequence[dict]) -> dict:
-    """Log-domain (geometric) mean per metric over repetition records.
+    """Mean per metric over repetition records, by the metric's rule.
 
-    Commutative and associative, so the result is independent of completion
-    order. Metrics with nonpositive values have no log-domain mean and yield
-    NaN; the alpha-scan table uses plain means for those instead.
+    The metrics of ``ARITHMETIC_METRICS`` take the arithmetic mean, as the
+    alpha-scan rows do. Every other metric takes the log-domain (geometric)
+    mean, and yields NaN where a value is nonpositive or not finite. Values
+    are sorted before each reduction, so the result is independent of
+    completion order.
     """
     if not rep_metrics:
         raise ConfigError("cannot aggregate an empty node")
@@ -230,7 +235,9 @@ def aggregate(rep_metrics: Sequence[dict]) -> dict:
         # sorted before reduction so the result is bit-identical under any
         # completion order of the repetitions
         values = np.sort(np.array([m[key] for m in rep_metrics], dtype=float))
-        if np.all(values > 0) and np.all(np.isfinite(values)):
+        if key in ARITHMETIC_METRICS:
+            out[key] = float(np.mean(values))
+        elif np.all(values > 0) and np.all(np.isfinite(values)):
             out[key] = float(np.exp(np.mean(np.log(values))))
         else:
             out[key] = math.nan

@@ -36,22 +36,18 @@ from specmarket.market import record_bytes, validate_config
 from test_analytics import README_ALPHAS
 from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
 
-FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals",
-          "agent_capitals")
+FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals")
 
 
 def assert_same_bytes(a, b):
     for name in FIELDS:
         x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-            continue
         assert (x.dtype, x.shape) == (y.dtype, y.shape), name
         assert x.tobytes() == y.tobytes(), name
 
 
 def reference_run(config):
-    """``run`` spelled out through ``step``."""
+    """``run`` spelled out through ``step``, with each speculator's capital after every step."""
     state = new_market(config)
     k = config.n_producers
     outputs, capital, agents = [], [], []
@@ -70,8 +66,6 @@ def assert_matches_step(record, config):
     assert record.taus.tolist() == [o.tau for o in outputs]
     assert record.mean_spec_capital.tobytes() == capital.tobytes()
     assert record.final_spec_capitals.tobytes() == agents[-1].tobytes()
-    if config.record_agents:
-        assert record.agent_capitals.tobytes() == agents.tobytes()
 
 
 def fallback_run(config):
@@ -113,7 +107,6 @@ def configs(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         n_producers=0 if ties else draw(st.integers(0, 3)),
         producer_kind=draw(st.sampled_from(("deterministic", "random"))),
-        record_agents=draw(st.booleans()),
     )
 
 
@@ -137,10 +130,10 @@ def test_exogenous_queue_crosses_chunks():
 
 
 def test_record_cap_is_a_config_rule():
-    """A record of exactly 2**30 bytes is accepted; one more step is refused by name."""
-    config = MarketConfig(n_speculators=3, use_param=0.5, info_mode=Endogenous(2), horizon=1 << 24,
-                          seed=1, record_agents=True)
-    assert record_bytes(config) == 1 << 30
+    """40 bytes a step at any N_s: 26,843,545 steps are accepted, one more is refused by name."""
+    config = MarketConfig(n_speculators=3, use_param=0.5, info_mode=Endogenous(2),
+                          horizon=26_843_545, seed=1)
+    assert record_bytes(config) == record_bytes(replace(config, n_speculators=4096)) <= 1 << 30
     validate_config(config)
     with pytest.raises(ConfigError, match="horizon"):
         validate_config(replace(config, horizon=config.horizon + 1))
@@ -246,11 +239,11 @@ def test_invariants_over_generated_configs(config):
     MarketConfig(n_speculators=5, use_param=0.5, info_mode=Exogenous(uniform_weights(3)),
                  horizon=2, seed=8),
     MarketConfig(n_speculators=9, use_param=0.7, info_mode=Mixed(2, 1, uniform_weights(2)),
-                 horizon=300, seed=9, n_producers=4, producer_kind="random", record_agents=True),
+                 horizon=300, seed=9, n_producers=4, producer_kind="random"),
     MarketConfig(n_speculators=7, use_param=0.5, info_mode=Exogenous(uniform_weights(64)),
                  horizon=4400, seed=10),
 ], ids=["horizon1_endogenous", "horizon1_mixed", "horizon2_endogenous", "horizon2_exogenous",
-        "record_agents_random_producers", "taus_across_refill"])
+        "mixed_random_producers", "taus_across_refill"])
 def test_kernel_record_edges(config):
     """The returns and taus the kernel writes, at the edges of their lengths and of a refill."""
     record = run(config)
@@ -278,8 +271,8 @@ def tiny_buyer(record, config):
     Its money is below 2^-901, and above zero since a use below 1 never
     spends all of it, so its order is a nonzero normal below 2^-900.
     """
-    assert config.use_param < 1.0 and config.record_agents
-    caps = record.agent_capitals[:-1]
+    assert config.use_param < 1.0
+    caps = reference_run(config)[2][:-1]
     buys = new_market(config).strategies[record.mus[1:], config.n_producers:]
     return bool(np.any((caps > 2.0**-1000) & (caps < 2.0**-902) & buys))
 
@@ -287,8 +280,8 @@ def tiny_buyer(record, config):
 @pytest.mark.parametrize("config, tripped", [
     (MarketConfig(n_speculators=1, use_param=1.0, info_mode=Endogenous(1), epsilon=1e-30,
                   horizon=400, seed=3), price_outside_guard),
-    (MarketConfig(n_speculators=4, use_param=0.9, info_mode=Endogenous(2), horizon=800, seed=12,
-                  record_agents=True), tiny_buyer),
+    (MarketConfig(n_speculators=4, use_param=0.9, info_mode=Endogenous(2), horizon=800, seed=12),
+     tiny_buyer),
 ], ids=["price_above_2^60", "holdings_below_2^-900"])
 def test_steps_outside_the_fma_guard_match_step(config, tripped):
     """Steps outside the FMA quotient's guard divide, with the bits of ``step``."""
@@ -451,8 +444,7 @@ def test_strategy_table_equals_integers(d, n):
 
 def test_failed_kernel_warns_by_name_and_falls_back(monkeypatch, tmp_path):
     config = MarketConfig(n_speculators=12, use_param=0.5, info_mode=Mixed(1, 1, uniform_weights(2)),
-                          horizon=300, seed=4, n_producers=2, producer_kind="random",
-                          record_agents=True)
+                          horizon=300, seed=4, n_producers=2, producer_kind="random")
     expected = run(config)
     bounds_argv = ["bounds", "--states", "512", "--alphas", ",".join(map(str, README_ALPHAS))]
     assert main([*bounds_argv, "--out", str(tmp_path / "native")]) == 0

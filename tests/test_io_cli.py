@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import specmarket.io
 from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run, uniform_weights
+from specmarket import sweep
 from specmarket.cli import main
 from specmarket.errors import ConfigError, DataFormatError
 from specmarket.io import (
@@ -57,8 +58,24 @@ class TestParseConfig:
         assert config.n_producers == 0
         assert config.producer_kind == "deterministic"
         assert config.epsilon == 1e-10
-        assert config.record_agents is False
         assert config.info_mode == Endogenous(4)
+
+    @pytest.mark.parametrize("value", ["true", "yes", "1"])
+    def test_record_agents_true_refused_by_name(self, tmp_path, value):
+        text = MINIMAL.replace("seed = 3", f"seed = 3\nrecord_agents = {value}")
+        with pytest.raises(ConfigError, match=r"^market\.record_agents must be false: per-agent "
+                                              r"capitals are not recorded$"):
+            parse_market_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("line", ["record_agents = false\n", "record_agents = no\n", ""],
+                             ids=["false", "no", "absent"])
+    def test_record_agents_false_or_absent_parses(self, tmp_path, line):
+        """Format 1 keeps the key with the single value false, and echoes it last in [market]."""
+        text = MINIMAL.replace("seed = 3\n", "seed = 3\n" + line)
+        config = parse_market_config(write(tmp_path, text))
+        assert config == parse_market_config(write(tmp_path, MINIMAL, "minimal.ini"))
+        assert not hasattr(config, "record_agents")
+        assert emit_config(config).split("\n\n")[0].endswith("\nseed = 3\nrecord_agents = false")
 
     def test_out_of_range_names_field(self, tmp_path):
         bad = MINIMAL.replace("use_param = 0.5", "use_param = 1.5")
@@ -442,18 +459,19 @@ class TestCli:
         assert [row[4] for row in rows[1:]] == ["1"] * 4
 
     def test_sweep_csv_empty_cells(self, tmp_path):
-        """A node with no valid repetition and a NaN aggregate both write an empty value."""
+        """A node with no valid repetition writes an empty value."""
         config_text = MINIMAL + ("\n[sweep]\naxes = use_param\nuse_param = 0.5, 1.5\n"
                                  "repetitions = 3\nmetrics = variance, income_factor\n")
         config = write(tmp_path, config_text, "sweep.ini")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
         rows = [line.split(",") for line in
                 (tmp_path / "g" / "grid.csv").read_text().splitlines()[3:]]
-        variance = float(rows[0][2])
-        # every repetition's income factor is negative here, so its log-domain mean is NaN
-        assert rows == [["0.5", "variance", repr(variance), "3"], ["0.5", "income_factor", "", "3"],
+        variance, income = float(rows[0][2]), float(rows[1][2])
+        # every repetition's income factor is negative here, and their arithmetic mean is written
+        assert rows == [["0.5", "variance", repr(variance), "3"],
+                        ["0.5", "income_factor", repr(income), "3"],
                         ["1.5", "variance", "", "0"], ["1.5", "income_factor", "", "0"]]
-        assert variance > 0
+        assert variance > 0 > income
 
     def test_sweep_json_writes_null_for_a_nan_aggregate(self, tmp_path):
         """The config of ``test_sweep_csv_empty_cells`` as JSON: strict, with null where csv is empty."""
@@ -468,8 +486,8 @@ class TestCli:
 
         payload = json.loads((tmp_path / "g" / "grid.json").read_text(), parse_constant=refuse)
         values = [(row["use_param"], row["metric"], row["value"]) for row in payload["grid"]]
-        assert values[0][2] > 0
-        assert values == [(0.5, "variance", values[0][2]), (0.5, "income_factor", None),
+        assert values[0][2] > 0 > values[1][2]
+        assert values == [(0.5, "variance", values[0][2]), (0.5, "income_factor", values[1][2]),
                           (1.5, "variance", None), (1.5, "income_factor", None)]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -560,6 +578,37 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: epsilon = 1e-300 is too small")
         assert not (tmp_path / "o" / "run.csv").exists()
+
+    def test_simulate_refuses_record_agents_by_name(self, tmp_path, capsys):
+        config = write(tmp_path, MINIMAL.replace("seed = 3", "seed = 3\nrecord_agents = true"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: market.record_agents must be false: "
+                                           "per-agent capitals are not recorded\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_writes_a_mean_of_negative_income_factors(self, tmp_path):
+        """configs/sweep.ini over alpha at horizon 4000: repetitions with a negative income
+        factor at alpha = 1 and 2 still give a value, their arithmetic mean, in every cell."""
+        text = (Path(__file__).parents[1] / "configs" / "sweep.ini").read_text()
+        for old, new in (("horizon = 50000", "horizon = 4000"),
+                         ("axes = alpha, use_param", "axes = alpha"),
+                         ("use_param = 0.1, 0.3, 0.8\n", ""),
+                         ("variance, kurtosis, reduction", "income_factor, gini, variance")):
+            assert old in text
+            text = text.replace(old, new)
+        config = write(tmp_path, text, "sweep.ini")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "g" / "grid.csv").read_text().splitlines()[3:]]
+        nodes = sweep.run_sweep(parse_sweep_spec(config))
+        incomes = [[rep.metrics["income_factor"] for rep in node.reps] for node in nodes]
+        assert [min(values) < 0 for values in incomes] == [False, False, True, True]
+        assert [row[:2] + row[3:] for row in rows] == [
+            [alpha, metric, "5"] for alpha in ("0.25", "0.5", "1.0", "2.0")
+            for metric in ("income_factor", "gini", "variance")]
+        assert [float(row[2]) for row in rows[::3]] == [float(np.mean(np.sort(values)))
+                                                        for values in incomes]
 
     def test_simulate_refused_by_the_analysis_writes_no_file(self, tmp_path, capsys):
         """A horizon of 2 leaves one return, too few to analyze: exit 1 and an empty --out."""

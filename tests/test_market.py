@@ -283,16 +283,9 @@ class TestRun:
             assert state.stocks.min() >= 0.0
 
     def test_oversized_record_refused(self, make_config):
-        config = make_config(horizon=1 << 30, record_agents=True)
+        config = make_config(horizon=1 << 30)
         with pytest.raises(ConfigError, match="horizon"):
             run(config)
-
-    def test_agent_capitals_recorded(self, make_config):
-        config = make_config(n_speculators=8, n_producers=2, horizon=20, record_agents=True)
-        record = run(config)
-        assert record.agent_capitals.shape == (20, 8)
-        np.testing.assert_allclose(record.agent_capitals.mean(axis=1),
-                                   record.mean_spec_capital, rtol=1e-12)
 
     def test_mixed_information_runs(self, make_config):
         mode = Mixed(endo_bits=3, exo_bits=2, exo_weights=np.full(4, 0.25))

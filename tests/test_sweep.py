@@ -132,6 +132,16 @@ class TestAggregate:
         records = [{"v": float(x)} for x in (3, 9, 27, 81)]
         assert aggregate(records) == aggregate(records[::-1])
 
+    def test_income_factor_and_gini_take_arithmetic_means(self):
+        """A negative income factor has an arithmetic mean; variance keeps the log-domain one."""
+        records = [{"income_factor": -2.0, "gini": 0.1, "variance": 10.0},
+                   {"income_factor": 4.0, "gini": 0.4, "variance": 1000.0},
+                   {"income_factor": 1.0, "gini": 0.7, "variance": 100.0}]
+        out = aggregate(records)
+        assert out == {"income_factor": 1.0, "gini": pytest.approx(0.4),
+                       "variance": pytest.approx(100.0)}
+        assert aggregate(records[::-1]) == out
+
     def test_nonpositive_yields_nan(self):
         assert math.isnan(aggregate([{"v": -1.0}, {"v": 2.0}])["v"])
 

@@ -261,29 +261,31 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
  *
  * Steps first .. last of one walk, so that a walk resumes where it stopped;
  * step s updates cells start .. min(start + s, cap) with the numpy loop's
- * three operations per cell, in its order: moved = p * escape, then
- * p[j] = (p[j] - moved[j]) + moved[j - 1]. The first step whose moved amounts
- * are all zero is the fixed point: the chain stops after it and returns it,
- * and every later step would leave p as it is. It returns 0 if no step up to
- * last was the fixed point. Every p is >= +0, so the + 0.0 at the bottom cell
- * and the writes of that last step leave the bits as the numpy loop leaves
- * them.
+ * three operations per cell, in its order, in two passes that GCC
+ * vectorises: the first writes moved[j] = p[j] * escape[j] into the
+ * caller's scratch (at least cap + 1 cells) and tests whether any is
+ * nonzero, the second does p[j] = (p[j] - moved[j]) + moved[j - 1], with
+ * + 0.0 at the bottom cell. The first step whose moved amounts are all zero
+ * is the fixed point: the chain returns it before its second pass, which
+ * would leave p as it is (every p is >= +0), and so would every later step.
+ * It returns 0 if no step up to last was the fixed point.
  */
-int64_t specmarket_dim_chain(const double *escape, int64_t start, int64_t cap, int64_t first,
-                             int64_t last, double *p)
+int64_t specmarket_dim_chain(const double *restrict escape, int64_t start, int64_t cap,
+                             int64_t first, int64_t last, double *restrict p,
+                             double *restrict moved)
 {
     for (int64_t s = first; s <= last; s++) {
         int64_t top = start + s < cap ? start + s : cap;
-        double below = 0.0;
         int moving = 0;
         for (int64_t j = start; j <= top; j++) {
-            double moved = p[j] * escape[j];
-            p[j] = (p[j] - moved) + below;
-            moving |= moved != 0.0;
-            below = moved;
+            moved[j] = p[j] * escape[j];
+            moving |= moved[j] != 0.0;
         }
         if (!moving)
             return s;
+        p[start] = (p[start] - moved[start]) + 0.0;
+        for (int64_t j = start + 1; j <= top; j++)
+            p[j] = (p[j] - moved[j]) + moved[j - 1];
     }
     return 0;
 }

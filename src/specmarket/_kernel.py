@@ -51,9 +51,11 @@ states, taus, capitals) with the bits of ``market.step``:
 
 The chain runs the three float64 operations per cell of the numpy loop in
 ``analytics``, in its order, over the same window of cells, and stops after
-the same step: ``moved = p * escape``, then
-``p[j] = (p[j] - moved[j]) + moved[j - 1]`` in one pass, with
-``-ffp-contract=off`` keeping ``p - p * escape`` unfused. One call runs steps
+the same step. Each step is two passes, both vectorised: ``moved = p *
+escape`` into a scratch array the caller passes (``analytics._walk``
+allocates it once per walk, as long as ``p``), with the test for a nonzero
+moved amount, then ``p[j] = (p[j] - moved[j]) + moved[j - 1]``;
+``-ffp-contract=off`` keeps ``p - p * escape`` unfused. One call runs steps
 ``first`` .. ``last`` of a walk, so a walk resumes where the previous call
 left it, and returns the step at which the walk reached its fixed point (the
 first step that moved nothing), or 0 if it did not; every later step would
@@ -189,8 +191,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.specmarket_divide.restype = _i64
     lib.specmarket_total.argtypes = (_p, _i64)
     lib.specmarket_total.restype = _f64
-    # escape, start, cap, first, last, p; returns the fixed point's step, or 0
-    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _i64, _p)
+    # escape, start, cap, first, last, p, moved (scratch); returns the fixed point's step, or 0
+    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _i64, _p, _p)
     lib.specmarket_dim_chain.restype = _i64
     lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES
     lib.specmarket_write_rows.restype = _i64

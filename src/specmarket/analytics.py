@@ -12,21 +12,25 @@ and stops at its fixed point (see ``dim_distribution``): the same bits as a
 full-array update at a cost of O(n_vectors * W) instead of O(n_vectors**2),
 where W, about 54 / increment, counts the cells with D - 54 < d < D. Its
 arrays hold O(D / increment) cells, whatever n_vectors is, and its loop is
-``specmarket_dim_chain`` of the C kernel (``_kernel.c``), or a numpy loop over
-the same window where the kernel cannot be built.
+``specmarket_dim_chain`` of the C kernel (``_kernel.c``), which runs each step
+in two vectorised passes through a scratch array of the walk's, or a numpy
+loop over the same window where the kernel cannot be built.
 
 The distribution after n vectors is the chain's state after a number of steps
 that grows with n, so one walk of the chain is read at every n that shares its
 step: ``variance_curve`` costs one walk per distinct step (``full``, ``half``,
 and each ``interpolated`` step below N_s = 2 D), not one per alpha and
-increment, and no step runs twice.
+increment, and no step runs twice. Each reading is taken while the walk
+stands at its count: ``dim_distribution`` copies it out, and
+``p_cant_cancel`` and ``variance_curve`` take a dot product of the live cells
+with weights computed once per walk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,6 +102,11 @@ def dim_distribution(
     return _walk(dimension, _step(dimension, n_vectors, increment), [n_vectors])[n_vectors]
 
 
+def _copies(dims: np.ndarray):
+    """The default ``_walk`` reader: each reading as copies of its ``(dims, probs)``."""
+    return lambda probs, top: (dims[: top + 1].copy(), probs[: top + 1].copy())
+
+
 def _check(dimension: int, n_vectors: int, increment: str) -> None:
     if not 1 <= dimension <= MAX_DIMENSION:
         raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
@@ -117,8 +126,7 @@ def _step(dimension: int, n_vectors: int, increment: str) -> float:
     return p1 + (1.0 - p1) * 0.5
 
 
-def _walk(dimension: int, step: float,
-          counts: Sequence[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _walk(dimension: int, step: float, counts: Sequence[int], reader: Callable = _copies) -> dict:
     """``dim_distribution`` at each of ``counts`` for one step, from one walk of the chain.
 
     The distribution for n vectors is the chain's state after n - 1 - start
@@ -127,7 +135,11 @@ def _walk(dimension: int, step: float,
     For n - 1 < start the reading is the point mass at cell n - 1, which is
     what a separate run gives, because below ``start`` every step is a sure
     move. Once a step moves nothing, every later reading is that fixed point.
-    Returns ``{n: (dims, probs)}``.
+
+    ``reader(dims)`` gives the function that takes each reading while the
+    walk stands at its count: ``read(probs, top)``, with the reading in
+    ``dims[:top + 1]`` and ``probs[:top + 1]``, arrays the walk goes on to
+    update. The default copies them out. Returns ``{n: read(probs, top)}``.
     """
     size = min(max(counts), math.ceil((dimension - 1) / step) + 2)
     dims = np.minimum(1.0 + step * np.arange(size), float(dimension))
@@ -137,6 +149,8 @@ def _walk(dimension: int, step: float,
     cap = _first(escape == 0.0, last)
     probs = np.zeros(size)
     probs[start] = 1.0
+    moved = np.empty(size)  # the chain's scratch
+    read = reader(dims)
     lib = _kernel.library()
     taken = fixed = 0
     readings = {}
@@ -145,27 +159,26 @@ def _walk(dimension: int, step: float,
         if steps < 0:
             point = np.zeros(n)
             point[-1] = 1.0
-            readings[n] = dims[:n].copy(), point
+            readings[n] = read(point, n - 1)
             continue
         if steps > taken and not fixed:
             if lib:
                 fixed = lib.specmarket_dim_chain(escape.ctypes.data, start, cap, taken + 1, steps,
-                                                 probs.ctypes.data)
+                                                 probs.ctypes.data, moved.ctypes.data)
             else:
-                fixed = _chain(escape, start, cap, taken + 1, steps, probs)
+                fixed = _chain(escape, start, cap, taken + 1, steps, probs, moved)
             taken = steps
-        top = int(np.flatnonzero(probs)[-1])
-        readings[n] = dims[: top + 1].copy(), probs[: top + 1].copy()
+        readings[n] = read(probs, int(np.flatnonzero(probs)[-1]))
     return readings
 
 
 def _chain(escape: np.ndarray, start: int, cap: int, first: int, last: int,
-           probs: np.ndarray) -> int:
+           probs: np.ndarray, moved: np.ndarray) -> int:
     """Steps ``first`` .. ``last`` of the chain on ``probs`` in numpy, as ``specmarket_dim_chain``.
 
-    Returns the step that moved nothing, after which the chain stops, or 0.
+    ``moved`` is scratch of at least ``cap + 1`` cells. Returns the step that
+    moved nothing, after which the chain stops, or 0.
     """
-    moved = np.zeros(probs.size)
     for s in range(first, last + 1):
         window = slice(start, min(start + s, cap) + 1)
         p, m = probs[window], moved[window]
@@ -206,13 +219,22 @@ def _cant_cancel(dimension: int, cases: Sequence[tuple[int, str]]) -> list[float
         step = _step(dimension, n_vectors, increment)
         counts.setdefault(step, []).append(n_vectors)
         keys.append((step, n_vectors))
-    readings = {step: _walk(dimension, step, ns) for step, ns in counts.items()}
-    out = []
-    for step, n_vectors in keys:
-        dims, probs = readings[step][n_vectors]
+    readings = {step: _walk(dimension, step, ns, _cancel_reader(dimension))
+                for step, ns in counts.items()}
+    return [readings[step][n_vectors] for step, n_vectors in keys]
+
+
+def _cancel_reader(dimension: int):
+    """A ``_walk`` reader whose readings are ``p_cant_cancel``.
+
+    Its weights, escape times uncanceled, (1 - 2**(d - D)) * (1 - d / D), are
+    computed once per walk, and each reading is their dot product with the
+    live ``probs``, without a copy.
+    """
+    def reader(dims: np.ndarray):
         weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
-        out.append(float(np.dot(probs, weights)))
-    return out
+        return lambda probs, top: float(np.dot(probs[: top + 1], weights[: top + 1]))
+    return reader
 
 
 def speculators_at(dimension: int, alpha: float) -> int:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from specmarket import _kernel, analytics
 from specmarket.analytics import (
     INCREMENT_MODES,
+    MAX_DIMENSION,
     VarianceBounds,
     dim_distribution,
     p_cant_cancel,
@@ -158,6 +159,38 @@ def walk_cases(test):
                     suppress_health_check=[HealthCheck.too_slow])(cases(test))
 
 
+def reference_cant_cancel(dimension, n_speculators, increment):
+    """``p_cant_cancel`` from a copied ``dim_distribution`` reading, weighted after the walk."""
+    dims, probs = dim_distribution(dimension, max(1, n_speculators - 1), increment)
+    weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
+    return float(np.dot(probs, weights))
+
+
+def assert_cant_cancel(dimension, picks):
+    """``_cant_cancel`` reads the live walk with the bits of the copied readings.
+
+    The cases are ``picks`` in their order, repeated, with, for each increment,
+    N_s = start (a point mass: N_s - 1 vectors fill fewer cells than ``start``)
+    and N_s = start + 2 (one step of the chain).
+    """
+    cases = [*picks, *picks[:2]]
+    for increment in INCREMENT_MODES:
+        start = chain_start(dimension, analytics._step(dimension, 2**63 - 1, increment))
+        cases += [(max(1, start), increment), (start + 2, increment)]
+    got = analytics._cant_cancel(dimension, cases)
+    assert [p.hex() for p in got] == [reference_cant_cancel(dimension, *case).hex()
+                                      for case in cases]
+
+
+def cancel_cases(test):
+    """Random (dimension, unsorted (N_s, increment) cases with repeats) for ``_cant_cancel``."""
+    cases = given(st.integers(1, 300),
+                  st.lists(st.tuples(st.integers(1, 1500), st.sampled_from(INCREMENT_MODES)),
+                           min_size=1, max_size=8))
+    return settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])(cases(test))
+
+
 class TestDimDistributionOracle:
     """The windowed recursion returns exactly the full-array recursion's bits."""
 
@@ -168,6 +201,24 @@ class TestDimDistributionOracle:
     @walk_cases
     def test_walk_readings_equal_full_recursion(self, dimension, increment, picks):
         assert_walk_readings(dimension, increment, picks)
+
+    @cancel_cases
+    def test_cant_cancel_equals_copied_readings(self, dimension, picks):
+        assert_cant_cancel(dimension, picks)
+
+    @pytest.mark.parametrize("dimension", [53, 54, 55, 64, 65])
+    def test_cant_cancel_edges(self, dimension):
+        # escape rounds to 1.0 below about D - 53, so the window starts at 0 or 1 here
+        picks = [(n, increment) for increment in INCREMENT_MODES
+                 for n in (1, 2, 3, dimension - 1, dimension, dimension + 1, 4 * dimension)]
+        assert_cant_cancel(dimension, picks)
+
+    def test_cant_cancel_widest_window(self):
+        # step 1/2 at the largest dimension: about 108 cells, the chain's widest window,
+        # up to the cap at N_s - 1 = 2 D - 1 and past the fixed point
+        picks = [(n, "half") for n in (2 * MAX_DIMENSION - 1, 2 * MAX_DIMENSION,
+                                       2 * MAX_DIMENSION + 1, 4 * MAX_DIMENSION, 2**40)]
+        assert_cant_cancel(MAX_DIMENSION, picks)
 
     @pytest.mark.parametrize("dimension", [7, 64, 512])
     def test_variance_curve_is_v0_times_p_cant_cancel(self, dimension):
@@ -258,6 +309,10 @@ class TestDimDistributionOracleNumpy(TestDimDistributionOracle):
     @walk_cases
     def test_walk_readings_equal_full_recursion(self, dimension, increment, picks):
         assert_walk_readings(dimension, increment, picks)
+
+    @cancel_cases
+    def test_cant_cancel_equals_copied_readings(self, dimension, picks):
+        assert_cant_cancel(dimension, picks)
 
 
 class TestCancellation:

@@ -4,7 +4,8 @@ the market INI parser only ``SpecmarketError``, and what they accept is valid.
 Each reader gets arbitrary bytes and one-field mutations of a valid file: one
 comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
 one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
-replaced by a hostile token, arbitrary text, a number or arbitrary bytes.
+replaced by a hostile token, arbitrary text, a number or arbitrary bytes. A
+simulated ``run.csv`` with one tau changed is refused by that row's number.
 """
 
 import re
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from specmarket import Endogenous, MarketConfig, run
 from specmarket.errors import ConfigError, DataFormatError, SpecmarketError
 from specmarket.io import (FORMAT_VERSION, load_empirical, parse_market_config, parse_sweep_spec,
-                           read_run_csv)
+                           read_run_csv, write_run_csv)
 from specmarket.market import validate_config
 from specmarket.sweep import INTEGER_AXES, node_config
 
@@ -109,9 +111,19 @@ def mutate_value(text: str, index: int, value: bytes) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def taus_from_mus(mus) -> list:
+    """Each row's steps since its mu last occurred, 0 at a first occurrence."""
+    last, taus = {}, []
+    for t, mu in enumerate(mus.tolist()):
+        taus.append(t - last[mu] if mu in last else 0)
+        last[mu] = t
+    return taus
+
+
 def run_csv_loaded(data):
     assert data["mus"].dtype == data["taus"].dtype == np.int64
     assert np.all(data["mus"] >= 0) and np.all(data["taus"] >= 0)
+    assert data["taus"].tolist() == taus_from_mus(data["mus"])
     assert np.all(np.isfinite(data["prices"]) & (data["prices"] > 0))
     assert np.all(np.isfinite(data["returns"]))
 
@@ -242,3 +254,47 @@ def test_market_ini_value_mutations(input_file, data, info, value):
 def test_sweep_ini_value_mutations(input_file, index, value):
     input_file.write_bytes(mutate_value(SWEEP, index, value))
     assert_loaded_or_refused("sweep_ini", input_file)
+
+
+@pytest.fixture(scope="module")
+def simulated_run_csv(tmp_path_factory):
+    """The lines of a simulated run.csv: 200 rows, states that recur at many distances."""
+    config = MarketConfig(n_speculators=16, use_param=0.5, info_mode=Endogenous(3), horizon=200,
+                          seed=4)
+    path = write_run_csv(tmp_path_factory.mktemp("run") / "run.csv", "0123456789abcdef", run(config))
+    return path.read_text().splitlines()
+
+
+def with_tau(lines: list, row: int, tau: str) -> str:
+    """``lines`` with the tau cell of data row ``row`` (t = row - 1) set to ``tau``."""
+    lines = list(lines)
+    cells = lines[2 + row].split(",")
+    assert cells[0] == str(row - 1)
+    cells[2] = tau
+    lines[2 + row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def test_simulated_run_csv_loads(input_file, simulated_run_csv):
+    input_file.write_text("\n".join(simulated_run_csv) + "\n")
+    data = read_run_csv(input_file)
+    assert data["mus"].size == 200 and np.count_nonzero(data["taus"]) > 150
+    run_csv_loaded(data)
+
+
+def test_tau_raised_by_one_refused_by_row(input_file, simulated_run_csv):
+    tau = simulated_run_csv[2 + 51].split(",")[2]
+    input_file.write_text(with_tau(simulated_run_csv, 51, str(int(tau or 0) + 1)))
+    with pytest.raises(DataFormatError, match=rf"{re.escape(str(input_file))}: row 51: tau must be"):
+        read_run_csv(input_file)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row=st.integers(1, 200), tau=st.one_of(st.just(""), st.integers(1, 400).map(str)))
+def test_any_changed_tau_refused_by_row(input_file, simulated_run_csv, row, tau):
+    assume(tau != simulated_run_csv[2 + row].split(",")[2])
+    input_file.write_text(with_tau(simulated_run_csv, row, tau))
+    got = tau or "an empty tau"
+    with pytest.raises(DataFormatError,
+                       match=rf"{re.escape(str(input_file))}: row {row}: tau .*, got {got}$"):
+        read_run_csv(input_file)

@@ -31,6 +31,7 @@ from specmarket.io import (
     write_run_csv,
 )
 from test_engine import configs
+from test_golden import GOLDEN_CLI, file_digests
 from test_stats import _record_from
 
 MINIMAL = """\
@@ -255,12 +256,43 @@ class TestArtifacts:
             read_run_csv(path)
 
     def test_tau_reads_back_exactly(self, tmp_path):
-        """A tau above 2**53 reads back as the int64 written, not rounded through float64."""
+        """A tau above 2**53 reads back as the int64 written, not rounded through float64.
+
+        No file short enough to write holds such a tau validly, so the tau
+        that disagrees with its mu column is quoted exactly in the refusal.
+        """
+        path = tmp_path / "run.csv"
+        path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
+                        f"t,mu,tau,price,log_return\n0,1,,1.0,\n1,1,{2**53 + 1},1.0,0.0\n")
+        rule = f"row 2: tau must be 1, the steps since mu 1 last occurred, got {2**53 + 1}"
+        with pytest.raises(DataFormatError, match=rf"run\.csv: {re.escape(rule)}$"):
+            read_run_csv(path)
+
+    def test_large_tau_cell_parses_as_exact_int64(self, tmp_path, monkeypatch):
+        """The cell parse alone, with the check against the mu column switched off."""
+        monkeypatch.setattr(specmarket.io, "_check_taus", lambda *args: None)
         path = tmp_path / "run.csv"
         path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
                         f"t,mu,tau,price,log_return\n0,1,,1.0,\n1,1,{2**53 + 1},1.0,0.0\n")
         taus = read_run_csv(path)["taus"]
         assert taus.dtype == np.int64 and taus.tolist() == [0, 2**53 + 1]
+
+    # (1 << 40) + 2 agrees with mu 2 in its low 16 bits, so the wide mus must sort as int64
+    @pytest.mark.parametrize("mu", [1, (1 << 40) + 2], ids=["16_bit_mus", "wide_mus"])
+    @pytest.mark.parametrize("taus, rule", [
+        (",,", "row 3: tau must be 2, the steps since mu {mu} last occurred, got an empty tau"),
+        (",,3", "row 3: tau must be 2, the steps since mu {mu} last occurred, got 3"),
+        ("1,,2", "row 1: tau must be empty at the first occurrence of mu {mu}, got 1"),
+    ], ids=["empty", "raised", "first_occurrence"])
+    def test_tau_disagreeing_with_mus_refused(self, tmp_path, mu, taus, rule):
+        """mus mu, 2, mu: the taus must read empty, empty, 2."""
+        t0, t1, t2 = taus.split(",")
+        path = tmp_path / "run.csv"
+        path.write_text(f"# specmarket-format: {FORMAT_VERSION}\n# config-hash: x\n"
+                        f"t,mu,tau,price,log_return\n0,{mu},{t0},1.0,\n1,2,{t1},1.0,0.0\n"
+                        f"2,{mu},{t2},1.0,0.0\n")
+        with pytest.raises(DataFormatError, match=rf"run\.csv: {re.escape(rule.format(mu=mu))}$"):
+            read_run_csv(path)
 
     @pytest.mark.parametrize("rows, rule", [
         ("7,1,,1.0,\n1,1,1,1.0,0.0\n", "row 1: t must be the row's index 0, got '7'"),
@@ -677,6 +709,37 @@ class TestCli:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+
+#: the README table, pinned as ``GOLDEN_CLI["bounds_d512"]``
+BOUNDS_D512 = ["bounds", "--states", "512", "--alphas", "0.03125,0.0625,0.125,0.25,0.5,1,2,4,8"]
+
+
+class TestRepeatedMain:
+    """Calls of ``main`` in one process are independent: no call leaves an option for the next."""
+
+    def test_format_does_not_carry_over(self, tmp_path):
+        assert main(BOUNDS_D512 + ["--format", "json", "--out", str(tmp_path / "j")]) == 0
+        assert main(BOUNDS_D512 + ["--out", str(tmp_path / "c")]) == 0
+        assert file_digests((tmp_path / "j").iterdir()) == GOLDEN_CLI["bounds_d512_json"]
+        assert file_digests((tmp_path / "c").iterdir()) == GOLDEN_CLI["bounds_d512"]
+
+    def test_seed_does_not_carry_over(self, tmp_path):
+        config = write(tmp_path, MINIMAL)
+        assert main(["simulate", "--config", str(config), "--seed", "1234",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        assert parse_market_config(tmp_path / "a" / "config.ini").seed == 1234
+        assert parse_market_config(tmp_path / "b" / "config.ini").seed == 3
+
+    def test_usage_error_leaves_nothing_behind(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--alphas", "1", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "--states" in capsys.readouterr().err
+        assert main(BOUNDS_D512 + ["--out", str(tmp_path / "c")]) == 0
+        assert file_digests((tmp_path / "c").iterdir()) == GOLDEN_CLI["bounds_d512"]
+        assert not (tmp_path / "bad").exists()
 
 
 def test_import_loads_no_process_pool_or_subprocess():

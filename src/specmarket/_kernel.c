@@ -48,7 +48,66 @@ static double reduce8(const lanes *v)
     return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
 }
 
-/* numpy's DOUBLE_pairwise_sum of a and of b, in one tree */
+/* The leaves a[at[j] .. at[j] + len[j]) and the same of b, for j < nb, each
+ * summed as numpy sums a block of 8 to 128 values: its first eight values
+ * load one vector, each later whole eight adds to it, reduce8 folds its
+ * lanes and the last len % 8 values add one at a time. The blocks' chains of
+ * vector adds run interleaved, so nb blocks keep 2 * nb adds in flight
+ * instead of two. nb is a constant at each call, so the j loops unroll. */
+static inline __attribute__((always_inline)) void leaves(const double *a, const double *b,
+                                                         const int64_t *at, const int64_t *len,
+                                                         int nb, totals *out)
+{
+    lanes ra[4], rb[4], xa, xb;
+    int64_t common = len[0] / 8;
+    for (int j = 0; j < nb; j++) {
+        memcpy(&ra[j], a + at[j], sizeof xa);
+        memcpy(&rb[j], b + at[j], sizeof xb);
+        common = len[j] / 8 < common ? len[j] / 8 : common;
+    }
+    for (int64_t i = 8; i < 8 * common; i += 8) {
+        for (int j = 0; j < nb; j++) {
+            memcpy(&xa, a + at[j] + i, sizeof xa);
+            memcpy(&xb, b + at[j] + i, sizeof xb);
+            ra[j] += xa;
+            rb[j] += xb;
+        }
+    }
+    for (int j = 0; j < nb; j++) {
+        const double *aj = a + at[j], *bj = b + at[j];
+        int64_t i;
+        for (i = 8 * common; i < len[j] - (len[j] % 8); i += 8) {
+            memcpy(&xa, aj + i, sizeof xa);
+            memcpy(&xb, bj + i, sizeof xb);
+            ra[j] += xa;
+            rb[j] += xb;
+        }
+        out[j].a = reduce8(&ra[j]);
+        out[j].b = reduce8(&rb[j]);
+        for (; i < len[j]; i++) {
+            out[j].a += aj[i];
+            out[j].b += bj[i];
+        }
+    }
+}
+
+/* the length of the left part where numpy's pairwise sum splits n values;
+ * the right part is at least as long */
+static inline int64_t pw_split(int64_t n)
+{
+    int64_t n2 = n / 2;
+    return n2 - n2 % 8;
+}
+
+/* whether numpy splits n values into two leaves */
+static inline int leaf_pair(int64_t n)
+{
+    return n > PW_BLOCKSIZE && n - pw_split(n) <= PW_BLOCKSIZE;
+}
+
+/* numpy's DOUBLE_pairwise_sum of a and of b, in one tree. A node of two
+ * leaves, or of two pairs of leaves, sums its blocks in one call of leaves
+ * and adds their totals in the tree's order. */
 static totals pairwise2(const double *a, const double *b, int64_t n)
 {
     totals res = {-0.0, -0.0};
@@ -60,29 +119,31 @@ static totals pairwise2(const double *a, const double *b, int64_t n)
         return res;
     }
     if (n <= PW_BLOCKSIZE) {
-        lanes ra, rb, xa, xb;
-        int64_t i;
-        memcpy(&ra, a, sizeof ra);
-        memcpy(&rb, b, sizeof rb);
-        for (i = 8; i < n - (n % 8); i += 8) {
-            memcpy(&xa, a + i, sizeof xa);
-            memcpy(&xb, b + i, sizeof xb);
-            ra += xa;
-            rb += xb;
-        }
-        res.a = reduce8(&ra);
-        res.b = reduce8(&rb);
-        for (; i < n; i++) {
-            res.a += a[i];
-            res.b += b[i];
-        }
+        const int64_t at[1] = {0}, len[1] = {n};
+        leaves(a, b, at, len, 1, &res);
         return res;
     }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    totals left = pairwise2(a, b, n2), right = pairwise2(a + n2, b + n2, n - n2);
-    res.a = left.a + right.a;
-    res.b = left.b + right.b;
+    const int64_t n2 = pw_split(n);
+    totals part[4];
+    if (leaf_pair(n)) {
+        const int64_t at[2] = {0, n2}, len[2] = {n2, n - n2};
+        leaves(a, b, at, len, 2, part);
+        res.a = part[0].a + part[1].a;
+        res.b = part[0].b + part[1].b;
+        return res;
+    }
+    if (leaf_pair(n2) && leaf_pair(n - n2)) {
+        const int64_t l2 = pw_split(n2), r2 = pw_split(n - n2);
+        const int64_t at[4] = {0, l2, n2, n2 + r2}, len[4] = {l2, n2 - l2, r2, n - n2 - r2};
+        leaves(a, b, at, len, 4, part);
+        res.a = (part[0].a + part[1].a) + (part[2].a + part[3].a);
+        res.b = (part[0].b + part[1].b) + (part[2].b + part[3].b);
+        return res;
+    }
+    part[0] = pairwise2(a, b, n2);
+    part[1] = pairwise2(a + n2, b + n2, n - n2);
+    res.a = part[0].a + part[1].a;
+    res.b = part[0].b + part[1].b;
     return res;
 }
 
@@ -92,24 +153,49 @@ double specmarket_total(const double *a, int64_t n)
     return 0.0 + pairwise2(a, a, n).a;
 }
 
-/* The guard of the FMA quotient, on the bits of one order: set unless the
- * order is +0.0 or its biased exponent is in [1023 - 900, 1023 + 900]. Signs,
- * infinities and NaNs fall outside. Integer ops, so the order loops vectorise. */
-static inline uint64_t order_wide(double m)
+/* The guard of the FMA quotient holds for an order that is +0.0 or whose
+ * biased exponent is in [1023 - 900, 1023 + 900]; signs, infinities and NaNs
+ * fall outside. A step's orders are folded into two unsigned bounds, lo, the
+ * least of bits - 1 (a +0.0 wraps to the greatest), and hi, the greatest of
+ * the bits: the guard fails for some order iff lo < GUARD_LO or hi >= GUARD_HI.
+ * A min and a max per order, so the order loops vectorise. */
+#define GUARD_LO ((UINT64_C(123) << 52) - 1)
+#define GUARD_HI (UINT64_C(1924) << 52)
+
+static inline uint64_t bits_of(double x)
 {
     uint64_t bits;
-    memcpy(&bits, &m, sizeof bits);
-    return (bits != 0) & ((bits >> 52) - 123 > 1800);
+    memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+static inline uint64_t fold_lo(uint64_t lo, double m)
+{
+    uint64_t low = bits_of(m) - 1;
+    return low < lo ? low : lo;
+}
+
+static inline uint64_t fold_hi(uint64_t hi, double m)
+{
+    uint64_t bits = bits_of(m);
+    return bits > hi ? bits : hi;
+}
+
+/* the order of one side, x (money or stocks times gamma) if the agent takes
+ * that side, else x * 0.0: the bits of x * (double)takes */
+static inline double order(double x, int takes)
+{
+    return takes ? x : x * 0.0;
 }
 
 /* whether a step may take the FMA quotient: the build targets FMA, the
- * price is in [2^-60, 2^60] and no order is wide */
-static inline int fma_step(double price, uint64_t wide)
+ * price is in [2^-60, 2^60] and the folded orders lo, hi are inside the guard */
+static inline int fma_step(double price, uint64_t lo, uint64_t hi)
 {
 #ifdef __FMA__
-    return !wide && price >= 0x1p-60 && price <= 0x1p60;
+    return lo >= GUARD_LO && hi < GUARD_HI && price >= 0x1p-60 && price <= 0x1p60;
 #else
-    (void)price, (void)wide;
+    (void)price, (void)lo, (void)hi;
     return 0;
 #endif
 }
@@ -133,11 +219,12 @@ static inline double settle_quotient(double m, double price, double y, int fast)
  * one step's orders. Returns 1 if it took the FMA quotient, 0 if it divided. */
 int64_t specmarket_divide(const double *m, int64_t n, double price, double *q)
 {
-    uint64_t wide = 0;
+    uint64_t lo = UINT64_MAX, hi = 0;
     for (int64_t i = 0; i < n; i++) {
-        wide |= order_wide(m[i]);
+        lo = fold_lo(lo, m[i]);
+        hi = fold_hi(hi, m[i]);
     }
-    const int fast = fma_step(price, wide);
+    const int fast = fma_step(price, lo, hi);
     const double y = 1.0 / price;
     for (int64_t i = 0; i < n; i++) {
         q[i] = settle_quotient(m[i], price, y, fast);
@@ -215,17 +302,19 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         taus[t] = last_seen[mu] >= 0 ? t - last_seen[mu] : 0;
         last_seen[mu] = t;
         const uint8_t *row = strategies + mu * n;
-        uint64_t wide = 0;
+        uint64_t lo = UINT64_MAX, hi = 0;
         for (int64_t i = 0; i < n_random; i++) {
             int buy = bg->next_double(bg->state) < 0.5;
-            m[i] = (money[i] * gamma) * (double)buy;
-            s[i] = (stocks[i] * gamma) * (double)!buy;
-            wide |= order_wide(m[i]);
+            m[i] = order(money[i] * gamma, buy);
+            s[i] = order(stocks[i] * gamma, !buy);
+            lo = fold_lo(lo, m[i]);
+            hi = fold_hi(hi, m[i]);
         }
         for (int64_t i = n_random; i < n; i++) {
-            m[i] = (money[i] * gamma) * (double)row[i];
-            s[i] = (stocks[i] * gamma) * (double)!row[i];
-            wide |= order_wide(m[i]);
+            m[i] = order(money[i] * gamma, row[i]);
+            s[i] = order(stocks[i] * gamma, !row[i]);
+            lo = fold_lo(lo, m[i]);
+            hi = fold_hi(hi, m[i]);
         }
         before = price;
         totals orders = pairwise2(m, s, n);
@@ -243,7 +332,7 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
             tmp -= m[i];
             money[i] += tmp;
         }
-        const int fast = fma_step(price, wide);
+        const int fast = fma_step(price, lo, hi);
         const double y = 1.0 / price;
         for (int64_t i = k; i < n; i++) {
             double tmp = settle_quotient(m[i], price, y, fast);

@@ -26,7 +26,16 @@ states, taus, capitals) with the bits of ``market.step``:
   final reduction order and ``0.0 +`` at the top. One tree sums two arrays
   of one length at once, each in its own vector of eight lanes, and each
   lane adds as a scalar double does: the order totals (m, s) are one pass,
-  the speculators' money and stocks another.
+  the speculators' money and stocks another. A tree node whose children are
+  two leaves, or two pairs of leaves, runs those two or four blocks' chains
+  of vector adds interleaved in one loop; each block adds in numpy's order
+  and the block totals combine in the tree's order, so every total keeps its
+  bits. At N_s = 256 with 16 producers, the 272 orders are two pairs of
+  leaves and the 256 capitals one pair.
+- An order is a select: ``m = x if buy else x * 0.0`` and
+  ``s = y * 0.0 if buy else y``, with ``x = money * gamma`` and
+  ``y = stocks * gamma``, the bits of ``x * float(buy)`` and
+  ``y * float(not buy)``.
 - Returns are ``log10(price / before)`` from the C library, the function
   ``math.log10`` calls for a finite positive argument; ``-lm`` is linked
   explicitly.
@@ -43,8 +52,13 @@ states, taus, capitals) with the bits of ``market.step``:
   34(1), 1990; J.-M. Muller et al., *Handbook of Floating-Point
   Arithmetic*, division with an FMA). Nothing in it underflows or
   overflows there, so it is the correctly rounded quotient, the bits of
-  ``/``. Other steps, and builds without FMA, divide. ``specmarket_divide``
-  exposes the guarded quotient of one step's orders.
+  ``/``. Other steps, and builds without FMA, divide. The order loops fold
+  the guard into two unsigned bounds per step, the least of ``bits - 1``
+  and the greatest of ``bits`` over the orders' bit patterns; the step is
+  outside the guard iff the first is below ``(123 << 52) - 1`` or the
+  second is at least ``1924 << 52``, which is the per-order rule with +0.0
+  inside and signs, infinities and NaNs outside. ``specmarket_divide``
+  exposes the guarded quotient of one step's orders, with the same fold.
 - A step whose price is not finite and positive, or whose return is not
   finite, stops the kernel, which returns that step; ``market.run`` then
   raises the ``ConfigError`` that ``market.settle`` raises on that step.

@@ -186,13 +186,17 @@ def _ks_lower_bound(logx, tails, xis, samples):
     for start in range(0, tails.size, rows):
         block = slice(start, start + rows)
         k = tails[block, None]
-        # in place, with the same bits: a tail of 1e5 ranks makes 800 kB temporaries
-        index = steps * (k - 1)
-        index //= samples  # rank - 1
-        model = logx[index]
-        model -= logx[k - 1]
+        if np.all(k - 1 == samples):  # every rank sampled: rank - 1 is the step itself
+            model = logx[None, :samples + 1] - logx[k - 1]
+            index = steps + 1
+        else:
+            # in place, with the same bits: a tail of 1e5 ranks makes 800 kB temporaries
+            index = steps * (k - 1)
+            index //= samples  # rank - 1
+            model = logx[index]
+            model -= logx[k - 1]
+            index += 1
         model *= -xis[block, None]
-        index += 1
         gap = index / k
         gap -= np.exp(model, out=model)
         lower[block] = np.abs(gap, out=gap).max(axis=1)

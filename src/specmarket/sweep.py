@@ -4,7 +4,10 @@ Every (node, repetition) cell derives its own seed from the base seed and its
 grid coordinates, and its outcome is stored at its own index, so a sweep is
 bit-identical no matter how many threads run it or in which order cells finish.
 Cells run on threads of this process: the C kernel behind ``market.run``
-releases the GIL, so they overlap on separate cores. A node aggregates each
+releases the GIL, so they overlap on separate cores. A sweep is a grid walk,
+which validates it and lists its cells, and one thread map over those cells;
+:func:`alpha_scan` walks the grid of every variant and maps all their cells
+at once. A node aggregates each
 metric by its own rule (see :func:`aggregate`): the income factor and the
 Gini take arithmetic means, and every other metric a log-domain mean, the
 convention used for the phase-diagram figures. Repetitions that fail are
@@ -303,16 +306,12 @@ def _map_cells(metrics, configs: list, threads: int) -> list:
     return outcomes
 
 
-def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult]:
-    """Simulate every (node, repetition) cell; one :class:`NodeResult` per grid node.
+def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
+    """Validate ``spec`` and walk its grid: one :class:`NodeResult` per node, with a
+    :class:`RepRecord` per repetition, and the runnable cells as (record, config) pairs.
 
-    Each cell is one :func:`~specmarket.market.run`. The cells run on
-    min(``workers``, usable CPUs, runnable cells) threads, the calling thread
-    among them, where ``workers`` defaults to the number of CPUs the process
-    may run on; ``workers=1`` runs every cell in the caller and starts no
-    thread. At most that many markets are alive at once. A cell whose config
-    ``run`` refuses, or whose node's coordinates give no config, is recorded
-    with the error.
+    A node whose coordinates give no config records the error in each of its
+    repetitions and adds no cell.
     """
     spec.validate()
     names = [axis.name for axis in spec.axes]
@@ -335,12 +334,35 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult
             node.reps.append(record)
             if cfg is not None:
                 cells.append((record, replace(cfg, seed=seed)))
+    return nodes, cells
 
+
+def _run_cells(metrics, cells: list, workers: Optional[int] = None) -> None:
+    """Run the (record, config) cells in one ``_map_cells`` and store each outcome in its record.
+
+    The map runs on min(``workers``, usable CPUs, cells) threads, where
+    ``workers`` defaults to the usable CPUs.
+    """
     cpus = _usable_cpus()
     threads = min(cpus if workers is None else workers, cpus, len(cells))
-    outcomes = _map_cells(spec.metrics, [cfg for _, cfg in cells], threads)
-    for (record, _), (metrics, error) in zip(cells, outcomes):
-        record.metrics, record.error = metrics, error
+    outcomes = _map_cells(metrics, [cfg for _, cfg in cells], threads)
+    for (record, _), (values, error) in zip(cells, outcomes):
+        record.metrics, record.error = values, error
+
+
+def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult]:
+    """Simulate every (node, repetition) cell; one :class:`NodeResult` per grid node.
+
+    Each cell is one :func:`~specmarket.market.run`. The cells run on
+    min(``workers``, usable CPUs, runnable cells) threads, the calling thread
+    among them, where ``workers`` defaults to the number of CPUs the process
+    may run on; ``workers=1`` runs every cell in the caller and starts no
+    thread. At most that many markets are alive at once. A cell whose config
+    ``run`` refuses, or whose node's coordinates give no config, is recorded
+    with the error.
+    """
+    nodes, cells = _grid(spec)
+    _run_cells(spec.metrics, cells, workers)
     return nodes
 
 
@@ -349,6 +371,28 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult
 # ---------------------------------------------------------------------------
 
 ALPHA_SCAN_VARIANTS = ("reference", "deterministic_producers", "random_producers", "endogenous")
+ALPHA_SCAN_METRICS = ("variance", "kurtosis", "income_factor", "gini")
+
+
+def _variant_spec(base: MarketConfig, variant: str, alphas, repetitions: int,
+                  n_producers: int) -> SweepSpec:
+    """The alpha sweep of one ``alpha_scan`` variant."""
+    if variant not in ALPHA_SCAN_VARIANTS:
+        raise ConfigError(f"variant must be one of {ALPHA_SCAN_VARIANTS}, got {variant!r}")
+    if variant == "endogenous":
+        mode = Endogenous(1)
+    elif variant == "reference":
+        mode = Exogenous(uniform_weights(2))
+    else:
+        mode = base.info_mode
+    cfg = replace(
+        base,
+        info_mode=mode,
+        n_producers=0 if variant in ("reference", "endogenous") else n_producers,
+        producer_kind="random" if variant == "random_producers" else "deterministic",
+    )
+    return SweepSpec(base=cfg, axes=(SweepAxis("alpha", tuple(alphas)),),
+                     repetitions=repetitions, metrics=ALPHA_SCAN_METRICS)
 
 
 def alpha_scan(
@@ -364,34 +408,20 @@ def alpha_scan(
     information and ``endogenous`` its closed-loop counterpart; the producer
     variants add ``n_producers`` of the given kind to the base config's own
     information mode. Rows carry plain across-repetition means, since the
-    income factor can be negative. Each variant is one :func:`run_sweep` at
-    its default, so its cells run on every CPU the process may use.
+    income factor can be negative. Each variant is the grid of one alpha
+    sweep, with the cells and seeds :func:`run_sweep` gives it. Every
+    variant's grid is walked and validated first, so a bad variant or config
+    raises before any cell runs. Then all the variants' cells run in one
+    thread map on every CPU the process may use.
     """
+    grids = [(variant, *_grid(_variant_spec(base, variant, alphas, repetitions, n_producers)))
+             for variant in variants]
+    _run_cells(ALPHA_SCAN_METRICS, [cell for _, _, cells in grids for cell in cells])
     rows = []
-    for variant in variants:
-        if variant not in ALPHA_SCAN_VARIANTS:
-            raise ConfigError(f"variant must be one of {ALPHA_SCAN_VARIANTS}, got {variant!r}")
-        if variant == "endogenous":
-            mode = Endogenous(1)
-        elif variant == "reference":
-            mode = Exogenous(uniform_weights(2))
-        else:
-            mode = base.info_mode
-        cfg = replace(
-            base,
-            info_mode=mode,
-            n_producers=0 if variant in ("reference", "endogenous") else n_producers,
-            producer_kind="random" if variant == "random_producers" else "deterministic",
-        )
-        spec = SweepSpec(
-            base=cfg,
-            axes=(SweepAxis("alpha", tuple(alphas)),),
-            repetitions=repetitions,
-            metrics=("variance", "kurtosis", "income_factor", "gini"),
-        )
-        for node in run_sweep(spec):
+    for variant, nodes, _ in grids:
+        for node in nodes:
             row = {"variant": variant, "alpha": node.coords["alpha"], "n_success": node.n_success}
-            for metric in spec.metrics:
+            for metric in ALPHA_SCAN_METRICS:
                 values = [r.metrics[metric] for r in node.reps if r.metrics is not None]
                 row[metric] = float(np.mean(values)) if values else math.nan
             rows.append(row)

@@ -80,7 +80,12 @@ def fallback_run(config):
     MarketConfig(n_speculators=2, use_param=1.0, info_mode=Endogenous(2), horizon=400, seed=3),
     MarketConfig(n_speculators=16, use_param=0.4, info_mode=Mixed(1, 2, exponential_weights(0.3, 4)),
                  horizon=4200, seed=2, n_producers=3, producer_kind="random"),
-], ids=["endogenous", "ties", "mixed_random_producers"])
+    # the order totals sum 272 values in two pairs of leaves, the capital totals 256 in one pair
+    *(MarketConfig(n_speculators=256, use_param=0.5, info_mode=Endogenous(7), horizon=300,
+                   seed=21, n_producers=16, producer_kind=kind)
+      for kind in ("deterministic", "random")),
+], ids=["endogenous", "ties", "mixed_random_producers", "n272_deterministic_producers",
+        "n272_random_producers"])
 def test_run_matches_step_reference(config):
     assert_matches_step(run(config), config)
 
@@ -325,7 +330,9 @@ def test_kernel_total_equals_add_reduce():
     lib = _kernel.library()
     assert lib
     rng = np.random.default_rng(11)
-    lengths = list(range(301)) + rng.integers(0, 20_001, size=3000).tolist()
+    # each length where the leaves of one tree node group differently: one leaf, two, two pairs
+    groupings = [128, 129, 136, 137, 256, 263, 264, 265, 512, 520, 521, 1024, 1025, 2048, 4104]
+    lengths = list(range(301)) + groupings + rng.integers(0, 20_001, size=3000).tolist()
     for n in lengths:
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
         assert kernel_total(lib, values).tobytes() == np.add.reduce(values).tobytes(), n

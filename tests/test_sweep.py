@@ -415,6 +415,58 @@ class TestAlphaScan:
                           repetitions=2)
         assert [row["n_success"] for row in rows] == [2, 2]
 
+    @pytest.mark.parametrize("variants", [("hybrid", "reference", "endogenous"),
+                                          ("reference", "hybrid", "endogenous"),
+                                          ("reference", "endogenous", "hybrid")])
+    def test_bad_variant_anywhere_refused_before_any_cell(self, monkeypatch, variants):
+        calls = []
+        monkeypatch.setattr(sweep, "run", lambda config: calls.append(config) or run(config))
+        with pytest.raises(ConfigError, match="variant must be one of .*'hybrid'"):
+            alpha_scan(base_config(horizon=200), alphas=(0.5,), variants=variants, repetitions=1)
+        assert calls == []
+
+    def test_all_variants_run_in_one_thread_map(self, monkeypatch):
+        """Two usable CPUs: one helper thread for the cells of every variant."""
+        built = []
+
+        class InlineThread:
+            def __init__(self, target, name=None):
+                built.append(name)
+                self.target = target
+
+            def start(self):
+                self.target()
+
+            def join(self, timeout=None):
+                pass
+
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", InlineThread)
+        rows = alpha_scan(base_config(horizon=200), alphas=(0.5, 1.0), repetitions=2, n_producers=4)
+        assert len(built) == 1
+        assert [row["n_success"] for row in rows] == [2] * 8
+
+    def test_rows_equal_the_per_variant_sweep_means(self):
+        base = base_config(horizon=300)
+        variants = {
+            "reference": replace(base, info_mode=Exogenous(uniform_weights(2))),
+            "deterministic_producers": replace(base, n_producers=4),
+            "random_producers": replace(base, n_producers=4, producer_kind="random"),
+            "endogenous": replace(base, info_mode=Endogenous(1)),
+        }
+        metrics = ("variance", "kurtosis", "income_factor", "gini")
+        expected = []
+        for variant, cfg in variants.items():
+            spec = SweepSpec(base=cfg, axes=(SweepAxis("alpha", (0.25, 1.0)),), repetitions=3,
+                             metrics=metrics)
+            for node in run_sweep(spec, workers=1):
+                row = {"variant": variant, "alpha": node.coords["alpha"],
+                       "n_success": node.n_success}
+                row.update((m, float(np.mean([r.metrics[m] for r in node.reps]))) for m in metrics)
+                expected.append(row)
+        rows = alpha_scan(base, alphas=(0.25, 1.0), repetitions=3, n_producers=4)
+        assert rows == expected
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             alpha_scan(base_config(), alphas=(1.0,), variants=("hybrid",))

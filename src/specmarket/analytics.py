@@ -20,8 +20,8 @@ The distribution after n vectors is the chain's state after a number of steps
 that grows with n, so one walk of the chain is read at every n that shares its
 step: ``variance_curve`` costs one walk per distinct step (``full``, ``half``,
 and each ``interpolated`` step below N_s = 2 D), not one per alpha and
-increment, and no step runs twice. Each reading is taken while the walk
-stands at its count: ``dim_distribution`` copies it out, and
+increment, and no step runs twice. The walk yields each reading while it
+stands at its count: ``dim_distribution`` copies its one reading out, and
 ``p_cant_cancel`` and ``variance_curve`` take a dot product of the live cells
 with weights computed once per walk.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,17 +99,17 @@ def dim_distribution(
     ``(dims, probs)`` with probs summing to 1.
     """
     _check(dimension, n_vectors, increment)
-    return _walk(dimension, _step(dimension, n_vectors, increment), [n_vectors])[n_vectors]
+    (_, dims, probs, top), = _walk(dimension, _step(dimension, n_vectors, increment), [n_vectors])
+    return dims[: top + 1].copy(), probs[: top + 1].copy()
 
 
-def _copies(dims: np.ndarray):
-    """The default ``_walk`` reader: each reading as copies of its ``(dims, probs)``."""
-    return lambda probs, top: (dims[: top + 1].copy(), probs[: top + 1].copy())
+def _check_dimension(dimension: int) -> None:
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
 
 
 def _check(dimension: int, n_vectors: int, increment: str) -> None:
-    if not 1 <= dimension <= MAX_DIMENSION:
-        raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
+    _check_dimension(dimension)
     if not 1 <= n_vectors < 1 << 63:
         raise ConfigError(f"n_vectors must be in [1, 2**63), got {n_vectors}")
     if increment not in INCREMENT_MODES:
@@ -126,8 +126,9 @@ def _step(dimension: int, n_vectors: int, increment: str) -> float:
     return p1 + (1.0 - p1) * 0.5
 
 
-def _walk(dimension: int, step: float, counts: Sequence[int], reader: Callable = _copies) -> dict:
-    """``dim_distribution`` at each of ``counts`` for one step, from one walk of the chain.
+def _walk(dimension: int, step: float,
+          counts: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Yield ``dim_distribution`` at each of ``counts`` for one step, from one walk of the chain.
 
     The distribution for n vectors is the chain's state after n - 1 - start
     steps, so the walk takes each step once, in order of n, and is read as it
@@ -136,10 +137,11 @@ def _walk(dimension: int, step: float, counts: Sequence[int], reader: Callable =
     what a separate run gives, because below ``start`` every step is a sure
     move. Once a step moves nothing, every later reading is that fixed point.
 
-    ``reader(dims)`` gives the function that takes each reading while the
-    walk stands at its count: ``read(probs, top)``, with the reading in
-    ``dims[:top + 1]`` and ``probs[:top + 1]``, arrays the walk goes on to
-    update. The default copies them out. Returns ``{n: read(probs, top)}``.
+    Each reading is ``(n, dims, probs, top)``, once per distinct n in
+    increasing order, with the distribution in ``dims[:top + 1]`` and
+    ``probs[:top + 1]``. They are live: ``dims`` is the same array in every
+    reading, and the walk goes on to update ``probs`` when the next reading is
+    asked for, so a caller that keeps a reading copies it.
     """
     size = min(max(counts), math.ceil((dimension - 1) / step) + 2)
     dims = np.minimum(1.0 + step * np.arange(size), float(dimension))
@@ -150,16 +152,14 @@ def _walk(dimension: int, step: float, counts: Sequence[int], reader: Callable =
     probs = np.zeros(size)
     probs[start] = 1.0
     moved = np.empty(size)  # the chain's scratch
-    read = reader(dims)
     lib = _kernel.library()
     taken = fixed = 0
-    readings = {}
     for n in sorted(set(counts)):
         steps = n - 1 - start
         if steps < 0:
             point = np.zeros(n)
             point[-1] = 1.0
-            readings[n] = read(point, n - 1)
+            yield n, dims, point, n - 1
             continue
         if steps > taken and not fixed:
             if lib:
@@ -168,8 +168,7 @@ def _walk(dimension: int, step: float, counts: Sequence[int], reader: Callable =
             else:
                 fixed = _chain(escape, start, cap, taken + 1, steps, probs, moved)
             taken = steps
-        readings[n] = read(probs, int(np.flatnonzero(probs)[-1]))
-    return readings
+        yield n, dims, probs, int(np.flatnonzero(probs)[-1])
 
 
 def _chain(escape: np.ndarray, start: int, cap: int, first: int, last: int,
@@ -219,22 +218,14 @@ def _cant_cancel(dimension: int, cases: Sequence[tuple[int, str]]) -> list[float
         step = _step(dimension, n_vectors, increment)
         counts.setdefault(step, []).append(n_vectors)
         keys.append((step, n_vectors))
-    readings = {step: _walk(dimension, step, ns, _cancel_reader(dimension))
-                for step, ns in counts.items()}
-    return [readings[step][n_vectors] for step, n_vectors in keys]
-
-
-def _cancel_reader(dimension: int):
-    """A ``_walk`` reader whose readings are ``p_cant_cancel``.
-
-    Its weights, escape times uncanceled, (1 - 2**(d - D)) * (1 - d / D), are
-    computed once per walk, and each reading is their dot product with the
-    live ``probs``, without a copy.
-    """
-    def reader(dims: np.ndarray):
-        weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
-        return lambda probs, top: float(np.dot(probs[: top + 1], weights[: top + 1]))
-    return reader
+    cancels = {}
+    for step, ns in counts.items():
+        weights = None
+        for n, dims, probs, top in _walk(dimension, step, ns):
+            if weights is None:  # escape times uncanceled, (1 - 2**(d - D)) * (1 - d / D)
+                weights = (1.0 - np.exp2(dims - dimension)) * (1.0 - dims / dimension)
+            cancels[step, n] = float(np.dot(probs[: top + 1], weights[: top + 1]))
+    return [cancels[key] for key in keys]
 
 
 def speculators_at(dimension: int, alpha: float) -> int:
@@ -258,6 +249,7 @@ def variance_curve(dimension: int, alphas: Sequence[float]) -> list[VarianceBoun
     distinct step (``full``, ``half``, and ``interpolated`` where N_s < 2 D;
     ``interpolated`` steps by exactly 1 elsewhere), read at each N_s - 1.
     """
+    _check_dimension(dimension)  # before speculators_at, which names alpha
     sizes = [speculators_at(dimension, alpha) for alpha in alphas]
     cancels = _cant_cancel(dimension, [(n_spec, increment) for n_spec in sizes
                                        for increment in ("full", "interpolated", "half")])

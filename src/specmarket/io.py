@@ -405,17 +405,15 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def write_analysis(outdir, chash: str, returns: np.ndarray) -> dict:
+def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict] = None) -> dict:
     """Analyze the post-transient window of ``returns``; write ccdf.csv, autocorr.csv, summary.json.
 
     The reduction ratio compares the first 10 return magnitudes against the
-    window. Returns the written paths keyed ``ccdf``, ``autocorr`` and ``summary``.
+    window, and ``extra`` adds its keys to the summary. Every statistic is
+    computed before the first file is written, so returns the analysis refuses
+    leave no file. Returns the written paths keyed ``ccdf``, ``autocorr`` and
+    ``summary``.
     """
-    return _write_analysis(outdir, *_analyze(chash, returns, {}))
-
-
-def _analyze(chash: str, returns: np.ndarray, extra: dict) -> tuple:
-    """The analysis of ``write_analysis`` and its summary payload, computed before any file is written."""
     window = post_transient(returns)
     analysis = analyze_returns(window)
     summary = {
@@ -423,14 +421,10 @@ def _analyze(chash: str, returns: np.ndarray, extra: dict) -> tuple:
         "variance": float(np.var(window)),
         "reduction": stats.reduction_ratio(returns),
         "analysis": analysis.summary(),
-        **extra,
+        **(extra or {}),
     }
-    return analysis, summary
-
-
-def _write_analysis(outdir, analysis: ReturnsAnalysis, summary: dict) -> dict:
     outdir = Path(outdir)
-    tag = ("config-hash", summary["config_hash"])
+    tag = ("config-hash", chash)
     return {
         "ccdf": write_columns(outdir / "ccdf.csv", tag, ("x", "ccdf"),
                               (analysis.ccdf.values, analysis.ccdf.probabilities)),
@@ -454,15 +448,15 @@ def write_run_csv(path, chash: str, record: SimulationRecord) -> Path:
 
 
 def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -> dict:
-    """Write run.csv, ccdf.csv, autocorr.csv, surprise.csv, summary.json, config.ini.
+    """Write ccdf.csv, autocorr.csv, summary.json, config.ini, run.csv, surprise.csv.
 
-    For a horizon of T steps, the return statistics are computed on the
-    post-transient window, as in ``write_analysis``: returns (T - 1) // 2 onward.
+    For a horizon of T steps, the return statistics are those of
+    ``write_analysis``, on the post-transient window: returns (T - 1) // 2 onward.
     The surprise statistics use steps T // 2 onward, whose recurrences pair with
     returns T // 2 onward, so for an even T the return window holds one more return.
-    Every statistic is computed before the first file is written, so a run the
-    analysis refuses leaves no file; the error, of the analysis's class, names
-    the horizon.
+    They are computed first, and ``write_analysis`` computes the rest before it
+    writes, so a run the analysis refuses leaves no file; the error, of the
+    analysis's class, names the horizon.
     """
     chash = config_hash(config)
     extra = {"seed": config.seed}
@@ -488,21 +482,19 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
                 "tau_n_tail": surprise.tau_tail.n_tail,
             })
     try:
-        analysis, summary = _analyze(chash, record.returns, extra)
+        files = write_analysis(outdir, chash, record.returns, extra)
     except (SampleSizeError, DegenerateInputError) as exc:
         raise type(exc)(f"horizon = {config.horizon} is too short to analyze: {exc}") from exc
 
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tag = ("config-hash", chash)
-    files = {"config": outdir / "config.ini"}
+    files["config"] = outdir / "config.ini"
     files["config"].write_text(_header(*tag) + emit_config(config))
     files["run"] = write_run_csv(outdir / "run.csv", chash, record)
     if surprise is not None:
         files["surprise"] = write_columns(
             outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
             (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
-    files.update(_write_analysis(outdir, analysis, summary))
     return files
 
 

@@ -1,13 +1,13 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
 Every (node, repetition) cell derives its own seed from the base seed and its
-grid coordinates, and its outcome is stored at its own index, so a sweep is
+grid coordinates, and its outcome is stored in its own record, so a sweep is
 bit-identical no matter how many threads run it or in which order cells finish.
 Cells run on threads of this process: the C kernel behind ``market.run``
 releases the GIL, so they overlap on separate cores. A sweep is a grid walk,
-which validates it and lists its cells, and one thread map over those cells;
-:func:`alpha_scan` walks the grid of every variant and maps all their cells
-at once. A node aggregates each
+which validates it and lists each cell with the record it fills, and one
+thread map that runs those cells; :func:`alpha_scan` walks the grid of every
+variant and runs all their cells in one map. A node aggregates each
 metric by its own rule (see :func:`aggregate`): the income factor and the
 Gini take arithmetic means, and every other metric a log-domain mean, the
 convention used for the phase-diagram figures. Repetitions that fail are
@@ -266,46 +266,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_cells(metrics, configs: list, threads: int) -> list:
-    """``_run_cell`` of each config, in order, on the calling thread and ``threads - 1`` more.
-
-    Each thread takes the next index from one counter under a lock and stores
-    the outcome at that index. A ``BaseException`` raised on any thread (a
-    ``KeyboardInterrupt``, say) stops every thread taking cells and is
-    re-raised here once all have joined.
-    """
-    outcomes = [None] * len(configs)
-    lock = threading.Lock()
-    taken = 0
-    raised = []
-
-    def work():
-        nonlocal taken
-        while True:
-            with lock:
-                if raised or taken == len(configs):
-                    return
-                index, taken = taken, taken + 1
-            try:
-                outcomes[index] = _run_cell(metrics, configs[index])
-            except BaseException as exc:  # re-raised by the calling thread after the join
-                with lock:
-                    raised.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if raised:
-        raise raised[0]
-    return outcomes
-
-
 def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
     """Validate ``spec`` and walk its grid: one :class:`NodeResult` per node, with a
     :class:`RepRecord` per repetition, and the runnable cells as (record, config) pairs.
@@ -338,16 +298,45 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
 
 
 def _run_cells(metrics, cells: list, workers: Optional[int] = None) -> None:
-    """Run the (record, config) cells in one ``_map_cells`` and store each outcome in its record.
+    """Run the (record, config) cells and store each ``_run_cell`` outcome in its record.
 
-    The map runs on min(``workers``, usable CPUs, cells) threads, where
-    ``workers`` defaults to the usable CPUs.
+    The cells run on the calling thread and on min(``workers``, usable CPUs,
+    cells) - 1 more, where ``workers`` defaults to the usable CPUs. Each thread
+    takes the next cell from one counter under a lock. A ``BaseException``
+    raised on any thread (a ``KeyboardInterrupt``, say) stops every thread
+    taking cells and is re-raised here once all have joined.
     """
     cpus = _usable_cpus()
     threads = min(cpus if workers is None else workers, cpus, len(cells))
-    outcomes = _map_cells(metrics, [cfg for _, cfg in cells], threads)
-    for (record, _), (values, error) in zip(cells, outcomes):
-        record.metrics, record.error = values, error
+    lock = threading.Lock()
+    taken = 0
+    raised = []
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if raised or taken == len(cells):
+                    return
+                index, taken = taken, taken + 1
+            record, config = cells[index]
+            try:
+                record.metrics, record.error = _run_cell(metrics, config)
+            except BaseException as exc:  # re-raised by the calling thread after the join
+                with lock:
+                    raised.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if raised:
+        raise raised[0]
 
 
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult]:

@@ -135,7 +135,9 @@ def assert_walk_readings(dimension, increment, picks):
     for n in counts:
         groups.setdefault(analytics._step(dimension, n, increment), []).append(n)
     for step, ns in groups.items():
-        readings = analytics._walk(dimension, step, ns)
+        # the walk yields live arrays, so each reading is copied as it passes
+        readings = {n: (dims[: top + 1].copy(), probs[: top + 1].copy())
+                    for n, dims, probs, top in analytics._walk(dimension, step, ns)}
         for n in ns:
             dims, probs = readings[n]
             ref_dims, ref_probs = reference_dim_distribution(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import specmarket.cli
 import specmarket.io
 from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run, uniform_weights
 from specmarket import sweep
@@ -469,7 +470,11 @@ class TestCli:
         assert recomputed["analysis"] == simulated["analysis"]
         assert recomputed["variance"] == simulated["variance"]
         assert recomputed["reduction"] == simulated["reduction"]
-        assert (tmp_path / "s" / "ccdf.csv").read_bytes() == (tmp_path / "a" / "ccdf.csv").read_bytes()
+        # run.csv carries neither the seed nor the surprise analysis; every other key is shared
+        del simulated["seed"], simulated["surprise"]
+        assert recomputed == simulated
+        for name in ("ccdf.csv", "autocorr.csv"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_sweep_csv(self, tmp_path):
         config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25, 0.5\nrepetitions = 2\n"
@@ -663,6 +668,68 @@ class TestCli:
         assert "horizon = 20 is too short to analyze" in err
         assert "hill_fit_ks needs >= 100 positive values" in err
         assert not (tmp_path / "o").exists()
+
+    def test_stats_too_short_names_the_input(self, tmp_path, capsys):
+        """A run.csv of 3 rows holds 2 returns, whose window of 1 is too short to normalize."""
+        run_csv = write(tmp_path, "# specmarket-format: 1\n# config-hash: 0123456789abcdef\n"
+                                  "t,mu,tau,price,log_return\n0,0,,1.0,\n1,1,,1.25,0.1\n"
+                                  "2,0,2,1.0,-0.1\n", "run.csv")
+        code = main(["stats", "--input", str(run_csv), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot analyze the 2 returns of --input "
+                                           f"{run_csv}: need at least 2 values to normalize, "
+                                           f"got 1\n")
+        assert not (tmp_path / "o").exists()
+
+    def write_empirical(self, tmp_path, closes):
+        import datetime
+
+        days = (datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(len(closes)))
+        return write(tmp_path, "".join(f"{day.isoformat()},{float(close)!r}\n"
+                                       for day, close in zip(days, closes)), "emp.csv")
+
+    def test_compare_too_short_names_the_empirical_file(self, tmp_path, capsys, monkeypatch):
+        """A 3-row empirical file holds 2 returns, too few for the kurtosis; it is refused
+        before the model runs."""
+        empirical = self.write_empirical(tmp_path, [50.0, 51.0, 50.5])
+        config = self.write_config(tmp_path)
+        runs = []
+        monkeypatch.setattr(specmarket.cli, "run", runs.append)
+        code = main(["compare", "--config", str(config), "--empirical", str(empirical),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot analyze the 2 returns of --empirical "
+                                           f"{empirical}: kurtosis needs at least 4 values, "
+                                           f"got 2\n")
+        assert runs == []
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_refused_model_window_names_the_horizon(self, tmp_path, capsys):
+        """One endogenous speculator with one memory bit never moves the price: the model
+        window has zero variance, and the error names the horizon."""
+        rng = np.random.default_rng(6)
+        empirical = self.write_empirical(
+            tmp_path, 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=400))))
+        config = write(tmp_path, MINIMAL.replace("n_speculators = 64", "n_speculators = 1")
+                       .replace("memory_bits = 4", "memory_bits = 1")
+                       .replace("horizon = 500", "horizon = 4000"))
+        code = main(["compare", "--config", str(config), "--empirical", str(empirical),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: cannot analyze the model's 399 returns at "
+                                           "horizon = 4000: cannot normalize a zero-variance "
+                                           "sequence\n")
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("states, alphas", [("20000", "1e-18"),
+                                                ("99999999999999999999", "1")])
+    def test_bounds_checks_the_states_first(self, tmp_path, capsys, states, alphas):
+        """A dimension out of range is named as such, not as an alpha whose N_s overflows."""
+        code = main(["bounds", "--states", states, "--alphas", alphas,
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: dimension must be in [1, 16384], got {states}\n"
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("sweep_keys, message", [
         ("axes = alpha\nalpha = 0.25\nmetrics =\n", "metrics must name at least one metric"),

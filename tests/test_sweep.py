@@ -241,7 +241,7 @@ class TestRunSweep:
             assert [r.metrics for r in a.reps] == [r.metrics for r in b.reps]
             assert a.aggregates == b.aggregates
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.skipif(sweep._usable_cpus() < 2, reason="needs 2 usable CPUs")
     def test_parallel_scaling_sanity(self):
         cfg = base_config(n_speculators=1024, info_mode=Endogenous(8), horizon=100_000)
         spec = SweepSpec(base=cfg, axes=(SweepAxis("use_param", (0.5,)),),

@@ -16,8 +16,10 @@ where it cannot be built or loaded, it warns once, and ``market.run`` then
 loops over ``market.step``, ``analytics.dim_distribution`` runs its chain in
 numpy and ``io.write_columns`` formats its cells in Python. The library is a
 ``ctypes.CDLL``, so every call into it releases the GIL: the markets of a
-sweep's threads run side by side on separate cores. Its only shared state is
-the writer's tables, filled once at load and read-only after.
+sweep's threads run side by side on separate cores. ``SIGNATURES`` holds
+each entry point's argument and return types, which ``_bind`` declares at
+load. The library's only shared state is the writer's tables, filled once at
+load and read-only after.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
 states, taus, capitals) with the bits of ``market.step``:
@@ -102,20 +104,24 @@ CPU_KEYS = ("model name", "flags", "Features", "CPU implementer", "CPU part", "C
 
 _p, _i64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
-#: argument types of ``specmarket_run``, in the order of its C signature
-RUN_ARGTYPES = (
-    _p, _i64, _i64, _i64, _i64,   # bitgen, horizon, n, k, n_random
-    _f64, _f64, _i64,             # gamma, epsilon, endo_states
-    _p, _i64, _p, _i64,           # cum, n_cum, queue, n_queue
-    _p, _i64, _p,                 # strategies, mu, last_seen
-    _p, _p, _p, _p,               # money, stocks, m, s
-    _p, _p, _p, _p,               # prices, returns, mus, taus
-    _p,                           # capital
-)
-#: argument types of ``specmarket_divide``: m, n, price, q
-DIVIDE_ARGTYPES = (_p, _i64, _f64, _p)
-#: argument types of ``specmarket_write_rows``: n_rows, n_cols, kinds, values, masks, out
-WRITE_ARGTYPES = (_i64, _i64, _p, _p, _p, _p)
+#: each entry point's argument types, in the order of its C definition, and its return type
+SIGNATURES = {
+    "specmarket_run": ((
+        _p, _i64, _i64, _i64, _i64,   # bitgen, horizon, n, k, n_random
+        _f64, _f64, _i64,             # gamma, epsilon, endo_states
+        _p, _i64, _p, _i64,           # cum, n_cum, queue, n_queue
+        _p, _i64, _p,                 # strategies, mu, last_seen
+        _p, _p, _p, _p,               # money, stocks, m, s
+        _p, _p, _p, _p,               # prices, returns, mus, taus
+        _p,                           # capital
+    ), _i64),
+    "specmarket_divide": ((_p, _i64, _f64, _p), _i64),  # m, n, price, q
+    "specmarket_total": ((_p, _i64), _f64),  # a, n
+    # escape, start, cap, first, last, p, moved (scratch); returns the fixed point's step, or 0
+    "specmarket_dim_chain": ((_p, _i64, _i64, _i64, _i64, _p, _p), _i64),
+    # n_rows, n_cols, kinds, values, masks, out; returns the bytes written
+    "specmarket_write_rows": ((_i64, _i64, _p, _p, _p, _p), _i64),
+}
 #: the writer's power-of-5 tables: their lengths in ``_kernel.c`` and the bits of each entry
 POW5_COUNT, POW5_INV_COUNT, POW5_BITS = 326, 342, 125
 
@@ -198,18 +204,10 @@ def _pow5_tables() -> tuple[list[int], list[int]]:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the entry points' signatures and fill the writer's tables."""
-    lib.specmarket_run.argtypes = RUN_ARGTYPES
-    lib.specmarket_run.restype = _i64
-    lib.specmarket_divide.argtypes = DIVIDE_ARGTYPES
-    lib.specmarket_divide.restype = _i64
-    lib.specmarket_total.argtypes = (_p, _i64)
-    lib.specmarket_total.restype = _f64
-    # escape, start, cap, first, last, p, moved (scratch); returns the fixed point's step, or 0
-    lib.specmarket_dim_chain.argtypes = (_p, _i64, _i64, _i64, _i64, _p, _p)
-    lib.specmarket_dim_chain.restype = _i64
-    lib.specmarket_write_rows.argtypes = WRITE_ARGTYPES
-    lib.specmarket_write_rows.restype = _i64
+    """Declare the entry points' signatures from ``SIGNATURES`` and fill the writer's tables."""
+    for name, (argtypes, restype) in SIGNATURES.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, restype
     for name, values in zip(("specmarket_pow5", "specmarket_pow5_inv"), _pow5_tables()):
         table = (ctypes.c_uint64 * (2 * len(values))).in_dll(lib, name)
         table[:] = [word for v in values for word in (v & (2**64 - 1), v >> 64)]

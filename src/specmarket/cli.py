@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics, io, sweep
-from .errors import DegenerateInputError, SampleSizeError, SpecmarketError
+from .errors import SpecmarketError, analyzing
 from .market import run
 
 
@@ -55,15 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--empirical", required=True, help="two-column date/close text file")
     return parser
-
-
-@contextmanager
-def _analyzing(what: str):
-    """Re-raise an estimator's refusal, in its class and with its reason, naming ``what``."""
-    try:
-        yield
-    except (SampleSizeError, DegenerateInputError) as exc:
-        raise type(exc)(f"cannot analyze {what}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -124,7 +114,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     data = io.read_run_csv(args.input)
-    with _analyzing(f"the {data['returns'].size} returns of --input {args.input}"):
+    with analyzing(f"the {data['returns'].size} returns of --input {args.input}"):
         io.write_analysis(args.out, data["config_hash"], data["returns"])
     print(f"stats: analyzed {io.post_transient(data['returns']).size} post-transient returns "
           f"from {args.input}")
@@ -159,7 +149,7 @@ def cmd_compare(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     emp_returns = io.load_empirical(args.empirical).log_returns()
-    with _analyzing(f"the {emp_returns.size} returns of --empirical {args.empirical}"):
+    with analyzing(f"the {emp_returns.size} returns of --empirical {args.empirical}"):
         emp = io.analyze_returns(emp_returns)
 
     record = run(config)
@@ -170,7 +160,7 @@ def cmd_compare(args) -> int:
             f"{emp_returns.size}; increase market.horizon to at least {4 * emp_returns.size}"
         )
     window = window[: emp_returns.size]  # match lengths for a fair comparison
-    with _analyzing(f"the model's {window.size} returns at horizon = {config.horizon}"):
+    with analyzing(f"the model's {window.size} returns at horizon = {config.horizon}"):
         model = io.analyze_returns(window)
     outdir = Path(args.out)
     chash = io.config_hash(config)

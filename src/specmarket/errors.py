@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SpecmarketError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,3 +25,11 @@ class SampleSizeError(SpecmarketError, ValueError):
 class DataFormatError(SpecmarketError, ValueError):
     """A file could not be parsed; the message carries row/key diagnostics."""
 
+
+@contextmanager
+def analyzing(what: str):
+    """Re-raise an estimator's refusal, in its class and with its reason, naming ``what``."""
+    try:
+        yield
+    except (SampleSizeError, DegenerateInputError) as exc:
+        raise type(exc)(f"cannot analyze {what}: {exc}") from exc

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError
+from .errors import ConfigError, DataFormatError, DegenerateInputError, SampleSizeError, analyzing
 from .market import (
     Endogenous,
     Exogenous,
@@ -140,6 +140,8 @@ def _parse_weights(section, prefix, n_agents):
         return _get(section, w_key, _to_floats, "info")
     dist = _get(section, d_key, _to_word, "info")
     states = _get(section, f"{prefix}states", _to_int, "info")
+    if states < 1:
+        raise ConfigError(f"info.{prefix}states must be >= 1, got {states}")
     check_market_size(states, n_agents, f"info.{prefix}states")
     if dist == "uniform":
         return uniform_weights(states)
@@ -434,6 +436,10 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
     }
 
 
+#: the columns of run.csv, as ``write_run_csv`` writes them and ``read_run_csv`` reads them
+RUN_COLUMNS = ("t", "mu", "tau", "price", "log_return")
+
+
 def write_run_csv(path, chash: str, record: SimulationRecord) -> Path:
     """Write a record's run.csv, the file ``read_run_csv`` reads back.
 
@@ -442,7 +448,7 @@ def write_run_csv(path, chash: str, record: SimulationRecord) -> Path:
     """
     t = np.arange(len(record.prices))
     return write_columns(
-        path, ("config-hash", chash), ("t", "mu", "tau", "price", "log_return"),
+        path, ("config-hash", chash), RUN_COLUMNS,
         (t, record.mus, record.taus, record.prices, np.concatenate(([0.0], record.returns))),
         empty=(None, None, record.taus == 0, None, t == 0))
 
@@ -455,8 +461,9 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     The surprise statistics use steps T // 2 onward, whose recurrences pair with
     returns T // 2 onward, so for an even T the return window holds one more return.
     They are computed first, and ``write_analysis`` computes the rest before it
-    writes, so a run the analysis refuses leaves no file; the error, of the
-    analysis's class, names the horizon.
+    writes, so a run the analysis refuses leaves no file; ``errors.analyzing``
+    names its return count and horizon. A run with no surprise statistics
+    removes a surprise.csv left in ``outdir`` by an earlier run.
     """
     chash = config_hash(config)
     extra = {"seed": config.seed}
@@ -481,17 +488,17 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
                 "tau_ks_distance": surprise.tau_tail.ks_distance,
                 "tau_n_tail": surprise.tau_tail.n_tail,
             })
-    try:
+    with analyzing(f"the {record.returns.size} returns at horizon = {config.horizon}"):
         files = write_analysis(outdir, chash, record.returns, extra)
-    except (SampleSizeError, DegenerateInputError) as exc:
-        raise type(exc)(f"horizon = {config.horizon} is too short to analyze: {exc}") from exc
 
     outdir = Path(outdir)
     tag = ("config-hash", chash)
     files["config"] = outdir / "config.ini"
     files["config"].write_text(_header(*tag) + emit_config(config))
     files["run"] = write_run_csv(outdir / "run.csv", chash, record)
-    if surprise is not None:
+    if surprise is None:
+        (outdir / "surprise.csv").unlink(missing_ok=True)
+    else:
         files["surprise"] = write_columns(
             outdir / "surprise.csv", tag, ("tau_bin", "mean_abs_return", "count"),
             (surprise.bin_centers, surprise.bin_means, surprise.bin_counts))
@@ -529,7 +536,7 @@ def read_run_csv(path) -> dict:
     chash = lines[1].split(":", 1)[1].strip() if has_hash else ""
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     header = body[0].split(",") if body else []
-    if header != ["t", "mu", "tau", "price", "log_return"]:
+    if tuple(header) != RUN_COLUMNS:
         raise DataFormatError(f"{path}: unexpected columns {header}")
     n = len(body) - 1
     if n < 1:
@@ -540,8 +547,8 @@ def read_run_csv(path) -> dict:
     returns = np.empty(n - 1)
     for i, line in enumerate(body[1:]):
         parts = line.split(",")
-        if len(parts) != 5:
-            raise DataFormatError(f"{path}: row {i + 1}: expected 5 fields, got {len(parts)}")
+        if len(parts) != len(header):
+            raise DataFormatError(f"{path}: row {i + 1}: expected {len(header)} fields, got {len(parts)}")
         try:
             if parts[0] != str(i):
                 raise ValueError(f"t must be the row's index {i}, got {parts[0]!r}")

@@ -392,16 +392,14 @@ def _return_bit(state: MarketState) -> int:
 
 
 def next_information(state: MarketState) -> int:
-    """Next information index; shifts in the return sign (endogenous) or samples (exogenous)."""
-    mode = state.config.info_mode
-    if isinstance(mode, Endogenous):
-        return ((state.mu << 1) | _return_bit(state)) % mode.n_states
-    if isinstance(mode, Exogenous):
-        return _draw_exogenous(state)
-    endo_states = 1 << mode.endo_bits
-    endo = ((state.mu % endo_states) << 1 | _return_bit(state)) % endo_states
-    exo = _draw_exogenous(state)
-    return exo * endo_states + endo
+    """Next information index, by the kernel's rule: with E = ``_endo_states``, the return
+    sign shifts in as ``endo = ((mu % E) << 1 | bit) % E``, and where ``_exo_cum`` is set
+    an exogenous draw, made after any tie's coin, goes above it as ``draw * max(E, 1) + endo``."""
+    e = _endo_states(state.config.info_mode)
+    endo = ((state.mu % e) << 1 | _return_bit(state)) % e if e else 0
+    if state._exo_cum is None:
+        return endo
+    return _draw_exogenous(state) * (e or 1) + endo
 
 
 def form_orders(state: MarketState) -> Orders:

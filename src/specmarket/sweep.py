@@ -39,7 +39,16 @@ from .market import (
 from . import stats
 
 DEFAULT_METRICS = ("variance", "kurtosis", "reduction")
-KNOWN_METRICS = ("variance", "kurtosis", "reduction", "income_factor", "gini", "tail_exponent")
+#: each sweep metric's computation from a record and its post-transient returns
+_METRICS = {
+    "variance": lambda record, post: float(np.var(post)),
+    "kurtosis": lambda record, post: stats.kurtosis(post),
+    "reduction": lambda record, post: stats.reduction_ratio(record.returns),
+    "income_factor": lambda record, post: stats.income_factor(record.mean_spec_capital),
+    "gini": lambda record, post: stats.gini(record.final_spec_capitals),
+    "tail_exponent": lambda record, post: stats.hill_fit_ks(np.abs(post)).exponent,
+}
+KNOWN_METRICS = tuple(_METRICS)
 #: metrics that ``aggregate`` averages arithmetically; an income factor can be negative
 ARITHMETIC_METRICS = ("income_factor", "gini")
 
@@ -194,32 +203,19 @@ def derive_seed(base_seed: int, node_index: int, repetition: int) -> int:
 
 
 def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
-    """Phase-diagram metrics of one record.
+    """Phase-diagram metrics of one record, each by its entry in ``_METRICS``.
 
     Series statistics take the final half (``stats.post_transient``);
-    ``reduction`` and ``income_factor`` apply that window themselves.
+    ``reduction`` and ``income_factor`` apply that window themselves. An
+    unknown name raises :class:`ConfigError` naming it.
     """
-    r = record.returns
-    if r.size < 4:
+    if record.returns.size < 4:
         raise SampleSizeError("horizon too short for sweep metrics")
-    post = stats.post_transient(r)
-    out = {}
-    for name in metrics:
-        if name == "variance":
-            out[name] = float(np.var(post))
-        elif name == "kurtosis":
-            out[name] = stats.kurtosis(post)
-        elif name == "reduction":
-            out[name] = stats.reduction_ratio(r)
-        elif name == "income_factor":
-            out[name] = stats.income_factor(record.mean_spec_capital)
-        elif name == "gini":
-            out[name] = stats.gini(record.final_spec_capitals)
-        elif name == "tail_exponent":
-            out[name] = stats.hill_fit_ks(np.abs(post)).exponent
-        else:
-            raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {name!r}")
-    return out
+    post = stats.post_transient(record.returns)
+    unknown = [name for name in metrics if name not in _METRICS]
+    if unknown:
+        raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {unknown[0]!r}")
+    return {name: _METRICS[name](record, post) for name in metrics}
 
 
 def aggregate(rep_metrics: Sequence[dict]) -> dict:

@@ -1,5 +1,6 @@
 """The C kernel behind ``run`` against the step-by-step reference and ``run``'s loop over it."""
 
+import ctypes
 import os
 import platform
 import re
@@ -417,20 +418,23 @@ def test_fma_quotient_edges_equal_division():
 
 
 def test_bound_signatures_match_the_c_definitions():
-    """Each entry point's ``argtypes`` has one type per parameter of its C definition, so a
-    parameter dropped on one side fails here instead of passing stray pointers."""
-    source = _kernel.SOURCE.read_text()
+    """Every function ``_kernel.c`` exports is in ``_kernel.SIGNATURES``, bound with one type
+    per parameter of its C definition: a pointer for a pointer, int64 for ``int64_t``, double
+    for ``double``, and the return type likewise. A parameter dropped or retyped on one side
+    fails here instead of passing stray pointers."""
+    c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    definitions = re.findall(r"^(\w+) (specmarket_\w+)\(([^)]*)\)\n{", _kernel.SOURCE.read_text(),
+                             re.MULTILINE)
+    assert sorted(name for _, name, _ in definitions) == sorted(_kernel.SIGNATURES)
     lib = _kernel.library()
     assert lib
-    for name, argtypes in (("specmarket_run", _kernel.RUN_ARGTYPES),
-                           ("specmarket_write_rows", _kernel.WRITE_ARGTYPES),
-                           ("specmarket_divide", _kernel.DIVIDE_ARGTYPES),
-                           ("specmarket_total", None)):
-        definition = re.search(rf"^\w+ {name}\(([^)]*)\)\n{{", source, re.MULTILINE)
-        assert definition, name
-        n_params = len(definition.group(1).split(","))
-        assert len(getattr(lib, name).argtypes) == n_params, name
-        assert argtypes is None or len(argtypes) == n_params, name
+    for restype, name, params in definitions:
+        expected = [ctypes.c_void_p if "*" in param else c_types[param.split()[0]]
+                    for param in params.split(",")]
+        assert list(_kernel.SIGNATURES[name][0]) == expected, name
+        assert _kernel.SIGNATURES[name][1] is c_types[restype], name
+        assert list(getattr(lib, name).argtypes) == expected, name
+        assert getattr(lib, name).restype is c_types[restype], name
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2), (3, 5), (7, 9), (8, 8), (5, 13), (16, 33),

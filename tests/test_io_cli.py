@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -184,7 +185,13 @@ class TestParseConfig:
         (1, "mode = exogenous\ndistribution = uniform\nstates = 4294967296", "info.states"),
         (1, "mode = mixed\nendo_bits = 1\nexo_bits = 32\nexo_distribution = exp\n"
             "exo_rate = 0.1\nexo_states = 4294967296", "info.exo_states"),
-    ], ids=["exogenous", "mixed", "exogenous_weights", "mixed_weights"])
+        # a state count below 1 is refused by its key, as a huge one is
+        (64, "mode = exogenous\ndistribution = uniform\nstates = 0", "^info.states must be >= 1"),
+        (64, "mode = exogenous\ndistribution = uniform\nstates = -3", "^info.states must be >= 1"),
+        (64, "mode = mixed\nendo_bits = 1\nexo_bits = 2\nexo_distribution = uniform\n"
+             "exo_states = 0", "^info.exo_states must be >= 1"),
+    ], ids=["exogenous", "mixed", "exogenous_weights", "mixed_weights", "zero", "negative",
+            "mixed_zero"])
     def test_huge_state_count_refused_before_allocation(self, tmp_path, monkeypatch,
                                                         agents, info, field):
         def refuse(*args):
@@ -222,6 +229,21 @@ class TestArtifacts:
 
         summary = json.loads(files["summary"].read_text(), parse_constant=refuse)
         assert summary["surprise"] == {"log_correlation": None}
+
+    def test_run_without_surprise_leaves_no_stale_surprise_csv(self, tmp_path):
+        """A run in which no state recurs has no surprise statistics: written over a run that
+        had them, it removes that run's surprise.csv, so --out holds exactly its own files."""
+        first = parse_market_config(write(tmp_path, MINIMAL))
+        files = write_run_artifact(tmp_path / "o", first, run(first))
+        assert "surprise" in files
+        text = MINIMAL.replace("horizon = 500", "horizon = 400").replace(
+            "mode = endogenous\nmemory_bits = 4",
+            "mode = exogenous\ndistribution = uniform\nstates = 1048576")
+        second = parse_market_config(write(tmp_path, text, "second.ini"))
+        files = write_run_artifact(tmp_path / "o", second, run(second))
+        assert "surprise" not in files
+        assert "surprise" not in json.loads(files["summary"].read_text())
+        assert sorted(os.listdir(tmp_path / "o")) == sorted(path.name for path in files.values())
 
     def test_unknown_version_refused(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -655,18 +677,33 @@ class TestCli:
         assert "need at least 2 values" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def market_ini(self, tmp_path, **changes):
+        """configs/market.ini with each ``key = value`` line of ``changes`` replaced."""
+        text = (Path(__file__).parents[1] / "configs" / "market.ini").read_text()
+        for key, (old, new) in changes.items():
+            assert f"{key} = {old}\n" in text
+            text = text.replace(f"{key} = {old}\n", f"{key} = {new}\n")
+        return write(tmp_path, text)
+
     def test_simulate_too_short_names_the_horizon(self, tmp_path, capsys):
         """configs/market.ini at horizon 20 leaves 10 returns in the window, too few for the
         Hill fit: exit 1, an error naming the horizon and the estimator, and no --out."""
-        market_ini = Path(__file__).parents[1] / "configs" / "market.ini"
-        text = market_ini.read_text()
-        assert "horizon = 60000\n" in text
-        config = write(tmp_path, text.replace("horizon = 60000\n", "horizon = 20\n"))
+        config = self.market_ini(tmp_path, horizon=(60000, 20))
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "horizon = 20 is too short to analyze" in err
+        assert "cannot analyze the 19 returns at horizon = 20: " in err
         assert "hill_fit_ks needs >= 100 positive values" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_constant_returns_are_not_blamed_on_the_horizon(self, tmp_path, capsys):
+        """At use_param = 1e-300 no order moves the price, so every return is 0: the refusal
+        names the returns and the horizon without calling the horizon too short."""
+        config = self.market_ini(tmp_path, horizon=(60000, 400), use_param=(0.8, 1e-300))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: cannot analyze the 399 returns at horizon = 400: "
+                                           "cannot normalize a zero-variance sequence\n")
         assert not (tmp_path / "o").exists()
 
     def test_stats_too_short_names_the_input(self, tmp_path, capsys):
@@ -766,6 +803,25 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_readme_flag_table_matches_the_parser(self):
+        """Each row of the README's ``| Command | Flags |`` table lists the ``--`` flags that
+        ``build_parser`` declares for its command, a flag with choices as ``--flag {a,b}``."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| Command | Flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines():
+            command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+            documented[command] = sorted(re.findall(r"`(--[\w-]+(?: \{[^}]*\})?)`", flags))
+        commands = next(action.choices for action in specmarket.cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        declared = {
+            name: sorted(f"{option} {{{','.join(action.choices)}}}" if action.choices else option
+                         for action in sub._actions for option in action.option_strings
+                         if option.startswith("--") and option != "--help")
+            for name, sub in commands.items()
+        }
+        assert documented == declared
 
     @pytest.mark.parametrize("alphas, named", [
         ("1,nan", "alpha"), ("1,inf", "alpha"), ("", "--alphas"), (" , ", "--alphas"),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmarket import Endogenous, Exogenous, MarketConfig, run, sweep, uniform_weights
+from specmarket import Endogenous, Exogenous, MarketConfig, run, stats, sweep, uniform_weights
 from specmarket.errors import ConfigError
 from specmarket.sweep import (
     SweepAxis,
@@ -160,6 +160,21 @@ class TestRunSweep:
             assert rep.seed == seed
             record = run(replace(spec.base, seed=seed))
             assert rep.metrics == compute_metrics(record, spec.metrics)
+
+    def test_compute_metrics_by_name(self):
+        """Each known metric is its estimator on the record; an unknown name is refused by name."""
+        record = run(base_config())
+        post = stats.post_transient(record.returns)
+        assert compute_metrics(record, sweep.KNOWN_METRICS[::-1]) == {
+            "variance": float(np.var(post)),
+            "kurtosis": stats.kurtosis(post),
+            "reduction": stats.reduction_ratio(record.returns),
+            "income_factor": stats.income_factor(record.mean_spec_capital),
+            "gini": stats.gini(record.final_spec_capitals),
+            "tail_exponent": stats.hill_fit_ks(np.abs(post)).exponent,
+        }
+        with pytest.raises(ConfigError, match="got 'skew'$"):
+            compute_metrics(record, ("variance", "skew"))
 
     def test_each_seed_derived_once(self, monkeypatch):
         from specmarket import sweep

@@ -120,6 +120,8 @@ _INFO_KEYS = {
     "endo_bits", "exo_bits", "exo_distribution", "exo_states", "exo_rate", "exo_weights",
 }
 _SWEEP_KEYS = {"repetitions": _to_int, "metrics": _to_words}
+#: the keys whose sum is the agent count that the size cap multiplies by the state count
+_AGENT_KEYS = "market.n_speculators + market.n_producers"
 
 
 def _reject_unknown(parser, section, known):
@@ -142,7 +144,7 @@ def _parse_weights(section, prefix, n_agents):
     states = _get(section, f"{prefix}states", _to_int, "info")
     if states < 1:
         raise ConfigError(f"info.{prefix}states must be >= 1, got {states}")
-    check_market_size(states, n_agents, f"info.{prefix}states")
+    check_market_size(states, n_agents, f"info.{prefix}states at {_AGENT_KEYS}")
     if dist == "uniform":
         return uniform_weights(states)
     if dist == "exp":
@@ -159,16 +161,44 @@ def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
     _reject_unknown(parser, "info", _INFO_KEYS)
     mode = _get(section, "mode", _to_word, "info")
     if mode == "endogenous":
-        return Endogenous(_get(section, "memory_bits", _to_int, "info"))
+        info = Endogenous(_get(section, "memory_bits", _to_int, "info"))
+        return _checked(info, {"memory_bits": "info.memory_bits"}, n_agents)
     if mode == "exogenous":
-        return Exogenous(_parse_weights(section, "", n_agents))
+        info = Exogenous(_parse_weights(section, "", n_agents))
+        return _checked(info, {"weights": _weights_key(section, "")}, n_agents)
     if mode == "mixed":
-        return Mixed(
+        info = Mixed(
             endo_bits=_get(section, "endo_bits", _to_int, "info"),
             exo_bits=_get(section, "exo_bits", _to_int, "info"),
             exo_weights=_parse_weights(section, "exo_", n_agents),
         )
+        keys = {"endo_bits": "info.endo_bits", "exo_bits": "info.exo_bits",
+                "exo_weights": _weights_key(section, "exo_")}
+        return _checked(info, keys, n_agents)
     raise ConfigError(f"info.mode must be endogenous, exogenous or mixed, got {mode!r}")
+
+
+def _weights_key(section, prefix) -> str:
+    """The key that sets a weight vector: its list, or the state count of its distribution."""
+    listed = section.get(f"{prefix}weights") is not None
+    return f"info.{prefix}{'weights' if listed else 'states'}"
+
+
+def _checked(info, keys: dict, n_agents: int):
+    """``info`` once valid and within the size cap at ``n_agents`` agents.
+
+    A refusal names the [info] keys that ``keys`` maps the mode's fields to,
+    where the mode's own ``validate`` names the fields.
+    """
+    try:
+        info.validate()
+    except ConfigError as exc:
+        message = str(exc)
+        for field, key in keys.items():
+            message = message.replace(f"info_mode.{field}", key).replace(f"2**{field}", f"2**{key}")
+        raise ConfigError(message) from None
+    check_market_size(info.n_states, n_agents, f"{', '.join(keys.values())} at {_AGENT_KEYS}")
+    return info
 
 
 def parse_market_config(path) -> MarketConfig:

@@ -1,17 +1,15 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
-Every (node, repetition) cell derives its own seed from the base seed and its
-grid coordinates, and its outcome is stored in its own record, so a sweep is
-bit-identical no matter how many threads run it or in which order cells finish.
-Cells run on threads of this process: the C kernel behind ``market.run``
-releases the GIL, so they overlap on separate cores. A sweep is a grid walk,
-which validates it and lists each cell with the record it fills, and one
-thread map that runs those cells; :func:`alpha_scan` walks the grid of every
-variant and runs all their cells in one map. A node aggregates each
-metric by its own rule (see :func:`aggregate`): the income factor and the
-Gini take arithmetic means, and every other metric a log-domain mean, the
-convention used for the phase-diagram figures. Repetitions that fail are
-recorded with their reason and excluded from the aggregate.
+:func:`run_many` is the one map over markets: it runs a batch of configs on
+threads of this process (the C kernel behind ``market.run`` releases the GIL,
+so they overlap on separate cores), at most one market per thread at a time,
+and returns each market's measurement in input order. :func:`run_sweep` and
+:func:`alpha_scan` map their grids' cells through it, and so does the
+acceptance suite its batches of seeded markets. Each (node, repetition) cell
+derives its seed from the base seed and its grid coordinates, so a sweep is
+bit-identical whatever the thread count. A node aggregates each metric by its
+own rule (:func:`aggregate`); failed repetitions are recorded with their
+reason and left out of the aggregate.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -247,13 +245,6 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell(metrics, config):
-    try:  # recorded per repetition, never aborts the sweep
-        return compute_metrics(run(config), metrics), None
-    except Exception as exc:
-        return None, _error(exc)
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -263,11 +254,10 @@ def _usable_cpus() -> int:
 
 
 def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
-    """Validate ``spec`` and walk its grid: one :class:`NodeResult` per node, with a
-    :class:`RepRecord` per repetition, and the runnable cells as (record, config) pairs.
-
-    A node whose coordinates give no config records the error in each of its
-    repetitions and adds no cell.
+    """Validate ``spec`` and walk its grid: one :class:`NodeResult` per node, a
+    :class:`RepRecord` per repetition, and the runnable cells as (record, config)
+    pairs. A node whose coordinates give no config records its error in each
+    repetition and adds no cell.
     """
     spec.validate()
     names = [axis.name for axis in spec.axes]
@@ -293,17 +283,21 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
     return nodes, cells
 
 
-def _run_cells(metrics, cells: list, workers: Optional[int] = None) -> None:
-    """Run the (record, config) cells and store each ``_run_cell`` outcome in its record.
+def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecord], Any],
+             workers: Optional[int] = None) -> list:
+    """``measure(run(config))`` for each config in input order, or the ``Exception`` raised.
 
-    The cells run on the calling thread and on min(``workers``, usable CPUs,
-    cells) - 1 more, where ``workers`` defaults to the usable CPUs. Each thread
-    takes the next cell from one counter under a lock. A ``BaseException``
-    raised on any thread (a ``KeyboardInterrupt``, say) stops every thread
-    taking cells and is re-raised here once all have joined.
+    Runs on min(``workers``, usable CPUs, configs) threads, the caller among
+    them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
+    thread takes the next config under a lock and measures its record itself,
+    so at most one record per thread is alive at once. A ``BaseException`` on
+    any thread stops every thread taking configs and is re-raised here once
+    all have joined.
     """
-    cpus = _usable_cpus()
-    threads = min(cpus if workers is None else workers, cpus, len(cells))
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    threads = min(workers or math.inf, _usable_cpus(), len(configs))
+    outcomes = [None] * len(configs)
     lock = threading.Lock()
     taken = 0
     raised = []
@@ -312,15 +306,15 @@ def _run_cells(metrics, cells: list, workers: Optional[int] = None) -> None:
         nonlocal taken
         while True:
             with lock:
-                if raised or taken == len(cells):
+                if raised or taken == len(configs):
                     return
                 index, taken = taken, taken + 1
-            record, config = cells[index]
             try:
-                record.metrics, record.error = _run_cell(metrics, config)
+                outcomes[index] = measure(run(configs[index]))
+            except Exception as exc:  # the config's outcome, never aborts the map
+                outcomes[index] = exc
             except BaseException as exc:  # re-raised by the calling thread after the join
-                with lock:
-                    raised.append(exc)
+                raised.append(exc)
                 return
 
     helpers = [threading.Thread(target=work, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
@@ -333,21 +327,27 @@ def _run_cells(metrics, cells: list, workers: Optional[int] = None) -> None:
             helper.join()
     if raised:
         raise raised[0]
+    return outcomes
+
+
+def _measure(cells: list, metrics, workers: Optional[int] = None) -> None:
+    """Run :func:`_grid`'s cells through :func:`run_many`; each record takes its metrics or error."""
+    outcomes = run_many([config for _, config in cells], lambda r: compute_metrics(r, metrics), workers)
+    for (record, _), outcome in zip(cells, outcomes):
+        failed = isinstance(outcome, Exception)
+        record.metrics, record.error = (None, _error(outcome)) if failed else (outcome, None)
 
 
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list[NodeResult]:
     """Simulate every (node, repetition) cell; one :class:`NodeResult` per grid node.
 
-    Each cell is one :func:`~specmarket.market.run`. The cells run on
-    min(``workers``, usable CPUs, runnable cells) threads, the calling thread
-    among them, where ``workers`` defaults to the number of CPUs the process
-    may run on; ``workers=1`` runs every cell in the caller and starts no
-    thread. At most that many markets are alive at once. A cell whose config
-    ``run`` refuses, or whose node's coordinates give no config, is recorded
-    with the error.
+    The cells go through :func:`run_many` on ``workers`` threads, so
+    ``workers=1`` runs every cell in the caller and starts no thread. A cell
+    whose config ``run`` refuses, or whose node's coordinates give no config,
+    is recorded with the error.
     """
     nodes, cells = _grid(spec)
-    _run_cells(spec.metrics, cells, workers)
+    _measure(cells, spec.metrics, workers)
     return nodes
 
 
@@ -396,12 +396,12 @@ def alpha_scan(
     income factor can be negative. Each variant is the grid of one alpha
     sweep, with the cells and seeds :func:`run_sweep` gives it. Every
     variant's grid is walked and validated first, so a bad variant or config
-    raises before any cell runs. Then all the variants' cells run in one
-    thread map on every CPU the process may use.
+    raises before any cell runs. Then all the variants' cells go through one
+    :func:`run_many` on every usable CPU.
     """
     grids = [(variant, *_grid(_variant_spec(base, variant, alphas, repetitions, n_producers)))
              for variant in variants]
-    _run_cells(ALPHA_SCAN_METRICS, [cell for _, _, cells in grids for cell in cells])
+    _measure([cell for _, _, cells in grids for cell in cells], ALPHA_SCAN_METRICS)
     rows = []
     for variant, nodes, _ in grids:
         for node in nodes:

@@ -27,7 +27,7 @@ from specmarket.analytics import dim_distribution, var_r0, variance_curve
 from specmarket.io import write_run_artifact
 from specmarket.market import SimulationRecord
 from specmarket.stats import autocorr_abs, gini, hill_fit_ks, kurtosis, surprise_stats
-from specmarket.sweep import alpha_scan
+from specmarket.sweep import alpha_scan, run_many
 
 #: variances below this are numerically indistinguishable from a fully
 #: relaxed market in float64; used when comparing against analytic bounds
@@ -40,6 +40,15 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
+def run_all(configs, measure):
+    """``measure`` of each config's market, mapped on threads by ``run_many``; a failure raises."""
+    outcomes = run_many(configs, measure)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def second_half(record):
     half = len(record.prices) // 2
     return SimulationRecord(
@@ -50,18 +59,29 @@ def second_half(record):
     )
 
 
-def test_criterion_1_initial_variance_formula():
-    target = var_r0(1024)
-    returns = np.empty(10_000)
-    for seed in range(10_000):
-        config = MarketConfig(n_speculators=1024, use_param=0.5,
-                              info_mode=Exogenous(uniform_weights(512)),
-                              horizon=2, seed=seed)
-        returns[seed] = run(config).returns[0]
+def check_1(returns, n_speculators):
+    """Var(r(0)) of the markets against 8/(N ln10^2) at ``n_speculators``, within 10%."""
+    target = var_r0(n_speculators)
     variance = float(returns.var())
     ok = abs(variance - target) <= 0.1 * target
-    report(1, ok, f"Var(r(0)) = {variance:.4e} vs 8/(N ln10^2) = {target:.4e} "
-                  f"(ratio {variance / target:.3f}, tolerance 10%)")
+    return ok, (f"Var(r(0)) = {variance:.4e} vs 8/(N ln10^2) = {target:.4e} "
+                f"(ratio {variance / target:.3f}, tolerance 10%)")
+
+
+def test_criterion_1_initial_variance_formula():
+    base = MarketConfig(n_speculators=1024, use_param=0.5,
+                        info_mode=Exogenous(uniform_weights(512)), horizon=2, seed=0)
+    configs = [replace(base, seed=seed) for seed in range(10_000)]
+    returns = np.array(run_all(configs, lambda record: record.returns[0]))
+    report(1, *check_1(returns, 1024))
+
+
+def test_criterion_1_check_fails_on_a_misstated_size():
+    """Returns of the variance of N_s = 1024 pass at 1024, and fail at twice or half the size."""
+    returns = np.random.default_rng(1).normal(scale=math.sqrt(var_r0(1024)), size=10_000)
+    assert check_1(returns, 1024)[0]
+    assert not check_1(returns, 2048)[0]
+    assert not check_1(returns, 512)[0]
 
 
 def test_criterion_2_exogenous_information_absorption():
@@ -110,19 +130,11 @@ def test_criterion_4_volatility_clustering(heavy_tail_benchmark_returns):
                   f"{max(abs(ac_shuffled[lag]) for lag in lags):.4f} < {band:.4f}")
 
 
-def test_criterion_5_phase_transition_bounds():
-    dimension, horizon, n_seeds, gamma = 128, 100_000, 10, 0.1
-    alphas = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0]
-    bounds = {b.alpha: b for b in variance_curve(dimension, alphas)}
-    measured = {}
-    for alpha in alphas:
-        base = MarketConfig(n_speculators=round(dimension / alpha), use_param=gamma,
-                            info_mode=Exogenous(uniform_weights(dimension)),
-                            horizon=horizon, seed=0)
-        records = [run(replace(base, seed=seed)) for seed in range(n_seeds)]
-        variances = [float(np.var(r.returns[r.returns.size // 2:])) for r in records]
-        measured[alpha] = float(np.exp(np.mean(np.log(np.sort(variances)))))
+def check_5(measured, bounds):
+    """Each alpha's variance inside its analytic bracket, and a drop of >= 100x from a=2 to a=1/4.
 
+    ``measured`` and ``bounds`` map alpha to a variance and to its ``VarianceBounds``.
+    """
     def clipped(x):
         # collapsed markets sit at numerical noise far below the 2**-D scale
         # of the analytic curves; values and bounds are clipped to the float64
@@ -130,37 +142,99 @@ def test_criterion_5_phase_transition_bounds():
         return max(x, VAR_FLOOR), f"{max(x, VAR_FLOOR):.2e}{' (floor)' if x < VAR_FLOOR else ''}"
 
     inside, shown = {}, {}
-    for alpha in alphas:
+    for alpha in measured:
         (value, v_text), (lower, l_text), (upper, u_text) = (
             clipped(measured[alpha]), clipped(bounds[alpha].lower), clipped(bounds[alpha].upper))
         inside[alpha] = lower <= value <= upper
         shown[alpha] = f"{v_text} in [{l_text}, {u_text}]"
     drop = measured[2.0] / max(measured[0.25], 1e-300)
     ok = all(inside.values()) and drop >= 100.0
-    detail = ", ".join(f"a={a}: {shown[a]}{'' if inside[a] else ' OUT'}" for a in alphas)
-    report(5, ok, f"{detail}; drop a=2 -> a=1/4 is {drop:.1e}x (>= 100x)")
+    detail = ", ".join(f"a={a}: {shown[a]}{'' if inside[a] else ' OUT'}" for a in measured)
+    return ok, f"{detail}; drop a=2 -> a=1/4 is {drop:.1e}x (>= 100x)"
 
 
-def test_criterion_6_surprise_statistics():
-    config = MarketConfig(n_speculators=2048, use_param=0.5,
-                          info_mode=Endogenous(10), horizon=2_000_000, seed=11)
-    summary = surprise_stats(second_half(run(config)), bins_per_decade=4)
+CRITERION_5_DIMENSION = 128
+CRITERION_5_ALPHAS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def test_criterion_5_phase_transition_bounds():
+    dimension, horizon, n_seeds, gamma = CRITERION_5_DIMENSION, 100_000, 10, 0.1
+    alphas = CRITERION_5_ALPHAS
+    bounds = {b.alpha: b for b in variance_curve(dimension, alphas)}
+    configs = [MarketConfig(n_speculators=round(dimension / alpha), use_param=gamma,
+                            info_mode=Exogenous(uniform_weights(dimension)),
+                            horizon=horizon, seed=seed)
+               for alpha in alphas for seed in range(n_seeds)]
+    variances = run_all(configs, lambda r: float(np.var(r.returns[r.returns.size // 2:])))
+    by_alpha = np.reshape(variances, (len(alphas), n_seeds))
+    measured = {alpha: float(np.exp(np.mean(np.log(np.sort(row))))) for alpha, row in zip(alphas, by_alpha)}
+    report(5, *check_5(measured, bounds))
+
+
+def test_criterion_5_check_fails_on_controls():
+    """Variances inside every bracket pass; one outside its bracket, on either side, fails, and
+    so does a drop below 100x. The drop side cannot fail alone: inside the brackets, a=2 sits
+    above 1e-2 and a=1/4 at the 1e-10 floor, a drop of at least 1e8."""
+    bounds = {b.alpha: b for b in variance_curve(CRITERION_5_DIMENSION, CRITERION_5_ALPHAS)}
+    inside = {alpha: max(b.heuristic, 1e-12) for alpha, b in bounds.items()}
+    assert check_5(inside, bounds)[0]
+    above = {**inside, 4.0: 10 * bounds[4.0].upper}
+    below = {**inside, 1.0: bounds[1.0].lower / 10}
+    flat = {**inside, 0.25: inside[2.0] / 10}
+    for measured in (above, below):
+        ok, detail = check_5(measured, bounds)
+        assert not ok and detail.count(" OUT") == 1
+    ok, detail = check_5(flat, bounds)
+    assert not ok and detail.endswith("drop a=2 -> a=1/4 is 1.0e+01x (>= 100x)")
+
+
+def check_6(summary, control):
+    """P(tau) exponent 2.5 +- 0.5 with mean |r| strictly increasing over the top tau decade,
+    and the exogenous control's exponent 2.0 +- 0.3; both are ``SurpriseSummary`` values."""
     endo_exponent = summary.tau_tail.exponent + 1.0
     top = summary.bin_centers > summary.bin_centers.max() / 10
     increasing = bool(np.all(np.diff(summary.bin_means[top]) > 0))
-
-    control_config = MarketConfig(n_speculators=2048, use_param=0.5,
-                                  info_mode=Exogenous(exponential_weights(0.02, 1024)),
-                                  horizon=2_000_000, seed=11)
-    control = surprise_stats(second_half(run(control_config)))
     control_exponent = control.tau_tail.exponent + 1.0
-
     ok = (abs(endo_exponent - 2.5) <= 0.5 and increasing
           and abs(control_exponent - 2.0) <= 0.3)
-    report(6, ok, f"P(tau) exponent endogenous = {endo_exponent:.2f} (2.5 +- 0.5), "
-                  f"exogenous control = {control_exponent:.2f} (2.0 +- 0.3); "
-                  f"mean |r| strictly increasing over top tau decade: {increasing} "
-                  f"(log-log corr {summary.log_correlation:.2f})")
+    return ok, (f"P(tau) exponent endogenous = {endo_exponent:.2f} (2.5 +- 0.5), "
+                f"exogenous control = {control_exponent:.2f} (2.0 +- 0.3); "
+                f"mean |r| strictly increasing over top tau decade: {increasing} "
+                f"(log-log corr {summary.log_correlation:.2f})")
+
+
+def test_criterion_6_surprise_statistics():
+    # both 2M-step N = 2048 markets run at once on two threads, so both
+    # 80 MB records are alive together
+    configs = [MarketConfig(n_speculators=2048, use_param=0.5, info_mode=info_mode,
+                            horizon=2_000_000, seed=11)
+               for info_mode in (Endogenous(10), Exogenous(exponential_weights(0.02, 1024)))]
+    # the bins only enter the endogenous side; the control reads its tau tail
+    summary, control = run_all(configs, lambda r: surprise_stats(second_half(r), bins_per_decade=4))
+    report(6, *check_6(summary, control))
+
+
+def synthetic_surprise(seed, density_exponent, magnitude):
+    """Surprise statistics of 100k Pareto taus whose density falls as tau^-``density_exponent``,
+    each paired with |r| = ``magnitude(tau)``."""
+    pareto = np.random.default_rng(seed).pareto(density_exponent - 1.0, size=100_000) + 1.0
+    taus = np.concatenate([[0], np.ceil(1000 * pareto).astype(np.int64)])
+    record = SimulationRecord(prices=np.ones(taus.size), returns=magnitude(taus[1:]),
+                              mus=np.zeros(taus.size, dtype=np.int64), taus=taus,
+                              mean_spec_capital=np.ones(taus.size), final_spec_capitals=np.ones(1))
+    return surprise_stats(record, bins_per_decade=4)
+
+
+def test_criterion_6_check_fails_on_controls():
+    """Synthetic taus at exponents 2.5 and 2.0 with |r| rising in tau pass; each side fails alone:
+    an exponent of 4 for the endogenous taus, a flat mean |r|, a control exponent of 2.6."""
+    rising, flat = (lambda tau: np.log(tau)), (lambda tau: np.full(tau.shape, 0.5))
+    summary, control = synthetic_surprise(1, 2.5, rising), synthetic_surprise(2, 2.0, rising)
+    assert check_6(summary, control)[0]
+    assert not check_6(synthetic_surprise(1, 4.0, rising), control)[0]
+    ok, detail = check_6(synthetic_surprise(1, 2.5, flat), control)
+    assert not ok and "top tau decade: False" in detail
+    assert not check_6(summary, synthetic_surprise(2, 2.6, rising))[0]
 
 
 def _manifold_residual(state):

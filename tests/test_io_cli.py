@@ -205,6 +205,28 @@ class TestParseConfig:
             parse_market_config(write(tmp_path, text))
 
 
+    @pytest.mark.parametrize("agents, info, message", [
+        (64, "mode = mixed\nendo_bits = 2\nexo_bits = 2\nexo_distribution = uniform\nexo_states = 8",
+         r"^info\.exo_states must have length 2\*\*info\.exo_bits = 4, got \(8,\)$"),
+        (64, "mode = endogenous\nmemory_bits = 0", r"^info\.memory_bits must be in \[1, 62\], got 0$"),
+        (10**11, "mode = endogenous\nmemory_bits = 20",
+         r"^info\.memory_bits at market\.n_speculators \+ market\.n_producers: "
+         r"1048576 states x 100000000000 agents need"),
+    ], ids=["exo_states_against_exo_bits", "memory_bits", "agents_against_memory_bits"])
+    def test_info_refusal_names_the_keys_of_the_file(self, tmp_path, agents, info, message):
+        """A mode the dataclass refuses is named by the [info] and [market] keys that set it."""
+        text = MINIMAL.replace("n_speculators = 64", f"n_speculators = {agents}")
+        text = text.replace("mode = endogenous\nmemory_bits = 4", info)
+        with pytest.raises(ConfigError, match=message):
+            parse_market_config(write(tmp_path, text))
+
+    def test_dataclass_refusals_still_name_their_fields(self):
+        with pytest.raises(ConfigError, match=r"^info_mode\.memory_bits must be in"):
+            Endogenous(0).validate()
+        with pytest.raises(ConfigError, match=r"^info_mode\.exo_weights must have length 2\*\*exo_bits"):
+            Mixed(2, 2, uniform_weights(8)).validate()
+
+
 class TestArtifacts:
     def test_run_csv_round_trip(self, tmp_path, make_config):
         config = make_config(horizon=300)

@@ -20,6 +20,7 @@ from specmarket.sweep import (
     compute_metrics,
     derive_seed,
     node_config,
+    run_many,
     run_sweep,
 )
 
@@ -375,6 +376,81 @@ class TestThreadMap:
         seeds = [rep.seed for node in nodes for rep in node.reps]
         assert sorted(calls) == sorted(seeds)
         assert all(rep.metrics is not None for node in nodes[:2] for rep in node.reps)
+
+    CONFIGS = [base_config(horizon=200, seed=seed) for seed in range(4)]
+
+    @staticmethod
+    def first_return(record):
+        return record.returns[0]
+
+    def test_run_many_keeps_input_order_when_configs_finish_out_of_order(self, monkeypatch):
+        """The first config waits until another has finished, yet its outcome comes first."""
+        serial = run_many(self.CONFIGS, self.first_return, workers=1)
+        assert serial == [run(config).returns[0] for config in self.CONFIGS]
+        _cpus(monkeypatch, 2)
+        finished, other_done = [], threading.Event()
+
+        def first_last(config):
+            if config.seed == 0:
+                assert other_done.wait(30)
+            record = run(config)
+            finished.append(config.seed)
+            if config.seed != 0:
+                other_done.set()
+            return record
+
+        monkeypatch.setattr(sweep, "run", first_last)
+        assert run_many(self.CONFIGS, self.first_return, workers=2) == serial
+        assert finished[0] != 0 and sorted(finished) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_many_exception_takes_its_configs_place(self, monkeypatch, workers):
+        """An exception from ``run`` (a refused config) or from ``measure`` comes back in place."""
+        _cpus(monkeypatch, 2)
+        last = run(self.CONFIGS[3]).returns[0]
+
+        def measure(record):
+            if record.returns[0] == last:
+                raise ValueError("cannot measure the last market")
+            return record.returns[0]
+
+        configs = [self.CONFIGS[0], replace(self.CONFIGS[1], use_param=1.5), *self.CONFIGS[2:]]
+        first, bad_config, third, bad_measure = run_many(configs, measure, workers=workers)
+        assert [first, third] == [run(self.CONFIGS[i]).returns[0] for i in (0, 2)]
+        assert type(bad_config) is ConfigError and str(bad_config) == "use_param must be in (0, 1], got 1.5"
+        assert type(bad_measure) is ValueError
+
+    def test_run_many_base_exception_reraised_once_every_thread_joined(self, monkeypatch):
+        """The caller's KeyboardInterrupt waits for the helper's record, and then no thread is left."""
+        _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        barrier, helper_measured = threading.Barrier(2, timeout=30), []
+
+        def measure(record):
+            if not helper_measured:
+                barrier.wait()  # each thread holds its first record
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.2)  # still measuring when the caller raises
+            helper_measured.append(record.returns[0])
+            return record.returns[0]
+
+        configs = [base_config(horizon=200, seed=seed) for seed in range(20)]
+        with pytest.raises(KeyboardInterrupt):
+            run_many(configs, measure, workers=2)
+        assert threading.active_count() == before
+        assert len(helper_measured) == 1  # it finished its record and took no other
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused_by_name(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(sweep, "run", lambda config: calls.append(config))
+        message = rf"^workers must be >= 1, got {workers}$"
+        with pytest.raises(ConfigError, match=message):
+            run_many(self.CONFIGS, self.first_return, workers=workers)
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(self.SPEC, workers=workers)
+        assert calls == []
 
     def test_threaded_sweep_loads_no_process_pool(self):
         """A two-thread sweep in a fresh interpreter imports neither concurrent.futures

@@ -251,16 +251,18 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  *
  * n agents, the first k of them producers, the first n_random of those
  * drawing a fresh bit every step. endo_states is the size of the
- * endogenous part of the information (0 if none); cum, of length n_cum,
- * holds the cumulative exogenous weights (NULL if none), and queue receives
- * each refill of n_queue states. money, stocks and last_seen are updated in
- * place; m and s are scratch of length n. Records prices, base-10 log
- * returns (horizon - 1 of them), states, taus (0 on a state's first
- * occurrence) and the speculators' capital sum.
+ * endogenous part of the information, a power of two (0 if none); cum, of
+ * length n_cum, holds the cumulative exogenous weights (NULL if none), and
+ * queue receives each refill of n_queue states. money, stocks and last_seen
+ * are updated in place; m and s are scratch of length n. Records prices,
+ * base-10 log returns (horizon - 1 of them), states, taus (0 on a state's
+ * first occurrence) and the speculators' capital sum.
  *
  * Returns horizon, or the first step t whose price is not finite and
  * positive or whose return's ratio price / before is not (before is 1.0 at
  * t = 0); it stops there, with prices[t] written and nothing settled.
+ * Each step stores its ratio in returns, and one pass takes their log10 on
+ * the way out.
  */
 int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t n_random,
                     double gamma, double eps, int64_t endo_states,
@@ -270,10 +272,11 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
                     double *prices, double *returns, int64_t *mus, int64_t *taus,
                     double *capital)
 {
-    const int64_t n_spec = n - k;
+    const int64_t n_spec = n - k, endo_mask = endo_states - 1;
     double price = 1.0, before = 1.0;
-    int64_t endo = 0;
-    for (int64_t t = 0; t < horizon; t++) {
+    int64_t endo = 0, pos = n_queue;
+    int64_t t = 0;
+    for (; t < horizon; t++) {
         if (t > 0) {
             if (endo_states) {
                 int64_t bit;
@@ -284,16 +287,17 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
                 } else {
                     bit = bg->next_double(bg->state) < 0.5;
                 }
-                endo = ((mu % endo_states) << 1 | bit) % endo_states;
+                endo = ((mu & endo_mask) << 1 | bit) & endo_mask;
             }
             if (cum) {
-                int64_t pos = (t - 1) % n_queue;
-                if (pos == 0) {
+                if (pos == n_queue) {
                     for (int64_t i = 0; i < n_queue; i++) {
                         queue[i] = upper_bound(cum, n_cum, bg->next_double(bg->state));
                     }
+                    pos = 0;
                 }
-                mu = endo_states ? queue[pos] * endo_states + endo : queue[pos];
+                const int64_t draw = queue[pos++];
+                mu = endo_states ? draw * endo_states + endo : draw;
             } else {
                 mu = endo;
             }
@@ -322,10 +326,10 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         prices[t] = price;
         double ratio = price / before;
         if (!(price > 0.0 && price < INFINITY && ratio > 0.0 && ratio < INFINITY)) {
-            return t;
+            break;
         }
         if (t > 0) {
-            returns[t - 1] = log10(ratio);
+            returns[t - 1] = ratio;
         }
         for (int64_t i = k; i < n; i++) {
             double tmp = s[i] * price;
@@ -342,7 +346,10 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         totals held = pairwise2(money + k, stocks + k, n_spec);
         capital[t] = (0.0 + held.a) + (0.0 + held.b);
     }
-    return horizon;
+    for (int64_t i = 0; i + 1 < t; i++) {
+        returns[i] = log10(returns[i]);
+    }
+    return t;
 }
 
 /* ------------------------------------------------------------------------

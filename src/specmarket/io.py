@@ -154,51 +154,40 @@ def _parse_weights(section, prefix, n_agents):
 
 
 def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
-    """The [info] section's information mode, for a market of ``n_agents`` agents."""
+    """The [info] section's information mode, not yet validated, for ``n_agents`` agents."""
     if "info" not in parser:
         raise ConfigError("info section is required")
     section = parser["info"]
     _reject_unknown(parser, "info", _INFO_KEYS)
     mode = _get(section, "mode", _to_word, "info")
-    if mode == "endogenous":
-        info = Endogenous(_get(section, "memory_bits", _to_int, "info"))
-        return _checked(info, {"memory_bits": "info.memory_bits"}, n_agents)
-    if mode == "exogenous":
-        info = Exogenous(_parse_weights(section, "", n_agents))
-        return _checked(info, {"weights": _weights_key(section, "")}, n_agents)
-    if mode == "mixed":
-        info = Mixed(
-            endo_bits=_get(section, "endo_bits", _to_int, "info"),
-            exo_bits=_get(section, "exo_bits", _to_int, "info"),
-            exo_weights=_parse_weights(section, "exo_", n_agents),
-        )
-        keys = {"endo_bits": "info.endo_bits", "exo_bits": "info.exo_bits",
-                "exo_weights": _weights_key(section, "exo_")}
-        return _checked(info, keys, n_agents)
+    try:
+        if mode == "endogenous":
+            return Endogenous(_get(section, "memory_bits", _to_int, "info"))
+        if mode == "exogenous":
+            return Exogenous(_parse_weights(section, "", n_agents))
+        if mode == "mixed":
+            return Mixed(_get(section, "endo_bits", _to_int, "info"),
+                         _get(section, "exo_bits", _to_int, "info"),
+                         _parse_weights(section, "exo_", n_agents))
+    except ConfigError as exc:  # a key the mode calls for is named with the mode of the file
+        if not str(exc).endswith(" is required"):
+            raise
+        raise ConfigError(f"{exc} at info.mode = {mode}") from None
     raise ConfigError(f"info.mode must be endogenous, exogenous or mixed, got {mode!r}")
 
 
-def _weights_key(section, prefix) -> str:
-    """The key that sets a weight vector: its list, or the state count of its distribution."""
-    listed = section.get(f"{prefix}weights") is not None
-    return f"info.{prefix}{'weights' if listed else 'states'}"
-
-
-def _checked(info, keys: dict, n_agents: int):
-    """``info`` once valid and within the size cap at ``n_agents`` agents.
-
-    A refusal names the [info] keys that ``keys`` maps the mode's fields to,
-    where the mode's own ``validate`` names the fields.
-    """
-    try:
-        info.validate()
-    except ConfigError as exc:
-        message = str(exc)
-        for field, key in keys.items():
-            message = message.replace(f"info_mode.{field}", key).replace(f"2**{field}", f"2**{key}")
-        raise ConfigError(message) from None
-    check_market_size(info.n_states, n_agents, f"{', '.join(keys.values())} at {_AGENT_KEYS}")
-    return info
+def _named_by_keys(message: str, section, mode) -> str:
+    """A ``validate_config`` refusal with the name that leads it, and ``2**exo_bits``, as keys
+    of the file. A field of ``mode`` is its [info] key, a weight vector set by a distribution
+    its state count; the size cap names the mode's keys."""
+    mode_keys = {f"info_mode.{f.name}": f"info.{f.name}" for f in fields(mode)}
+    for field in ("weights", "exo_weights"):
+        if f"info_mode.{field}" in mode_keys and section.get(field) is None:
+            mode_keys[f"info_mode.{field}"] = f"info.{field.replace('weights', 'states')}"
+    names = {**{key: f"market.{key}" for key in _MARKET_KEYS}, **mode_keys,
+             "info_mode/n_speculators": f"{', '.join(mode_keys.values())} at {_AGENT_KEYS}"}
+    name = message.split(" ", 1)[0].rstrip(":")
+    return names.get(name, name) + message[len(name):].replace("2**exo_bits", "2**info.exo_bits")
 
 
 def parse_market_config(path) -> MarketConfig:
@@ -226,7 +215,10 @@ def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     })
     # the agent count, defaults applied, bounds the state count before any weights are built
     config = replace(config, info_mode=parse_info_mode(parser, config.n_agents))
-    validate_config(config)
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        raise ConfigError(_named_by_keys(str(exc), parser["info"], config.info_mode)) from None
     return config
 
 

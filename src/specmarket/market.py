@@ -87,15 +87,7 @@ class Exogenous:
         return len(self.weights)
 
     def validate(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ConfigError("info_mode.weights must be a non-empty 1-d vector")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ConfigError("info_mode.weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ConfigError(
-                f"info_mode.weights must sum to 1 within 1e-12, got sum {w.sum()!r}"
-            )
+        _check_weights(self.weights, "info_mode.weights")
 
     def __eq__(self, other):
         return isinstance(other, Exogenous) and np.array_equal(other.weights, self.weights)
@@ -125,10 +117,9 @@ class Mixed:
             raise ConfigError(f"info_mode.exo_bits must be in [1, {exo_max}], got {self.exo_bits!r}")
         w = np.asarray(self.exo_weights, dtype=float)
         if w.shape != (1 << self.exo_bits,):
-            raise ConfigError(
-                f"info_mode.exo_weights must have length 2**exo_bits = {1 << self.exo_bits}, got {w.shape}"
-            )
-        Exogenous(w).validate()
+            raise ConfigError(f"info_mode.exo_weights must have length 2**exo_bits = "
+                              f"{1 << self.exo_bits}, got {w.shape}")
+        _check_weights(w, "info_mode.exo_weights")
 
     def __eq__(self, other):
         return (
@@ -143,6 +134,18 @@ class Mixed:
 
 
 InformationMode = Union[Endogenous, Exogenous, Mixed]
+
+
+def _check_weights(weights, name: str) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``weights`` is a non-empty 1-d vector,
+    finite, nonnegative and summing to 1 within 1e-12."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ConfigError(f"{name} must be a non-empty 1-d vector")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ConfigError(f"{name} must be finite and nonnegative")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ConfigError(f"{name} must sum to 1 within 1e-12, got sum {float(w.sum())}")
 
 
 def _weights_key(weights) -> bytes:
@@ -166,12 +169,12 @@ def exponential_weights(rate: float, n_states: int, field: str = "rate") -> np.n
     if n_states < 1:
         raise ConfigError(f"n_states must be >= 1, got {n_states}")
     if not math.isfinite(rate):
-        raise ConfigError(f"{field} must be finite, got {rate!r}")
+        raise ConfigError(f"{field} must be finite, got {rate}")
     with np.errstate(over="ignore"):
         w = np.exp(-rate * np.arange(n_states, dtype=float))
         total = w.sum()
     if not math.isfinite(total):
-        raise ConfigError(f"{field} = {rate!r}: the weights exp(-rate * mu) over {n_states} states "
+        raise ConfigError(f"{field} = {rate}: the weights exp(-rate * mu) over {n_states} states "
                           "overflow float64")
     return w / total
 
@@ -219,11 +222,11 @@ def validate_config(config: MarketConfig) -> None:
             f"producer_kind must be one of {PRODUCER_KINDS}, got {config.producer_kind!r}"
         )
     if not (0.0 < config.use_param <= 1.0):
-        raise ConfigError(f"use_param must be in (0, 1], got {config.use_param!r}")
+        raise ConfigError(f"use_param must be in (0, 1], got {config.use_param}")
     # epsilon only guards against empty order-book sides; anything near 1e-3
     # would start to distort prices.
     if not (0.0 < config.epsilon < 1e-3):
-        raise ConfigError(f"epsilon must satisfy 0 < epsilon << 1e-3, got {config.epsilon!r}")
+        raise ConfigError(f"epsilon must satisfy 0 < epsilon << 1e-3, got {config.epsilon}")
     if not isinstance(config.horizon, int) or config.horizon < 1:
         raise ConfigError(f"horizon must be a positive integer, got {config.horizon!r}")
     check_seed(config.seed)
@@ -438,7 +441,7 @@ def check_clearing(config: MarketConfig, t: int, price: float, before: float) ->
     ratio = price / before
     if not (0.0 < price < math.inf and 0.0 < ratio < math.inf):
         raise ConfigError(
-            f"epsilon = {config.epsilon!r} is too small for this market: step {t} clears at "
+            f"epsilon = {config.epsilon} is too small for this market: step {t} clears at "
             f"price {price!r} after {before!r}; a price must be finite and positive and its "
             "log return finite"
         )

@@ -68,7 +68,7 @@ class SweepAxis:
 
 def _integral(axis: str, value) -> int:
     if not float(value).is_integer():
-        raise ConfigError(f"axis {axis} takes integers, got {value!r}")
+        raise ConfigError(f"axis {axis} takes integers, got {value}")
     return int(value)
 
 
@@ -95,10 +95,10 @@ class SweepSpec:
                 raise ConfigError(f"axis {axis.name} has no values")
             bad = [v for v in axis.values if not math.isfinite(v)]
             if bad:
-                raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]!r}")
+                raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]}")
             repeated = [v for i, v in enumerate(axis.values) if v in axis.values[:i]]
             if repeated:
-                raise ConfigError(f"axis {axis.name} lists the value {repeated[0]!r} twice")
+                raise ConfigError(f"axis {axis.name} lists the value {repeated[0]} twice")
         _check_one_state_axis(names)
         if not self.metrics:
             raise ConfigError("metrics must name at least one metric")

@@ -98,8 +98,9 @@ def test_criterion_2_exogenous_information_absorption():
                   f"kurtosis = {kurt:.2f} (in [2.5, 4])")
 
 
-def test_criterion_3_endogenous_heavy_tails(heavy_tail_benchmark_returns):
-    window = heavy_tail_benchmark_returns[-30_000:]
+def check_3(window):
+    """Heavy tails of ``window``: kurtosis > 10, a finite Hill exponent on a tail of >= 50
+    points, and a CCDF at 5 sigma of at least 10x the Gaussian's."""
     kurt = kurtosis(window)
     fit = hill_fit_ks(np.abs(window)[np.abs(window) > 0])
     centered = window - window.mean()
@@ -108,26 +109,59 @@ def test_criterion_3_endogenous_heavy_tails(heavy_tail_benchmark_returns):
     gaussian = math.erfc(5 / math.sqrt(2))
     ok = (kurt > 10 and math.isfinite(fit.exponent) and fit.n_tail >= 50
           and empirical >= 10 * gaussian)
-    report(3, ok, f"kurtosis = {kurt:.1f} (> 10), xi = {fit.exponent:.2f} with "
-                  f"n_tail = {fit.n_tail} (>= 50), CCDF(5 sigma) = {empirical:.1e} "
-                  f"= {empirical / gaussian:.0f}x Gaussian (>= 10x)")
+    return ok, (f"kurtosis = {kurt:.1f} (> 10), xi = {fit.exponent:.2f} with "
+                f"n_tail = {fit.n_tail} (>= 50), CCDF(5 sigma) = {empirical:.1e} "
+                f"= {empirical / gaussian:.0f}x Gaussian (>= 10x)")
+
+
+def test_criterion_3_endogenous_heavy_tails(heavy_tail_benchmark_returns):
+    report(3, *check_3(heavy_tail_benchmark_returns[-30_000:]))
+
+
+def test_criterion_3_check_fails_on_controls():
+    """Student-t returns of 3 degrees of freedom pass; Gaussian returns fail on their kurtosis
+    and their 5 sigma CCDF. The finite exponent cannot fail: ``hill_fit_ks`` keeps only
+    candidates whose Hill mean is above a positive floor."""
+    rng = np.random.default_rng(3)
+    assert check_3(rng.standard_t(3, size=30_000))[0]
+    ok, detail = check_3(rng.normal(size=30_000))
+    assert not ok and detail.startswith("kurtosis = 3.0 (> 10)")
+    assert "CCDF(5 sigma) = 0.0e+00 = 0x Gaussian" in detail
+
+
+def check_4(series, control):
+    """Volatility clustering: the |r| autocorrelation of ``series`` is positive at lags
+    10/50/100/500, and that of ``control`` is inside the 3/sqrt(n) band there."""
+    lags = (10, 50, 100, 500)
+    ac = autocorr_abs(series, max_lag=500)
+    ac_control = autocorr_abs(control, max_lag=500)
+    band = 3 / math.sqrt(series.size)
+    positive = all(ac[lag] > 0 for lag in lags)
+    controlled = all(abs(ac_control[lag]) < band for lag in lags)
+    ok = positive and controlled
+    return ok, ("autocorr |r| at lags 10/50/100/500 = "
+                + "/".join(f"{ac[lag]:.3f}" for lag in lags)
+                + f" (all > 0); shuffled max |ac| = "
+                f"{max(abs(ac_control[lag]) for lag in lags):.4f} < {band:.4f}")
+
+
+def shuffled(window):
+    out = window.copy()
+    np.random.default_rng(7).shuffle(out)
+    return out
 
 
 def test_criterion_4_volatility_clustering(heavy_tail_benchmark_returns):
     window = heavy_tail_benchmark_returns[-30_000:]
-    lags = (10, 50, 100, 500)
-    ac = autocorr_abs(window, max_lag=500)
-    shuffled = window.copy()
-    np.random.default_rng(7).shuffle(shuffled)
-    ac_shuffled = autocorr_abs(shuffled, max_lag=500)
-    band = 3 / math.sqrt(window.size)
-    positive = all(ac[lag] > 0 for lag in lags)
-    controlled = all(abs(ac_shuffled[lag]) < band for lag in lags)
-    ok = positive and controlled
-    report(4, ok, "autocorr |r| at lags 10/50/100/500 = "
-                  + "/".join(f"{ac[lag]:.3f}" for lag in lags)
-                  + f" (all > 0); shuffled max |ac| = "
-                  f"{max(abs(ac_shuffled[lag]) for lag in lags):.4f} < {band:.4f}")
+    report(4, *check_4(window, shuffled(window)))
+
+
+def test_criterion_4_check_fails_on_controls(heavy_tail_benchmark_returns):
+    """Each side fails alone: the shuffled window as the series is not positive at every lag,
+    and the window itself as the control is outside the band."""
+    window = heavy_tail_benchmark_returns[-30_000:]
+    assert not check_4(shuffled(window), shuffled(window))[0]
+    assert not check_4(window, window)[0]
 
 
 def check_5(measured, bounds):
@@ -310,23 +344,44 @@ def test_criterion_8_learning_rule_descent():
                   f"decreasing (99% sign test); r^2 fell {squared[0]:.1e} -> {squared[-1]:.1e}")
 
 
-def test_criterion_9_critical_point_economics():
-    base = MarketConfig(n_speculators=1024, use_param=0.5,
-                        info_mode=Endogenous(5), horizon=400_000, seed=17)
-    alphas = (1 / 32, 1 / 4, 1 / 2, 1.0, 8.0)
-    rows = alpha_scan(base, alphas, variants=("deterministic_producers",),
-                      repetitions=5, n_producers=16)
-    income = {row["alpha"]: row["income_factor"] for row in rows}
-    spread = {row["alpha"]: row["gini"] for row in rows}
+def check_9(income, spread):
+    """The income factor and the gini, each a map of alpha to its value, both peak inside
+    [1/4, 1]: above their values at alpha = 1/32 and at alpha = 8."""
     interior = [0.25, 0.5, 1.0]
     income_peak = max(income[a] for a in interior)
     spread_peak = max(spread[a] for a in interior)
     ok = (income_peak > income[1 / 32] and income_peak > income[8.0]
           and spread_peak > spread[1 / 32] and spread_peak > spread[8.0])
-    report(9, ok, "income factor a by alpha: "
-                  + ", ".join(f"{a:g}: {income[a]:.2e}" for a in sorted(income))
-                  + "; gini: " + ", ".join(f"{a:g}: {spread[a]:.3f}" for a in sorted(spread))
-                  + " (both maximal in [1/4, 1])")
+    return ok, ("income factor a by alpha: "
+                + ", ".join(f"{a:g}: {income[a]:.2e}" for a in sorted(income))
+                + "; gini: " + ", ".join(f"{a:g}: {spread[a]:.3f}" for a in sorted(spread))
+                + " (both maximal in [1/4, 1])")
+
+
+CRITERION_9_ALPHAS = (1 / 32, 1 / 4, 1 / 2, 1.0, 8.0)
+
+
+def test_criterion_9_critical_point_economics():
+    base = MarketConfig(n_speculators=1024, use_param=0.5,
+                        info_mode=Endogenous(5), horizon=400_000, seed=17)
+    rows = alpha_scan(base, CRITERION_9_ALPHAS, variants=("deterministic_producers",),
+                      repetitions=5, n_producers=16)
+    income = {row["alpha"]: row["income_factor"] for row in rows}
+    spread = {row["alpha"]: row["gini"] for row in rows}
+    report(9, *check_9(income, spread))
+
+
+def test_criterion_9_check_fails_on_controls():
+    """Rows peaking at alpha = 1/2 pass; flat income, a flat gini and rows that peak at
+    alpha = 1/32 each fail."""
+    def row(values):
+        return dict(zip(CRITERION_9_ALPHAS, values))
+
+    income, spread = row((1e-4, 5e-4, 1e-3, 6e-4, 2e-4)), row((0.1, 0.3, 0.4, 0.35, 0.2))
+    assert check_9(income, spread)[0]
+    assert not check_9(row([1e-3] * 5), spread)[0]
+    assert not check_9(income, row([0.3] * 5))[0]
+    assert not check_9(row((2e-3, 5e-4, 1e-3, 6e-4, 2e-4)), row((0.5, 0.3, 0.4, 0.35, 0.2)))[0]
 
 
 def test_criterion_10_determinism_and_estimator_oracles(tmp_path):

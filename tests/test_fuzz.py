@@ -5,9 +5,12 @@ Each reader gets arbitrary bytes and one-field mutations of a valid file: one
 comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
 one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
 replaced by a hostile token, arbitrary text, a number or arbitrary bytes. A
-simulated ``run.csv`` with one tau changed is refused by that row's number.
+``ConfigError`` from a mutated market INI names a ``section.key`` of the file, or
+the ``[section]`` header of a section the file may not hold. A simulated
+``run.csv`` with one tau changed is refused by that row's number.
 """
 
+import configparser
 import re
 from itertools import product
 
@@ -156,7 +159,7 @@ READERS = {
 
 
 def assert_loaded_or_refused(reader, path):
-    """``path`` is read into a valid value, or refused with an allowed error.
+    """``path`` is read into a valid value, or refused with an allowed error, which is returned.
 
     A ``DataFormatError`` names ``path``.
     """
@@ -166,8 +169,26 @@ def assert_loaded_or_refused(reader, path):
     except allowed as exc:
         if isinstance(exc, DataFormatError):
             assert str(path) in str(exc)
-    else:
-        check(loaded)
+        return exc
+    check(loaded)
+    return None
+
+
+def ini_names(path) -> set:
+    """Every ``section.key`` of the INI file at ``path``, and every ``[section]`` header."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(path.read_text(encoding="utf-8"))
+    return {name for section in parser.sections()
+            for name in (f"[{section}]", *(f"{section}.{key}" for key in parser[section]))}
+
+
+def assert_market_ini_named(path):
+    """The market INI at ``path`` is loaded or refused as ``assert_loaded_or_refused`` allows,
+    and a ``ConfigError`` names one of its ``ini_names``."""
+    refusal = assert_loaded_or_refused("market_ini", path)
+    if isinstance(refusal, ConfigError):
+        names = ini_names(path)
+        assert any(name in str(refusal) for name in names), f"{refusal} names none of {names}"
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +266,16 @@ def test_market_ini_value_mutations(input_file, data, info, value):
     text = MARKET + MARKET_INIS[info]
     index = data.draw(st.sampled_from(ini_values(text)))
     input_file.write_bytes(mutate_value(text, index, value))
-    assert_loaded_or_refused("market_ini", input_file)
+    assert_market_ini_named(input_file)
+
+
+@pytest.mark.parametrize("info", sorted(MARKET_INIS))
+def test_market_ini_token_mutations_named(input_file, info):
+    """Each value of the market INI set to each of ``TOKENS`` in turn."""
+    text = MARKET + MARKET_INIS[info]
+    for index, token in product(ini_values(text), TOKENS):
+        input_file.write_bytes(mutate_value(text, index, token.encode()))
+        assert_market_ini_named(input_file)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

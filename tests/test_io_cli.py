@@ -226,6 +226,66 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^info_mode\.exo_weights must have length 2\*\*exo_bits"):
             Mixed(2, 2, uniform_weights(8)).validate()
 
+    @pytest.mark.parametrize("mode, message", [
+        (Exogenous(np.array([0.3, 0.3])), "info_mode.weights must sum to 1 within 1e-12, got sum 0.6"),
+        (Mixed(2, 1, np.array([0.3, 0.3])),
+         "info_mode.exo_weights must sum to 1 within 1e-12, got sum 0.6"),
+    ], ids=["exogenous", "mixed"])
+    def test_weight_sum_refused_as_a_number_not_a_numpy_repr(self, mode, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            mode.validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed = 3": "seed = 3\nn_producers = -1"},
+         "market.n_producers must be a nonnegative integer, got -1"),
+        ({"seed = 3": "seed = 3\nproducer_kind = sometimes"},
+         "market.producer_kind must be one of ('deterministic', 'random'), got 'sometimes'"),
+        ({"seed = 3": "seed = 3\nepsilon = 0.01"},
+         "market.epsilon must satisfy 0 < epsilon << 1e-3, got 0.01"),
+        ({"horizon = 500": "horizon = 0"}, "market.horizon must be a positive integer, got 0"),
+        ({"horizon = 500": "horizon = 26843546"},
+         "market.horizon: 26843546 steps need 1073741840 bytes of record, above the supported "
+         "1073741824"),
+        ({"seed = 3": f"seed = {2**64}"},
+         f"market.seed must be an integer in [0, 2**64), got {2**64}"),
+        ({"memory_bits = 4": "memory_bits = 63"}, "info.memory_bits must be in [1, 62], got 63"),
+        ({"mode = endogenous\nmemory_bits = 4": "mode = mixed\nendo_bits = 61\nexo_bits = 2\n"
+                                                "exo_weights = 0.5, 0.5"},
+         "info.exo_bits must be in [1, 1], got 2"),
+        ({"mode = endogenous\nmemory_bits = 4": "mode = exogenous\nweights = 0.5, -0.5, 1.0"},
+         "info.weights must be finite and nonnegative"),
+        ({"n_speculators = 64": "n_speculators = 100000000000",
+          "mode = endogenous\nmemory_bits = 4": "mode = mixed\nendo_bits = 19\nexo_bits = 1\n"
+                                                "exo_weights = 0.5, 0.5"},
+         "info.endo_bits, info.exo_bits, info.exo_weights at market.n_speculators + "
+         "market.n_producers: 1048576 states x 100000000000 agents need"),
+        ({"endogenous\nmemory_bits = 4": "mixed\nendo_bits = 2"}, "info.exo_bits is required at info.mode = mixed"),
+    ], ids=["n_producers", "producer_kind", "epsilon", "horizon", "record_cap", "seed",
+            "memory_bits", "exo_bits", "weights", "mixed_size_cap", "required_by_mode"])
+    def test_market_refusal_names_the_keys_of_the_file(self, tmp_path, changes, message):
+        """A refusal is named by the [market] or [info] key that set it; a missing key that the
+        mode calls for, by the mode as well."""
+        text = MINIMAL
+        for old, new in changes.items():
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_market_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("mode, info", [
+        (Endogenous, "mode = endogenous\nmemory_bits = 4"),
+        (Exogenous, "mode = exogenous\ndistribution = exp\nstates = 8\nrate = 0.02"),
+        (Mixed, "mode = mixed\nendo_bits = 3\nexo_bits = 2\nexo_distribution = uniform\n"
+                "exo_states = 4"),
+    ], ids=["endogenous", "exogenous", "mixed"])
+    def test_mode_validated_once_per_file(self, tmp_path, monkeypatch, mode, info):
+        calls = []
+        validate = mode.validate
+        monkeypatch.setattr(mode, "validate", lambda self: calls.append(validate(self)))
+        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4", info)
+        assert isinstance(parse_market_config(write(tmp_path, text)).info_mode, mode)
+        assert len(calls) == 1
+
 
 class TestArtifacts:
     def test_run_csv_round_trip(self, tmp_path, make_config):
@@ -659,6 +719,23 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: epsilon = 1e-300 is too small")
         assert not (tmp_path / "o" / "run.csv").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mode = endogenous\nmemory_bits = 4", "mode = mixed\nendo_bits = 2\nexo_bits = 1\n"
+                                               "exo_weights = 0.3, 0.3",
+         "info.exo_weights must sum to 1 within 1e-12, got sum 0.6"),
+        ("mode = endogenous\nmemory_bits = 4", "mode = exogenous\nweights = 0.3, 0.3",
+         "info.weights must sum to 1 within 1e-12, got sum 0.6"),
+        ("n_speculators = 64", "n_speculators = 0",
+         "market.n_speculators must be a positive integer, got 0"),
+        ("use_param = 0.5", "use_param = 1.5", "market.use_param must be in (0, 1], got 1.5"),
+    ], ids=["mixed_weights", "exogenous_weights", "n_speculators", "use_param"])
+    def test_simulate_refuses_a_config_by_its_key(self, tmp_path, capsys, old, new, message):
+        config = write(tmp_path, MINIMAL.replace(old, new))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_refuses_record_agents_by_name(self, tmp_path, capsys):
         config = write(tmp_path, MINIMAL.replace("seed = 3", "seed = 3\nrecord_agents = true"))

@@ -121,6 +121,13 @@ class TestNodeConfig:
         with pytest.raises(ConfigError, match=rf"axis {axis} values must be finite"):
             run_sweep(spec)
 
+    def test_numpy_axis_values_refused_as_numbers(self):
+        with pytest.raises(ConfigError, match=r"^axis n_speculators takes integers, got 32\.7$"):
+            SweepAxis("n_speculators", tuple(np.array([32.7])))
+        spec = SweepSpec(base=base_config(), axes=(SweepAxis("alpha", tuple(np.array([0.5, 0.5]))),))
+        with pytest.raises(ConfigError, match=r"^axis alpha lists the value 0\.5 twice$"):
+            spec.validate()
+
 
 class TestAggregate:
     def test_geometric_mean(self):

@@ -247,6 +247,29 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
     return (base - cum) + (*base <= u);
 }
 
+#define PUBLISH_STEPS 1024
+
+/* Rows from .. to - 1 are complete once the ratios of their returns are
+ * logged: returns[i] is row i + 1's, and row 0 has none. Stores to in
+ * progress, where it is not NULL, with release order, so that a thread that
+ * reads it with specmarket_progress also sees the rows. */
+static __attribute__((noinline, cold)) void publish(double *returns, int64_t from, int64_t to,
+                                                    int64_t *progress)
+{
+    for (int64_t i = from > 0 ? from - 1 : 0; i + 1 < to; i++) {
+        returns[i] = log10(returns[i]);
+    }
+    if (progress) {
+        __atomic_store_n(progress, to, __ATOMIC_RELEASE);
+    }
+}
+
+/* The count of complete rows that specmarket_run has stored in progress. */
+int64_t specmarket_progress(const int64_t *progress)
+{
+    return __atomic_load_n(progress, __ATOMIC_ACQUIRE);
+}
+
 /* Steps a market from its initial state for `horizon` steps.
  *
  * n agents, the first k of them producers, the first n_random of those
@@ -261,8 +284,10 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
  * Returns horizon, or the first step t whose price is not finite and
  * positive or whose return's ratio price / before is not (before is 1.0 at
  * t = 0); it stops there, with prices[t] written and nothing settled.
- * Each step stores its ratio in returns, and one pass takes their log10 on
- * the way out.
+ * Each step stores its ratio in returns. The steps run in blocks of
+ * PUBLISH_STEPS, and after each block, the last one or the one cut short
+ * included, publish takes the log10 of the block's ratios and, where
+ * progress is not NULL, release-stores the count of complete rows there.
  */
 int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int64_t n_random,
                     double gamma, double eps, int64_t endo_states,
@@ -270,13 +295,18 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
                     const uint8_t *strategies, int64_t mu, int64_t *last_seen,
                     double *money, double *stocks, double *m, double *s,
                     double *prices, double *returns, int64_t *mus, int64_t *taus,
-                    double *capital)
+                    double *capital, int64_t *progress)
 {
     const int64_t n_spec = n - k, endo_mask = endo_states - 1;
     double price = 1.0, before = 1.0;
     int64_t endo = 0, pos = n_queue;
-    int64_t t = 0;
-    for (; t < horizon; t++) {
+    int64_t t = 0, end = 0;
+    /* blocks of PUBLISH_STEPS steps, until the horizon or a refused step; the
+     * step loop keeps the indent it has as the function's one loop */
+    while (t == end && t < horizon) {
+    const int64_t start = t;
+    end = horizon - t > PUBLISH_STEPS ? t + PUBLISH_STEPS : horizon;
+    for (; t < end; t++) {
         if (t > 0) {
             if (endo_states) {
                 int64_t bit;
@@ -346,8 +376,7 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
         totals held = pairwise2(money + k, stocks + k, n_spec);
         capital[t] = (0.0 + held.a) + (0.0 + held.b);
     }
-    for (int64_t i = 0; i + 1 < t; i++) {
-        returns[i] = log10(returns[i]);
+    publish(returns, start, t, progress);
     }
     return t;
 }

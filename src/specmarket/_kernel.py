@@ -15,11 +15,14 @@ process, under a lock, so threads that call it first build and bind it once;
 where it cannot be built or loaded, it warns once, and ``market.run`` then
 loops over ``market.step``, ``analytics.dim_distribution`` runs its chain in
 numpy and ``io.write_columns`` formats its cells in Python. The library is a
-``ctypes.CDLL``, so every call into it releases the GIL: the markets of a
-sweep's threads run side by side on separate cores. ``SIGNATURES`` holds
-each entry point's argument and return types, which ``_bind`` declares at
-load. The library's only shared state is the writer's tables, filled once at
-load and read-only after.
+``ctypes.CDLL``, so every call into it releases the GIL. Two places start
+threads that make use of it: ``sweep.run_many``, whose markets run side by
+side on separate cores, and ``market.run`` with a follower, which formats
+``run.csv`` with the row writer on a helper thread while the step kernel
+runs on the caller. ``SIGNATURES`` holds each entry point's argument and
+return types, which ``_bind`` declares at load. The library's only shared
+state is the writer's tables, filled once at load and read-only after, and
+the progress counter a caller passes to the step kernel.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
 states, taus, capitals) with the bits of ``market.step``:
@@ -40,7 +43,14 @@ states, taus, capitals) with the bits of ``market.step``:
   ``y * float(not buy)``.
 - Returns are ``log10(price / before)`` from the C library, the function
   ``math.log10`` calls for a finite positive argument; ``-lm`` is linked
-  explicitly.
+  explicitly. A step stores the ratio. The steps run in blocks of 1024, and
+  after each block (the last, and one cut short by a refused step,
+  included) a cold, never-inlined helper takes the log10 of its ratios, so
+  the step loop's code is the same as with one pass at the end. Where the
+  caller passes a progress counter, the helper then stores the count of
+  complete rows there with release order; ``specmarket_progress`` loads it
+  with acquire order, so a thread that reads a count also sees those rows'
+  prices, states, taus and returns.
 - Taus count the steps since the state's ``last_seen``, which the kernel
   updates in place; 0 on a state's first occurrence.
 - The draws go through the bit generator's ``next_double`` in the order of
@@ -113,8 +123,9 @@ SIGNATURES = {
         _p, _i64, _p,                 # strategies, mu, last_seen
         _p, _p, _p, _p,               # money, stocks, m, s
         _p, _p, _p, _p,               # prices, returns, mus, taus
-        _p,                           # capital
+        _p, _p,                       # capital, progress
     ), _i64),
+    "specmarket_progress": ((_p,), _i64),  # progress; returns the complete rows
     "specmarket_divide": ((_p, _i64, _f64, _p), _i64),  # m, n, price, q
     "specmarket_total": ((_p, _i64), _f64),  # a, n
     # escape, start, cap, first, last, p, moved (scratch); returns the fixed point's step, or 0

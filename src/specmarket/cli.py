@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,12 +57,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _missing_dirs(path: Path) -> list:
+    """``path`` and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    while not path.exists() and path != path.parent:
+        missing.append(path)
+        path = path.parent
+    return missing
+
+
 def cmd_simulate(args) -> int:
+    """Run the market and write its artifact to ``--out``.
+
+    run.csv is written by a ``run`` follower while the market steps, under a
+    temporary name in ``--out`` that ``write_run_artifact`` renames into place
+    once the analysis has passed. A refused run or analysis removes that file,
+    and the directories the command made, so it changes nothing in ``--out``.
+    """
     config = io.parse_market_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    record = run(config)
-    files = io.write_run_artifact(args.out, config, record)
+    outdir = Path(args.out)
+    made = _missing_dirs(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    partial = outdir / f".run-{os.urandom(8).hex()}.csv.tmp"
+    chash = io.config_hash(config)
+    try:
+        record = run(config, lambda record, rows: io.write_run_csv(partial, chash, record, rows))
+        files = io.write_run_artifact(outdir, config, record, run_csv=partial)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # something else was written there meanwhile
+                break
+        raise
     print(f"wrote {len(files)} files to {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -176,18 +177,32 @@ def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
     raise ConfigError(f"info.mode must be endogenous, exogenous or mixed, got {mode!r}")
 
 
-def _named_by_keys(message: str, section, mode) -> str:
-    """A ``validate_config`` refusal with the name that leads it, and ``2**exo_bits``, as keys
-    of the file. A field of ``mode`` is its [info] key, a weight vector set by a distribution
-    its state count; the size cap names the mode's keys."""
+def _market_names(section, mode) -> dict:
+    """The key of the file for each name that leads a ``validate_config`` refusal. A field of
+    ``mode`` is its [info] key, a weight vector set by a distribution its state count; the
+    size cap names the mode's keys."""
     mode_keys = {f"info_mode.{f.name}": f"info.{f.name}" for f in fields(mode)}
     for field in ("weights", "exo_weights"):
         if f"info_mode.{field}" in mode_keys and section.get(field) is None:
             mode_keys[f"info_mode.{field}"] = f"info.{field.replace('weights', 'states')}"
-    names = {**{key: f"market.{key}" for key in _MARKET_KEYS}, **mode_keys,
-             "info_mode/n_speculators": f"{', '.join(mode_keys.values())} at {_AGENT_KEYS}"}
-    name = message.split(" ", 1)[0].rstrip(":")
-    return names.get(name, name) + message[len(name):].replace("2**exo_bits", "2**info.exo_bits")
+    return {**{key: f"market.{key}" for key in _MARKET_KEYS}, **mode_keys,
+            "info_mode/n_speculators": f"{', '.join(mode_keys.values())} at {_AGENT_KEYS}"}
+
+
+#: what replaces each name that leads a [sweep] refusal of ``SweepSpec`` or ``SweepAxis``;
+#: ``axis <name>`` is led by ``sweep.<name>`` for each axis the file lists
+_SWEEP_NAMES = {"repetitions": "sweep.repetitions", "metrics": "sweep.metrics",
+                "metric": "sweep.metrics: metric", "axes": "sweep.axes", "axis": "sweep.axes: axis"}
+
+
+def _named_by_keys(message: str, names: dict, otherwise: str = "") -> str:
+    """``message`` with the name that leads it, of two words or of one, replaced by its entry
+    of ``names``; a message that no name of ``names`` leads is led by ``otherwise``."""
+    words = message.split(" ", 2)
+    for name in (" ".join(words[:2]), words[0].rstrip(":")):
+        if name in names:
+            return names[name] + message[len(name):]
+    return otherwise + message
 
 
 def parse_market_config(path) -> MarketConfig:
@@ -218,14 +233,18 @@ def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     try:
         validate_config(config)
     except ConfigError as exc:
-        raise ConfigError(_named_by_keys(str(exc), parser["info"], config.info_mode)) from None
+        message = _named_by_keys(str(exc), _market_names(parser["info"], config.info_mode))
+        raise ConfigError(message.replace("2**exo_bits", "2**info.exo_bits")) from None
     return config
 
 
 def parse_sweep_spec(path) -> SweepSpec:
     """Parse a sweep config: the market sections plus a [sweep] section.
 
-    Keys left out of [sweep] take the defaults of :class:`SweepSpec`.
+    Keys left out of [sweep] take the defaults of :class:`SweepSpec`. A
+    refusal of the spec or of an axis names the key of the file it concerns
+    (``sweep.repetitions``, ``sweep.metrics``, ``sweep.axes`` or
+    ``sweep.<axis>``), or else ``[sweep]``.
     """
     parser = _read_ini(path)
     base = _parse_market(parser)
@@ -234,13 +253,15 @@ def parse_sweep_spec(path) -> SweepSpec:
     section = parser["sweep"]
     axis_names = _get(section, "axes", _to_words, "sweep")
     _reject_unknown(parser, "sweep", {"axes", *_SWEEP_KEYS, *axis_names})
-    axes = tuple(SweepAxis(name, tuple(_get(section, name, _to_floats, "sweep").tolist()))
-                 for name in axis_names)
-    spec = SweepSpec(base=base, axes=axes, **{
-        key: _get(section, key, convert, "sweep")
-        for key, convert in _SWEEP_KEYS.items() if key in section
-    })
-    spec.validate()
+    values = [(name, tuple(_get(section, name, _to_floats, "sweep").tolist())) for name in axis_names]
+    settings = {key: _get(section, key, convert, "sweep")
+                for key, convert in _SWEEP_KEYS.items() if key in section}
+    try:
+        spec = SweepSpec(base=base, axes=tuple(SweepAxis(*axis) for axis in values), **settings)
+        spec.validate()
+    except ConfigError as exc:
+        names = {**_SWEEP_NAMES, **{f"axis {name}": f"sweep.{name}: axis {name}" for name in axis_names}}
+        raise ConfigError(_named_by_keys(str(exc), names, "[sweep] ")) from None
     return spec
 
 
@@ -380,6 +401,32 @@ def _write_rows(lib, fh, prepared, empty, n_rows: int) -> None:
         fh.write(buffer[:written])
 
 
+def _write_body(lib, fh, columns, empty, n_rows: int) -> None:
+    """Write the ``n_rows`` rows of ``columns`` to binary ``fh``, with ``empty`` as in
+    ``write_columns`` but contiguous, in chunks of ``_CHUNK_ROWS``. The C row writer of
+    ``lib`` formats a table of float and integer columns; ``_cells`` formats any other
+    table, and every table where ``lib`` is not loaded."""
+    prepared = _writer_columns(columns) if lib else None
+    if prepared:
+        _write_rows(lib, fh, prepared, empty, n_rows)
+        return
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        cells = [_cells(column[chunk], None if mask is None else mask[chunk])
+                 for column, mask in zip(columns, empty)]
+        fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+
+
+def _open_table(path, tag: tuple, names):
+    """``path`` opened for binary writing, its directory made, and the format header, the
+    ``# key: value`` tag line and the column names written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "wb")
+    fh.write((_header(*tag) + ",".join(names) + "\n").encode())
+    return fh
+
+
 def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
     """Write a specmarket CSV: format header, ``# key: value`` tag line, column names, rows.
 
@@ -399,22 +446,9 @@ def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
         raise ValueError(f"{len(empty)} masks for {len(columns)} columns")
     if len(set(lengths)) > 1:
         raise ValueError(f"columns and masks of unequal lengths {lengths}")
-    n_rows = lengths[0]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lib = _kernel.library()
-    prepared = _writer_columns(columns) if lib else None
-    with open(path, "wb") as fh:
-        fh.write((_header(*tag) + ",".join(names) + "\n").encode())
-        if prepared:
-            _write_rows(lib, fh, prepared, empty, n_rows)
-        else:
-            for start in range(0, n_rows, _CHUNK_ROWS):
-                chunk = slice(start, start + _CHUNK_ROWS)
-                cells = [_cells(column[chunk], None if mask is None else mask[chunk])
-                         for column, mask in zip(columns, empty)]
-                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
-    return path
+    with _open_table(path, tag, names) as fh:
+        _write_body(_kernel.library(), fh, columns, empty, lengths[0])
+    return Path(path)
 
 
 def write_json(path, payload: dict) -> Path:
@@ -462,20 +496,38 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
 RUN_COLUMNS = ("t", "mu", "tau", "price", "log_return")
 
 
-def write_run_csv(path, chash: str, record: SimulationRecord) -> Path:
+def write_run_csv(path, chash: str, record: SimulationRecord, rows=None) -> Path:
     """Write a record's run.csv, the file ``read_run_csv`` reads back.
 
     Rows are t, mu, tau, price and log return; tau is empty where the state had
-    not occurred before, and the log return is empty at t = 0.
+    not occurred before, and the log return is empty at t = 0. ``rows``, if
+    given, is the ``rows()`` of a ``market.run`` follower: the rows are written
+    as they complete, up to the count at which the run ended. Row 0 goes out
+    on its own, its log return a masked cell, so no column is copied; the C
+    row writer formats the rest in chunks of ``_CHUNK_ROWS``.
     """
-    t = np.arange(len(record.prices))
-    return write_columns(
-        path, ("config-hash", chash), RUN_COLUMNS,
-        (t, record.mus, record.taus, record.prices, np.concatenate(([0.0], record.returns))),
-        empty=(None, None, record.taus == 0, None, t == 0))
+    n_rows = len(record.prices)
+    lib = _kernel.library()
+    done = 0
+    with _open_table(path, ("config-hash", chash), RUN_COLUMNS) as fh:
+        while done < n_rows:
+            ready = n_rows if rows is None else rows()
+            if ready == done:  # the run ended early
+                break
+            while done < ready:
+                stop = ready if done else 1  # row 0 alone: its log return is a masked cell
+                taus = record.taus[done:stop]
+                columns = (np.arange(done, stop), record.mus[done:stop], taus,
+                           record.prices[done:stop],
+                           record.returns[done - 1:stop - 1] if done else np.zeros(1))
+                empty = (None, None, taus == 0, None, None if done else np.ones(1, dtype=bool))
+                _write_body(lib, fh, columns, empty, stop - done)
+                done = stop
+    return Path(path)
 
 
-def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -> dict:
+def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord,
+                       run_csv=None) -> dict:
     """Write ccdf.csv, autocorr.csv, summary.json, config.ini, run.csv, surprise.csv.
 
     For a horizon of T steps, the return statistics are those of
@@ -485,7 +537,9 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     They are computed first, and ``write_analysis`` computes the rest before it
     writes, so a run the analysis refuses leaves no file; ``errors.analyzing``
     names its return count and horizon. A run with no surprise statistics
-    removes a surprise.csv left in ``outdir`` by an earlier run.
+    removes a surprise.csv left in ``outdir`` by an earlier run. ``run_csv``,
+    if given, is this record's run.csv already written by ``write_run_csv``,
+    which is renamed into place instead of being written again.
     """
     chash = config_hash(config)
     extra = {"seed": config.seed}
@@ -517,7 +571,11 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord) -
     tag = ("config-hash", chash)
     files["config"] = outdir / "config.ini"
     files["config"].write_text(_header(*tag) + emit_config(config))
-    files["run"] = write_run_csv(outdir / "run.csv", chash, record)
+    files["run"] = outdir / "run.csv"
+    if run_csv is None:
+        write_run_csv(files["run"], chash, record)
+    else:
+        os.replace(run_csv, files["run"])
     if surprise is None:
         (outdir / "surprise.csv").unlink(missing_ok=True)
     else:

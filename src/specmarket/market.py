@@ -17,7 +17,9 @@ determined by the config seed, so equal configs replay bit-identically.
 engine, ``run``: it steps a market's whole horizon in one call of a C kernel
 (``_kernel.c``) with the same bits as ``step``. The kernel writes the whole
 record (prices, returns, states, taus and capitals) and leaves the state's
-holdings and ``last_seen`` as ``step`` does. It sums two arrays per pass of
+holdings and ``last_seen`` as ``step`` does. Given a follower, ``run`` hands
+it the record on a helper thread, with the count of rows the kernel has
+completed, so that ``run.csv`` is written while the market steps. It sums two arrays per pass of
 one pairwise tree, copied from numpy's, and takes each return from the C
 library's ``log10``, which ``math.log10`` calls. The kernel is compiled on
 first use and cached in the package's ``__pycache__/`` under a hash of its
@@ -27,9 +29,12 @@ cannot be built, ``run`` warns once and loops over ``step`` itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -494,38 +499,99 @@ def record_bytes(config: MarketConfig) -> int:
     return 8 * 5 * config.horizon
 
 
-def run(config: MarketConfig) -> SimulationRecord:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+#: seconds a follower's ``rows()`` sleeps between looks at the kernel's progress
+_FOLLOW_POLL_S = 2e-4
+
+
+def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRecord:
     """Execute ``config.horizon`` steps and return the full record.
 
     The record is bit-identical to stepping the market with :func:`step`, so
     equal configs replay bit-identically. A step whose price is not finite and
     positive, or whose return is not finite, raises the :class:`ConfigError`
     of :func:`check_clearing`, as :func:`step` does.
+
+    ``follow(record, rows)``, if given, reads the record while it is written:
+    ``rows()`` blocks until more rows are complete, or the run has ended, and
+    returns the count of complete rows; rows ``0 .. rows() - 1`` of the
+    prices, mus and taus, and the returns before them, hold their final bits.
+    Where the C kernel is loaded and two CPUs are usable, ``follow`` runs on
+    one helper thread while the kernel steps on the calling thread; elsewhere
+    it runs on the caller after the stepping, and ``rows()`` returns the
+    horizon. The helper is joined before ``run`` returns or raises, and an
+    exception it raised is re-raised here.
     """
     state = new_market(config)
     horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
-    prices, returns = np.empty(horizon), np.empty(horizon - 1)
-    mus, taus = np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64)
-    capital = np.empty(horizon)
+    record = SimulationRecord(
+        prices=np.empty(horizon), returns=np.empty(horizon - 1),
+        mus=np.empty(horizon, dtype=np.int64), taus=np.empty(horizon, dtype=np.int64),
+        mean_spec_capital=np.empty(horizon), final_spec_capitals=np.empty(0))
     lib = _kernel.library()
-    if lib:
-        _step_kernel(lib, state, prices, returns, mus, taus, capital)
+    helper = follow is not None and lib and _usable_cpus() > 1
+    if helper:
+        with _following(lib, follow, record) as progress:
+            _step_kernel(lib, state, record, progress)
+    elif lib:
+        _step_kernel(lib, state, record, None)
     else:
         for t in range(horizon):
             out = step(state)
-            prices[t], mus[t], taus[t] = out.price, out.mu, out.tau
+            record.prices[t], record.mus[t], record.taus[t] = out.price, out.mu, out.tau
             if t:
-                returns[t - 1] = out.log_return
-            capital[t] = np.add.reduce(state.money[k:]) + np.add.reduce(state.stocks[k:])
-    capital /= 2.0 * n_spec
-    return SimulationRecord(
-        prices=prices,
-        returns=returns,
-        mus=mus,
-        taus=taus,
-        mean_spec_capital=capital,
-        final_spec_capitals=(state.money[k:] + state.stocks[k:]) / 2.0,
-    )
+                record.returns[t - 1] = out.log_return
+            record.mean_spec_capital[t] = (np.add.reduce(state.money[k:])
+                                           + np.add.reduce(state.stocks[k:]))
+    record.mean_spec_capital /= 2.0 * n_spec
+    record.final_spec_capitals = (state.money[k:] + state.stocks[k:]) / 2.0
+    if follow is not None and not helper:
+        follow(record, lambda: horizon)
+    return record
+
+
+@contextlib.contextmanager
+def _following(lib, follow, record):
+    """Run ``follow(record, rows)`` on a helper thread while the kernel steps in the body,
+    which gets the progress counter the kernel stores into. On the way out the run is
+    marked ended, the helper joined and the exception it raised, if any, re-raised."""
+    progress = np.zeros(1, dtype=np.int64)
+    ended = threading.Event()
+    raised = []
+    seen = 0
+
+    def rows() -> int:
+        nonlocal seen
+        while True:
+            finished = ended.is_set()  # before the count, so a finished run's count is final
+            count = lib.specmarket_progress(progress.ctypes.data)
+            if count > seen or finished:
+                seen = count
+                return count
+            ended.wait(_FOLLOW_POLL_S)
+
+    def work():
+        try:
+            follow(record, rows)
+        except BaseException as exc:  # re-raised by the stepping thread after the join
+            raised.append(exc)
+
+    helper = threading.Thread(target=work, name="specmarket-follow")
+    helper.start()
+    try:
+        yield progress
+    finally:
+        ended.set()
+        helper.join()
+        if raised:
+            raise raised[0]
 
 
 def _address(array) -> Optional[int]:
@@ -539,10 +605,12 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
-def _step_kernel(lib, state, prices, returns, mus, taus, capital) -> None:
-    """The whole horizon in one call of the C kernel; the state ends as ``step`` leaves it."""
+def _step_kernel(lib, state, record, progress) -> None:
+    """The whole horizon in one call of the C kernel, which stores its complete rows into
+    ``progress`` where it is not None; the state ends as ``step`` leaves it."""
     cfg = state.config
     n, k, horizon = cfg.n_agents, cfg.n_producers, cfg.horizon
+    prices, returns, mus = record.prices, record.returns, record.mus
     cum = state._exo_cum
     queue = None if cum is None else np.empty(_EXO_CHUNK, dtype=np.int64)
     m, s = np.empty(n), np.empty(n)
@@ -555,8 +623,8 @@ def _step_kernel(lib, state, prices, returns, mus, taus, capital) -> None:
             _address(queue), 0 if queue is None else queue.size,
             state.strategies.ctypes.data, state.mu, state.last_seen.ctypes.data,
             state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
-            prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, taus.ctypes.data,
-            capital.ctypes.data,
+            prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, record.taus.ctypes.data,
+            record.mean_spec_capital.ctypes.data, _address(progress),
         )
     if done < horizon:
         check_clearing(cfg, done, float(prices[done]), float(prices[done - 1]) if done else 1.0)

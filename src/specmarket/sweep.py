@@ -15,7 +15,6 @@ reason and left out of the aggregate.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from itertools import product
@@ -29,6 +28,7 @@ from .market import (
     Exogenous,
     MarketConfig,
     SimulationRecord,
+    _usable_cpus,
     check_market_size,
     check_seed,
     run,
@@ -243,14 +243,6 @@ def aggregate(rep_metrics: Sequence[dict]) -> dict:
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:

@@ -84,18 +84,43 @@ def test_criterion_1_check_fails_on_a_misstated_size():
     assert not check_1(returns, 512)[0]
 
 
+def check_2(returns):
+    """Information absorption: the std of the later half of ``returns`` is at most a tenth of
+    the mean |r| of the first 10, and its kurtosis is Gaussian-like, in [2.5, 4]."""
+    head = float(np.abs(returns[:10]).mean())
+    window = returns[(returns.size + 1) // 2:]  # at horizon 60000, the 3e4 steps analyzed
+    ratio = float(window.std()) / head
+    kurt = kurtosis(window)
+    ok = ratio <= 0.1 and 2.5 <= kurt <= 4.0
+    return ok, (f"post-transient std / initial mean |r| = {ratio:.3f} (<= 0.1), "
+                f"kurtosis = {kurt:.2f} (in [2.5, 4])")
+
+
 def test_criterion_2_exogenous_information_absorption():
     config = MarketConfig(n_speculators=1024, use_param=0.8,
                           info_mode=Exogenous(uniform_weights(512)),
                           horizon=60_000, seed=5)
-    returns = run(config).returns
-    head = float(np.abs(returns[:10]).mean())
-    window = returns[30_000:]  # the 3e4 post-transient steps that get analyzed
-    ratio = float(window.std()) / head
-    kurt = kurtosis(window)
-    ok = ratio <= 0.1 and 2.5 <= kurt <= 4.0
-    report(2, ok, f"post-transient std / initial mean |r| = {ratio:.3f} (<= 0.1), "
-                  f"kurtosis = {kurt:.2f} (in [2.5, 4])")
+    report(2, *check_2(run(config).returns))
+
+
+def test_criterion_2_check_fails_on_controls():
+    """Gaussian returns that shrink a hundredfold after the first 10 pass; ones that do not
+    shrink fail on the std ratio, uniform ones on the lower kurtosis bound and Laplace ones
+    on the upper."""
+    rng = np.random.default_rng(2)
+    head, transient = rng.normal(size=10), rng.normal(size=29_989)
+
+    def returns(window):
+        return np.concatenate([head, transient, window])
+
+    assert check_2(returns(0.01 * rng.normal(size=30_000))) == (
+        True, "post-transient std / initial mean |r| = 0.012 (<= 0.1), kurtosis = 3.03 (in [2.5, 4])")
+    for window, ratio, kurt in ((rng.normal(size=30_000), "1.184", "3.00"),
+                                (0.01 * rng.uniform(-1.0, 1.0, size=30_000), "0.007", "1.79"),
+                                (0.01 * rng.laplace(size=30_000), "0.017", "5.92")):
+        assert check_2(returns(window)) == (
+            False, f"post-transient std / initial mean |r| = {ratio} (<= 0.1), "
+                   f"kurtosis = {kurt} (in [2.5, 4])")
 
 
 def check_3(window):

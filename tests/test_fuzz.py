@@ -5,8 +5,8 @@ Each reader gets arbitrary bytes and one-field mutations of a valid file: one
 comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
 one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
 replaced by a hostile token, arbitrary text, a number or arbitrary bytes. A
-``ConfigError`` from a mutated market INI names a ``section.key`` of the file, or
-the ``[section]`` header of a section the file may not hold. A simulated
+``ConfigError`` from a mutated market or sweep INI names a ``section.key`` of the
+file, or the ``[section]`` header of a section it holds. A simulated
 ``run.csv`` with one tau changed is refused by that row's number.
 """
 
@@ -182,10 +182,10 @@ def ini_names(path) -> set:
             for name in (f"[{section}]", *(f"{section}.{key}" for key in parser[section]))}
 
 
-def assert_market_ini_named(path):
-    """The market INI at ``path`` is loaded or refused as ``assert_loaded_or_refused`` allows,
-    and a ``ConfigError`` names one of its ``ini_names``."""
-    refusal = assert_loaded_or_refused("market_ini", path)
+def assert_ini_named(reader, path):
+    """The INI at ``path`` is loaded or refused as ``assert_loaded_or_refused`` allows
+    ``reader``, and a ``ConfigError`` names one of its ``ini_names``."""
+    refusal = assert_loaded_or_refused(reader, path)
     if isinstance(refusal, ConfigError):
         names = ini_names(path)
         assert any(name in str(refusal) for name in names), f"{refusal} names none of {names}"
@@ -266,7 +266,7 @@ def test_market_ini_value_mutations(input_file, data, info, value):
     text = MARKET + MARKET_INIS[info]
     index = data.draw(st.sampled_from(ini_values(text)))
     input_file.write_bytes(mutate_value(text, index, value))
-    assert_market_ini_named(input_file)
+    assert_ini_named("market_ini", input_file)
 
 
 @pytest.mark.parametrize("info", sorted(MARKET_INIS))
@@ -275,15 +275,29 @@ def test_market_ini_token_mutations_named(input_file, info):
     text = MARKET + MARKET_INIS[info]
     for index, token in product(ini_values(text), TOKENS):
         input_file.write_bytes(mutate_value(text, index, token.encode()))
-        assert_market_ini_named(input_file)
+        assert_ini_named("market_ini", input_file)
+
+
+#: the lines of ``SWEEP`` that hold a value of its [sweep] section
+SWEEP_VALUES = [i for i in ini_values(SWEEP) if i > SWEEP.splitlines().index("[sweep]")]
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(index=st.sampled_from([i for i in ini_values(SWEEP) if i > SWEEP.splitlines().index("[sweep]")]),
-       value=VALUES)
+@given(index=st.sampled_from(SWEEP_VALUES), value=VALUES)
 def test_sweep_ini_value_mutations(input_file, index, value):
     input_file.write_bytes(mutate_value(SWEEP, index, value))
-    assert_loaded_or_refused("sweep_ini", input_file)
+    assert_ini_named("sweep_ini", input_file)
+
+
+@pytest.mark.parametrize("extra", ["", "n_states = 8, 16\n"], ids=["sweep", "with_n_states"])
+def test_sweep_ini_token_mutations_named(input_file, extra):
+    """Each [sweep] value set to each of ``TOKENS``, and to the value of another of its keys,
+    in turn; ``with_n_states`` also holds the key of an axis that ``axes`` may come to list."""
+    text = SWEEP + extra
+    others = [line.split(" = ")[1] for line in SWEEP.splitlines()[SWEEP_VALUES[0]:]]
+    for index, token in product(SWEEP_VALUES, (*TOKENS, *others, "alpha, alpha", "n_states")):
+        input_file.write_bytes(mutate_value(text, index, token.encode()))
+        assert_ini_named("sweep_ini", input_file)
 
 
 @pytest.fixture(scope="module")

@@ -161,9 +161,10 @@ class TestParseConfig:
         assert spec.metrics == ("variance", "kurtosis")
 
     @pytest.mark.parametrize("sweep, message", [
-        ("axes = use_param, use_param\nuse_param = 0.2, 0.8\n", "^axis use_param is named twice$"),
+        ("axes = use_param, use_param\nuse_param = 0.2, 0.8\n",
+         "^sweep.use_param: axis use_param is named twice$"),
         ("axes = alpha, n_states\nalpha = 0.5\nn_states = 8\n",
-         "^axes alpha and n_states both set the state count"),
+         "^sweep.axes alpha and n_states both set the state count"),
     ], ids=["twice", "alpha_with_n_states"])
     def test_sweep_refuses_colliding_axes_by_name(self, tmp_path, sweep, message):
         with pytest.raises(ConfigError, match=message):
@@ -175,6 +176,27 @@ class TestParseConfig:
             parse_sweep_spec(write(tmp_path, text.format("32.7, 64")))
         values = parse_sweep_spec(write(tmp_path, text.format("32, 64.0"))).axes[0].values
         assert values == (32, 64) and all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("axes = alpha\nalpha = 0.25\nrepetitions = 0\n", "sweep.repetitions must be >= 1, got 0"),
+        ("axes = alpha\nalpha = 0.25\nmetrics = bogus\n",
+         "sweep.metrics: metric must be one of ('variance', 'kurtosis', 'reduction', "
+         "'income_factor', 'gini', 'tail_exponent'), got 'bogus'"),
+        ("axes = alpha\nalpha = 0.25\nmetrics =\n", "sweep.metrics must name at least one metric"),
+        ("axes =\n", "sweep.axes must contain at least one axis"),
+        ("axes = foo\nfoo = 1\n", "sweep.axes: axis name must be one of ('alpha', 'n_states', "
+                                  "'n_speculators', 'n_producers', 'use_param'), got 'foo'"),
+        ("axes = alpha\nalpha = 0.5, 0.5\n", "sweep.alpha: axis alpha lists the value 0.5 twice"),
+        ("axes = alpha\nalpha = nan\n", "sweep.alpha: axis alpha values must be finite, got nan"),
+        ("axes = alpha\nalpha =\n", "sweep.alpha: axis alpha has no values"),
+        ("axes = n_speculators\nn_speculators = 32.7\n",
+         "sweep.n_speculators: axis n_speculators takes integers, got 32.7"),
+    ], ids=["repetitions", "unknown_metric", "no_metric", "no_axis", "unknown_axis", "repeated_value",
+            "nan", "no_value", "fraction"])
+    def test_sweep_refusal_names_the_keys_of_the_file(self, tmp_path, sweep, message):
+        """A refusal of the [sweep] section is led by the key of the file that set it."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_sweep_spec(write(tmp_path, MINIMAL + "\n[sweep]\n" + sweep))
 
     @pytest.mark.parametrize("agents, info, field", [
         (64, "mode = exogenous\ndistribution = uniform\nstates = 100000000000", "info.states"),

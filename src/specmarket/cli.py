@@ -57,41 +57,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _missing_dirs(path: Path) -> list:
-    """``path`` and those of its ancestors that do not exist, deepest first."""
-    missing = []
-    while not path.exists() and path != path.parent:
-        missing.append(path)
-        path = path.parent
-    return missing
-
-
 def cmd_simulate(args) -> int:
     """Run the market and write its artifact to ``--out``.
 
     run.csv is written by a ``run`` follower while the market steps, under a
-    temporary name in ``--out`` that ``write_run_artifact`` renames into place
-    once the analysis has passed. A refused run or analysis removes that file,
-    and the directories the command made, so it changes nothing in ``--out``.
+    temporary name in ``--out``, or in its nearest existing ancestor where
+    ``--out`` does not exist yet; any directory made under that ancestor is on
+    its filesystem, so ``write_run_artifact`` can rename the file into place
+    once the analysis has passed. No directory is made before then, and a
+    refused run or analysis removes the file, so it changes nothing on disk.
     """
     config = io.parse_market_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     outdir = Path(args.out)
-    made = _missing_dirs(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    partial = outdir / f".run-{os.urandom(8).hex()}.csv.tmp"
+    home = next(path for path in (outdir, *outdir.parents) if path.is_dir())
+    partial = home / f".run-{os.urandom(8).hex()}.csv.tmp"
     chash = io.config_hash(config)
     try:
-        record = run(config, lambda record, rows: io.write_run_csv(partial, chash, record, rows))
+        record = run(config, lambda record, counts: io.write_run_csv(partial, chash, record, counts))
         files = io.write_run_artifact(outdir, config, record, run_csv=partial)
     except BaseException:
         partial.unlink(missing_ok=True)
-        for directory in made:
-            try:
-                directory.rmdir()
-            except OSError:  # something else was written there meanwhile
-                break
         raise
     print(f"wrote {len(files)} files to {args.out}")
     return 0
@@ -182,15 +169,15 @@ def cmd_compare(args) -> int:
     emp_returns = io.load_empirical(args.empirical).log_returns()
     with analyzing(f"the {emp_returns.size} returns of --empirical {args.empirical}"):
         emp = io.analyze_returns(emp_returns)
-
-    record = run(config)
-    window = io.post_transient(record.returns)
-    if window.size < emp_returns.size:
+    model_size = config.horizon // 2  # post_transient's share of the horizon's T - 1 returns
+    if model_size < emp_returns.size:
         raise SpecmarketError(
-            f"model has {window.size} post-transient returns but the empirical series has "
-            f"{emp_returns.size}; increase market.horizon to at least {4 * emp_returns.size}"
+            f"model has {model_size} post-transient returns but the empirical series has "
+            f"{emp_returns.size}; increase market.horizon to at least {2 * emp_returns.size}"
         )
-    window = window[: emp_returns.size]  # match lengths for a fair comparison
+
+    # the same length as the empirical series, for a fair comparison
+    window = io.post_transient(run(config).returns)[: emp_returns.size]
     with analyzing(f"the model's {window.size} returns at horizon = {config.horizon}"):
         model = io.analyze_returns(window)
     outdir = Path(args.out)

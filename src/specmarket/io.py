@@ -496,24 +496,20 @@ def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict
 RUN_COLUMNS = ("t", "mu", "tau", "price", "log_return")
 
 
-def write_run_csv(path, chash: str, record: SimulationRecord, rows=None) -> Path:
+def write_run_csv(path, chash: str, record: SimulationRecord, counts=None) -> Path:
     """Write a record's run.csv, the file ``read_run_csv`` reads back.
 
     Rows are t, mu, tau, price and log return; tau is empty where the state had
-    not occurred before, and the log return is empty at t = 0. ``rows``, if
-    given, is the ``rows()`` of a ``market.run`` follower: the rows are written
-    as they complete, up to the count at which the run ended. Row 0 goes out
-    on its own, its log return a masked cell, so no column is copied; the C
-    row writer formats the rest in chunks of ``_CHUNK_ROWS``.
+    not occurred before, and the log return is empty at t = 0. ``counts``, if
+    given, is the iterable of complete-row counts of a ``market.run``
+    follower: the rows are written as they complete, up to the last count.
+    Row 0 goes out on its own, its log return a masked cell, so no column is
+    copied; the C row writer formats the rest in chunks of ``_CHUNK_ROWS``.
     """
-    n_rows = len(record.prices)
     lib = _kernel.library()
     done = 0
     with _open_table(path, ("config-hash", chash), RUN_COLUMNS) as fh:
-        while done < n_rows:
-            ready = n_rows if rows is None else rows()
-            if ready == done:  # the run ended early
-                break
+        for ready in (len(record.prices),) if counts is None else counts:
             while done < ready:
                 stop = ready if done else 1  # row 0 alone: its log return is a masked cell
                 taus = record.taus[done:stop]
@@ -544,14 +540,9 @@ def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord,
     chash = config_hash(config)
     extra = {"seed": config.seed}
     half = len(record.prices) // 2
-    tail_rec = SimulationRecord(
-        prices=record.prices[half:], returns=record.returns[half:],
-        mus=record.mus[half:], taus=record.taus[half:],
-        mean_spec_capital=record.mean_spec_capital[half:],
-        final_spec_capitals=record.final_spec_capitals,
-    )
     try:
-        surprise = stats.surprise_stats(tail_rec)
+        surprise = stats.surprise_stats(
+            replace(record, taus=record.taus[half:], returns=record.returns[half:]))
     except (SampleSizeError, DegenerateInputError):  # e.g. no state recurs in the window
         surprise = None
     if surprise is not None:

@@ -18,7 +18,7 @@ engine, ``run``: it steps a market's whole horizon in one call of a C kernel
 (``_kernel.c``) with the same bits as ``step``. The kernel writes the whole
 record (prices, returns, states, taus and capitals) and leaves the state's
 holdings and ``last_seen`` as ``step`` does. Given a follower, ``run`` hands
-it the record on a helper thread, with the count of rows the kernel has
+it the record on a helper thread, with the counts of rows the kernel has
 completed, so that ``run.csv`` is written while the market steps. It sums two arrays per pass of
 one pairwise tree, copied from numpy's, and takes each return from the C
 library's ``log10``, which ``math.log10`` calls. The kernel is compiled on
@@ -507,7 +507,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: seconds a follower's ``rows()`` sleeps between looks at the kernel's progress
+#: seconds the helper's counts wait between looks at the kernel's progress
 _FOLLOW_POLL_S = 2e-4
 
 
@@ -519,15 +519,16 @@ def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRe
     positive, or whose return is not finite, raises the :class:`ConfigError`
     of :func:`check_clearing`, as :func:`step` does.
 
-    ``follow(record, rows)``, if given, reads the record while it is written:
-    ``rows()`` blocks until more rows are complete, or the run has ended, and
-    returns the count of complete rows; rows ``0 .. rows() - 1`` of the
-    prices, mus and taus, and the returns before them, hold their final bits.
-    Where the C kernel is loaded and two CPUs are usable, ``follow`` runs on
-    one helper thread while the kernel steps on the calling thread; elsewhere
-    it runs on the caller after the stepping, and ``rows()`` returns the
-    horizon. The helper is joined before ``run`` returns or raises, and an
-    exception it raised is re-raised here.
+    ``follow(record, counts)``, if given, reads the record while it is written:
+    ``counts`` is an iterable of rising counts of complete rows that ends when
+    the run ends; after a count c, rows ``0 .. c - 1`` of the prices, mus and
+    taus, and the returns before them, hold their final bits. Where the C
+    kernel is loaded and two CPUs are usable, ``follow`` runs on one helper
+    thread while the kernel steps on the calling thread, and ``counts`` yields
+    what the kernel publishes; elsewhere it runs on the caller after the
+    stepping, and ``counts`` is ``(horizon,)``. A follower may return before
+    the run ends. The helper is joined before ``run`` returns or raises, and
+    an exception it raised is re-raised here.
     """
     state = new_market(config)
     horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
@@ -553,33 +554,33 @@ def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRe
     record.mean_spec_capital /= 2.0 * n_spec
     record.final_spec_capitals = (state.money[k:] + state.stocks[k:]) / 2.0
     if follow is not None and not helper:
-        follow(record, lambda: horizon)
+        follow(record, (horizon,))
     return record
 
 
 @contextlib.contextmanager
 def _following(lib, follow, record):
-    """Run ``follow(record, rows)`` on a helper thread while the kernel steps in the body,
+    """Run ``follow(record, counts)`` on a helper thread while the kernel steps in the body,
     which gets the progress counter the kernel stores into. On the way out the run is
     marked ended, the helper joined and the exception it raised, if any, re-raised."""
     progress = np.zeros(1, dtype=np.int64)
     ended = threading.Event()
     raised = []
-    seen = 0
 
-    def rows() -> int:
-        nonlocal seen
-        while True:
+    def counts():
+        seen, finished = 0, False
+        while not finished:
             finished = ended.is_set()  # before the count, so a finished run's count is final
             count = lib.specmarket_progress(progress.ctypes.data)
-            if count > seen or finished:
+            if count > seen:
                 seen = count
-                return count
-            ended.wait(_FOLLOW_POLL_S)
+                yield count
+            elif not finished:
+                ended.wait(_FOLLOW_POLL_S)
 
     def work():
         try:
-            follow(record, rows)
+            follow(record, counts())
         except BaseException as exc:  # re-raised by the stepping thread after the join
             raised.append(exc)
 

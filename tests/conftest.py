@@ -1,6 +1,18 @@
+import threading
+
 import pytest
 
 from specmarket import Endogenous, Exogenous, MarketConfig, uniform_weights
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_outlives_the_test():
+    """Fail a test after which a ``specmarket-*`` thread (a ``run`` follower, a ``run_many``
+    worker) is still alive: each must be joined before the call that started it returns."""
+    yield
+    alive = [thread.name for thread in threading.enumerate()
+             if thread.name.startswith("specmarket-")]
+    assert not alive, f"threads still alive after the test: {alive}"
 
 
 @pytest.fixture

@@ -50,13 +50,9 @@ def run_all(configs, measure):
 
 
 def second_half(record):
+    """``record`` with the taus and returns of steps T // 2 onward, all ``surprise_stats`` reads."""
     half = len(record.prices) // 2
-    return SimulationRecord(
-        prices=record.prices[half:], returns=record.returns[half:],
-        mus=record.mus[half:], taus=record.taus[half:],
-        mean_spec_capital=record.mean_spec_capital[half:],
-        final_spec_capitals=record.final_spec_capitals,
-    )
+    return replace(record, taus=record.taus[half:], returns=record.returns[half:])
 
 
 def check_1(returns, n_speculators):
@@ -308,29 +304,57 @@ def _manifold_residual(state):
     return float(np.abs(demand - p_bar * supply).max()), p_bar
 
 
-def test_criterion_7_invariant_manifold():
-    # complementary construction: exactly on the manifold from the start
-    config_a = MarketConfig(n_speculators=2, use_param=0.7,
-                            info_mode=Exogenous(uniform_weights(8)), horizon=1, seed=3)
-    state_a = new_market(config_a)
-    state_a.strategies[:, 1] = ~state_a.strategies[:, 0]
-    residual_a, p_bar_a = _manifold_residual(state_a)
-    deviation_a = max(abs(step(state_a).price - p_bar_a) for _ in range(1000))
+def _manifold_distance(state):
+    """The manifold residual of ``state``, and its max |p - p_bar| over the next 1e3 steps."""
+    residual, p_bar = _manifold_residual(state)
+    return residual, max(abs(step(state).price - p_bar) for _ in range(1000))
 
-    # relaxed state at use 1e-3: run until the residual is below 1e-9
-    config_b = MarketConfig(n_speculators=32, use_param=1e-3,
-                            info_mode=Exogenous(uniform_weights(2)), horizon=1, seed=5)
-    state_b = new_market(config_b)
-    for _ in range(20_000):
-        step(state_b)
-    residual_b, p_bar_b = _manifold_residual(state_b)
-    deviation_b = max(abs(step(state_b).price - p_bar_b) for _ in range(1000))
 
+def check_7(pair, relaxed):
+    """Invariant manifold: the market states ``pair`` and ``relaxed`` each have a residual
+    below 1e-9, and clear within 1e-6 of their p_bar over the next 1e3 steps, which the check
+    steps them through."""
+    (residual_a, deviation_a), (residual_b, deviation_b) = map(_manifold_distance, (pair, relaxed))
     ok = (residual_a < 1e-9 and deviation_a < 1e-6
           and residual_b < 1e-9 and deviation_b < 1e-6)
-    report(7, ok, f"complementary pair: residual {residual_a:.1e}, max |p - p_bar| "
-                  f"{deviation_a:.1e}; relaxed gamma=1e-3 market: residual {residual_b:.2e}, "
-                  f"max |p - p_bar| {deviation_b:.2e} (both < 1e-6 over 1e3 steps)")
+    return ok, (f"complementary pair: residual {residual_a:.1e}, max |p - p_bar| "
+                f"{deviation_a:.1e}; relaxed gamma=1e-3 market: residual {residual_b:.2e}, "
+                f"max |p - p_bar| {deviation_b:.2e} (both < 1e-6 over 1e3 steps)")
+
+
+def strategy_pair(complementary=True):
+    """Two speculators over 8 states, the second's strategy the complement of the first's
+    where ``complementary``; then the market is on the manifold from the start."""
+    state = new_market(MarketConfig(n_speculators=2, use_param=0.7,
+                                    info_mode=Exogenous(uniform_weights(8)), horizon=1, seed=3))
+    if complementary:
+        state.strategies[:, 1] = ~state.strategies[:, 0]
+    return state
+
+
+def relaxed_market(steps=20_000):
+    """A market at use 1e-3 after ``steps`` steps; 20000 take its residual below 1e-9."""
+    state = new_market(MarketConfig(n_speculators=32, use_param=1e-3,
+                                    info_mode=Exogenous(uniform_weights(2)), horizon=1, seed=5))
+    for _ in range(steps):
+        step(state)
+    return state
+
+
+def test_criterion_7_invariant_manifold():
+    report(7, *check_7(strategy_pair(), relaxed_market()))
+
+
+def test_criterion_7_check_fails_on_controls():
+    """Each side fails alone: a seeded pair whose strategies are not complementary, and the
+    use 1e-3 market before it has relaxed."""
+    ok, detail = check_7(strategy_pair(complementary=False), relaxed_market())
+    assert not ok and detail.startswith("complementary pair: residual 2.5e+09, ")
+    assert detail.endswith("; relaxed gamma=1e-3 market: residual 4.86e-12, "
+                           "max |p - p_bar| 1.17e-09 (both < 1e-6 over 1e3 steps)")
+    ok, detail = check_7(strategy_pair(), relaxed_market(steps=0))
+    assert not ok and "; relaxed gamma=1e-3 market: residual 1.00e-03, " in detail
+    assert detail.startswith("complementary pair: residual 0.0e+00, max |p - p_bar| 0.0e+00; ")
 
 
 def _sign_test_decreases(diffs, confidence=0.99):
@@ -348,6 +372,17 @@ def _sign_test_decreases(diffs, confidence=0.99):
     return True, decreases, n
 
 
+def check_8(squared):
+    """Learning-rule descent: after a burn-in of 100, decreases dominate the 600 diffs of the
+    running mean of ``squared`` by a 99% one-sided sign test, over at least 500 nonzero diffs."""
+    running_mean = np.cumsum(squared) / np.arange(1, len(squared) + 1)
+    diffs = np.diff(running_mean[100:701])
+    passed, decreases, n = _sign_test_decreases(diffs)
+    ok = passed and n >= 500
+    return ok, (f"running mean r(mu,mu')^2 after burn-in: {decreases}/{n} diffs "
+                f"decreasing (99% sign test); r^2 fell {squared[0]:.1e} -> {squared[-1]:.1e}")
+
+
 def test_criterion_8_learning_rule_descent():
     config = MarketConfig(n_speculators=1024, use_param=0.02,
                           info_mode=Exogenous(uniform_weights(16)), horizon=1, seed=8)
@@ -361,12 +396,22 @@ def test_criterion_8_learning_rule_descent():
             settle(state, orders, clear_price(orders.demand, orders.supply))
             if mu == mu_pair[1]:
                 squared.append(state.last_return ** 2)
-    running_mean = np.cumsum(squared) / np.arange(1, len(squared) + 1)
-    diffs = np.diff(running_mean[100:701])
-    passed, decreases, n = _sign_test_decreases(diffs)
-    ok = passed and n >= 500
-    report(8, ok, f"running mean r(mu,mu')^2 after burn-in: {decreases}/{n} diffs "
-                  f"decreasing (99% sign test); r^2 fell {squared[0]:.1e} -> {squared[-1]:.1e}")
+    report(8, *check_8(squared))
+
+
+def test_criterion_8_check_fails_on_controls():
+    """Seeded squared returns that shrink pass, and ones that grow fail the sign test. The
+    count side fails alone: one jump after 300 zeros leaves 401 nonzero diffs, all but the
+    jump decreasing."""
+    noise = np.random.default_rng(8).uniform(0.5, 1.5, size=800)
+    shrinking = noise / np.arange(1, 801)
+    assert check_8(shrinking)[0]
+    ok, detail = check_8(noise * np.arange(1, 801))
+    assert not ok and " 0/600 diffs decreasing" in detail
+    jump = np.zeros(800)
+    jump[300] = 1.0
+    ok, detail = check_8(jump)
+    assert not ok and " 400/401 diffs decreasing" in detail
 
 
 def check_9(income, spread):
@@ -409,36 +454,78 @@ def test_criterion_9_check_fails_on_controls():
     assert not check_9(row((2e-3, 5e-4, 1e-3, 6e-4, 2e-4)), row((0.5, 0.3, 0.4, 0.35, 0.2)))[0]
 
 
-def test_criterion_10_determinism_and_estimator_oracles(tmp_path):
-    # byte-identical artifacts on seed replay
+def check_10(artifacts, hill_exponents, span, exact):
+    """Determinism and estimator oracles: the two ``artifacts`` (maps of file name to bytes)
+    are byte-identical; each Hill exponent fitted to Pareto samples (a map of the true xi to
+    the fit) is within 5% of xi; the span recursion's probability of rank 4 and the
+    Monte-Carlo rank (``span``) differ by less than 0.02; and ``exact``, the gini of [1, 3],
+    the gini of 99 zeros and a one and the kurtosis of [1, -1] * 8, is 0.25, 0.99 and 1."""
+    first, second = artifacts
+    replay = first == second
+    hill_errors = {xi: abs(fit - xi) / xi for xi, fit in hill_exponents.items()}
+    hill_ok = all(err <= 0.05 for err in hill_errors.values())
+    predicted, observed = span
+    rank_ok = abs(predicted - observed) < 0.02
+    gini_pair, gini_spike, kurt = exact
+    exact_ok = (gini_pair == pytest.approx(0.25, abs=1e-15)
+                and gini_spike == pytest.approx(0.99, abs=1e-12) and kurt == 1.0)
+    ok = replay and hill_ok and rank_ok and exact_ok
+    return ok, (f"artifact replay byte-identical: {replay}; Hill errors "
+                + ", ".join(f"xi={xi}: {err:.2%}" for xi, err in hill_errors.items())
+                + f" (<= 5%); span recursion vs MC rank: {predicted:.3f} vs {observed:.3f} "
+                f"(diff {abs(predicted - observed):.3f} < 0.02); exact gini/kurtosis: {exact_ok}")
+
+
+def replayed_artifacts(outdir):
+    """The bytes of two artifacts of one seeded config, each from its own run."""
     config = MarketConfig(n_speculators=128, use_param=0.5,
                           info_mode=Endogenous(6), horizon=3000, seed=77)
-    files_a = write_run_artifact(tmp_path / "a", config, run(config))
-    files_b = write_run_artifact(tmp_path / "b", config, run(config))
-    replay = all(files_a[k].read_bytes() == files_b[k].read_bytes() for k in files_a)
+    return [{name: path.read_bytes()
+             for name, path in write_run_artifact(outdir / side, config, run(config)).items()}
+            for side in ("a", "b")]
 
-    # Hill estimator within 5% on synthetic Pareto samples
+
+def hill_exponents():
+    """Hill exponents fitted to 100k Pareto samples at each xi in 1.5, 2.5 and 4."""
     rng = np.random.default_rng(42)
-    hill_errors = {}
-    for xi in (1.5, 2.5, 4.0):
-        fit = hill_fit_ks(rng.pareto(xi, size=100_000) + 1.0)
-        hill_errors[xi] = abs(fit.exponent - xi) / xi
-    hill_ok = all(err <= 0.05 for err in hill_errors.values())
+    return {xi: hill_fit_ks(rng.pareto(xi, size=100_000) + 1.0).exponent for xi in (1.5, 2.5, 4.0)}
 
-    # span recursion versus Monte-Carlo real rank
+
+def span_and_rank(rows=8):
+    """The span recursion's probability that 8 binary 4-vectors span rank 4, and the share of
+    100k seeded ``rows`` x 4 binary matrices of rank 4."""
     dims, probs = dim_distribution(4, 8)
-    predicted = float(probs[dims == 4.0][0])
-    matrices = np.random.default_rng(123).integers(0, 2, size=(100_000, 8, 4)).astype(float)
-    observed = float((np.linalg.matrix_rank(matrices) == 4).mean())
-    rank_ok = abs(predicted - observed) < 0.02
+    matrices = np.random.default_rng(123).integers(0, 2, size=(100_000, rows, 4)).astype(float)
+    return float(probs[dims == 4.0][0]), float((np.linalg.matrix_rank(matrices) == 4).mean())
 
-    # closed-form examples, exact
-    exact_ok = (gini([1.0, 3.0]) == pytest.approx(0.25, abs=1e-15)
-                and gini([0.0] * 99 + [1.0]) == pytest.approx(0.99, abs=1e-12)
-                and kurtosis([1.0, -1.0] * 8) == 1.0)
 
-    ok = replay and hill_ok and rank_ok and exact_ok
-    report(10, ok, f"artifact replay byte-identical: {replay}; Hill errors "
-                   + ", ".join(f"xi={xi}: {err:.2%}" for xi, err in hill_errors.items())
-                   + f" (<= 5%); span recursion vs MC rank: {predicted:.3f} vs {observed:.3f} "
-                   f"(diff {abs(predicted - observed):.3f} < 0.02); exact gini/kurtosis: {exact_ok}")
+def exact_values():
+    """The gini of [1, 3], the gini of 99 zeros and a one, and the kurtosis of [1, -1] * 8."""
+    return gini([1.0, 3.0]), gini([0.0] * 99 + [1.0]), kurtosis([1.0, -1.0] * 8)
+
+
+def test_criterion_10_determinism_and_estimator_oracles(tmp_path):
+    report(10, *check_10(replayed_artifacts(tmp_path), hill_exponents(), span_and_rank(),
+                         exact_values()))
+
+
+def test_criterion_10_check_fails_on_controls(tmp_path):
+    """Each side fails alone: a replay that differs by one byte, a Hill fit 6% off its xi,
+    the Monte-Carlo rank of 7 vectors against the recursion's 8 (a gap of 0.037), and a gini
+    of [1, 3] 1e-14 off 0.25."""
+    artifacts, fits, span, exact = (replayed_artifacts(tmp_path), hill_exponents(),
+                                    span_and_rank(), exact_values())
+    assert check_10(artifacts, fits, span, exact)[0]
+    first, second = artifacts
+    flipped = bytearray(second["run"])
+    flipped[-2] ^= 1
+    controls = {
+        "artifact replay byte-identical: False": ([first, {**second, "run": bytes(flipped)}],
+                                                  fits, span, exact),
+        "xi=2.5: 6.00%": (artifacts, {**fits, 2.5: 2.5 * 1.06}, span, exact),
+        "(diff 0.037 < 0.02)": (artifacts, fits, span_and_rank(rows=7), exact),
+        "exact gini/kurtosis: False": (artifacts, fits, span, (0.25 + 1e-14, *exact[1:])),
+    }
+    for shown, data in controls.items():
+        ok, detail = check_10(*data)
+        assert not ok and shown in detail, detail

@@ -1,12 +1,13 @@
 """run.csv written while the market steps: ``market.run``'s follower and ``cli simulate``.
 
-``run(config, follow)`` runs ``follow(record, rows)`` on a helper thread while the C
+``run(config, follow)`` runs ``follow(record, counts)`` on a helper thread while the C
 kernel steps, and the kernel publishes its complete rows every 1024 steps. The
 streamed run.csv, and the whole artifact of ``cli simulate``, must hold the bytes
 that ``write_run_artifact(run(config))`` writes, and a refused run must change
-nothing in ``--out``.
+nothing on disk.
 """
 
+import itertools
 import os
 import threading
 from dataclasses import replace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from specmarket import (Endogenous, Exogenous, MarketConfig, Mixed, _kernel, exponential_weights,
-                        run, uniform_weights)
+                        io, run, uniform_weights)
 from specmarket.cli import main
 from specmarket.errors import ConfigError, SpecmarketError
 from specmarket.io import emit_config, write_run_artifact, write_run_csv
@@ -57,10 +58,10 @@ class Follower:
         self.threads = []
         self.record = None
 
-    def __call__(self, record, rows):
+    def __call__(self, record, counts):
         self.threads.append(threading.current_thread())
         self.record = record
-        write_run_csv(self.path, CHASH, record, rows)
+        write_run_csv(self.path, CHASH, record, counts)
 
 
 def no_threads(monkeypatch):
@@ -139,7 +140,7 @@ def test_simulate_without_the_library_writes_the_same_bytes(tmp_path, monkeypatc
 @pytest.mark.parametrize("library", [True, False], ids=["one_cpu", "no_library"])
 def test_follow_runs_on_the_caller_after_the_stepping(tmp_path, monkeypatch, library):
     """With one usable CPU, or without the kernel, no thread is started: ``follow`` runs on
-    the caller once the record is whole, and ``rows()`` returns the horizon."""
+    the caller once the record is whole, and its counts are ``(horizon,)``."""
     _cpus(monkeypatch, 1)
     if not library:
         monkeypatch.setattr(_kernel, "_LIBRARY", False)
@@ -147,11 +148,11 @@ def test_follow_runs_on_the_caller_after_the_stepping(tmp_path, monkeypatch, lib
     config = replace(CONFIGS["endogenous"], horizon=3000)
     seen = []
 
-    def follow(record, rows):
-        seen.append((threading.current_thread(), rows(), rows(), record.final_spec_capitals.size))
+    def follow(record, counts):
+        seen.append((threading.current_thread(), counts, record.final_spec_capitals.size))
 
     run(config, follow)
-    assert seen == [(threading.main_thread(), 3000, 3000, 64)]
+    assert seen == [(threading.main_thread(), (3000,), 64)]
 
 
 def test_early_stop_publishes_its_partial_block(tmp_path, monkeypatch):
@@ -176,7 +177,8 @@ def test_early_stop_publishes_its_partial_block(tmp_path, monkeypatch):
 
 def test_simulate_refusal_over_an_existing_out_changes_nothing(tmp_path, monkeypatch):
     """A run refused by the analysis, or by its epsilon, leaves the earlier run's files
-    as they were and no temporary file; into a new nested ``--out``, it leaves no directory."""
+    as they were and no temporary file; into a new nested ``--out``, it leaves no directory
+    and no temporary file in the nearest existing ancestor."""
     _cpus(monkeypatch, 2)
     out = tmp_path / "out"
     good = replace(CONFIGS["endogenous"], horizon=4000)
@@ -187,7 +189,36 @@ def test_simulate_refusal_over_an_existing_out_changes_nothing(tmp_path, monkeyp
         assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 1
         assert file_bytes(out) == before
         assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "new" / "out")]) == 1
-        assert not (tmp_path / "new").exists()
+        assert not (tmp_path / "new").exists() and not list(tmp_path.glob(".run-*"))
+
+
+@pytest.mark.parametrize("horizon", [4000, 20], ids=["written", "refused"])
+def test_simulate_into_a_new_nested_out_streams_into_the_nearest_ancestor(tmp_path, monkeypatch,
+                                                                          horizon):
+    """Into a new nested ``--out``, given relative to the working directory, run.csv streams
+    into the nearest existing ancestor while no directory of ``--out`` exists yet. A written
+    run renames it into ``--out``; a refused one leaves no ``.run-*.tmp`` file in any ancestor
+    and no directory."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.chdir(tmp_path)
+    config = replace(CONFIGS["endogenous"], horizon=horizon)
+    ini = write_ini(tmp_path, config)
+    partials = []
+
+    def spy(path, chash, record, counts=None):
+        partials.append((Path(path).resolve().parent, Path("a").exists()))
+        return write_run_csv(path, chash, record, counts)
+
+    monkeypatch.setattr(io, "write_run_csv", spy)
+    code = main(["simulate", "--config", ini.name, "--out", "a/b/c"])
+    assert partials == [(tmp_path.resolve(), False)]
+    assert not [path for path in tmp_path.rglob("*") if path.name.startswith(".run-")]
+    if horizon == 20:
+        assert code == 1 and sorted(tmp_path.iterdir()) == [ini]
+    else:
+        assert code == 0
+        write_run_artifact(tmp_path / "expected", config, run(config))
+        assert file_bytes("a/b/c") == file_bytes(tmp_path / "expected")
 
 
 def test_a_raising_follow_is_reraised_after_the_join(monkeypatch):
@@ -196,9 +227,9 @@ def test_a_raising_follow_is_reraised_after_the_join(monkeypatch):
     threads = threading.active_count()
     helpers = []
 
-    def follow(record, rows):
+    def follow(record, counts):
         helpers.append(threading.current_thread())
-        rows()
+        next(iter(counts))
         raise KeyError("follower")
 
     with pytest.raises(KeyError, match="follower"):
@@ -207,25 +238,42 @@ def test_a_raising_follow_is_reraised_after_the_join(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_progress_counts_the_published_rows():
-    """``rows()`` gives the counts the kernel published, every 1024 steps and at the end: the
+@pytest.mark.parametrize("taken", [0, 1])
+def test_a_follower_may_return_before_the_run_ends(monkeypatch, taken):
+    """A follower that returns after ``taken`` counts, while the kernel still steps, neither
+    holds ``run`` up nor leaves its thread alive, and the record is whole."""
+    _cpus(monkeypatch, 2)
+    config = replace(CONFIGS["endogenous"], n_speculators=512, horizon=200_000)  # about 0.1 s
+    seen, result = [], []
+
+    def follow(record, counts):
+        seen.extend(itertools.islice(counts, taken))
+
+    caller = threading.Thread(target=lambda: result.append(run(config, follow)))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(result) == 1
+    assert len(seen) == taken and all(0 < count < config.horizon for count in seen)
+    assert not [thread for thread in threading.enumerate() if thread.name == "specmarket-follow"]
+    assert result[0].prices.tobytes() == run(config).prices.tobytes()
+
+
+def test_progress_counts_the_published_rows(monkeypatch):
+    """The counts are those the kernel published, every 1024 steps and at the end: the
     horizon, or the step at which it stopped; ``specmarket_progress`` reads the counter."""
+    _cpus(monkeypatch, 2)
     counts = {}
     for name, config in (("whole", replace(CONFIGS["endogenous"], horizon=2500)),
                          ("stopped", TINY_EPSILON)):
-        def follow(record, rows, seen=counts.setdefault(name, [])):
-            seen.append(rows())
-            while seen[-1] < len(record.prices):
-                count = rows()
-                if count == seen[-1]:  # the run ended early
-                    return
-                seen.append(count)
+        def follow(record, published, seen=counts.setdefault(name, [])):
+            seen.extend(published)
 
         try:
             run(config, follow)
         except ConfigError:
             assert name == "stopped"
     assert counts["whole"][-1] == 2500 and set(counts["whole"]) <= {1024, 2048, 2500}
+    assert counts["whole"] == sorted(set(counts["whole"]))
     assert counts["stopped"] == [7]
     progress = np.array([12345], dtype=np.int64)
     assert _kernel.library().specmarket_progress(progress.ctypes.data) == 12345

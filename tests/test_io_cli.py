@@ -879,6 +879,29 @@ class TestCli:
                                            "sequence\n")
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("horizon", [797, 798])
+    def test_compare_needs_a_horizon_of_twice_the_empirical_returns(self, tmp_path, capsys,
+                                                                    monkeypatch, horizon):
+        """A horizon T keeps T // 2 post-transient returns, so 2n is the shortest that
+        compares n = 399 empirical returns; 2n - 1 is refused, naming 2n, before the model runs."""
+        rng = np.random.default_rng(6)
+        empirical = self.write_empirical(
+            tmp_path, 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=400))))
+        runs = []
+        monkeypatch.setattr(specmarket.cli, "run", lambda config: runs.append(config) or run(config))
+        code = main(["compare", "--config", str(self.write_config(tmp_path, horizon=horizon)),
+                     "--empirical", str(empirical), "--out", str(tmp_path / "cmp")])
+        if horizon == 797:
+            assert code == 1 and runs == []
+            assert capsys.readouterr().err == (
+                "error: model has 398 post-transient returns but the empirical series has 399; "
+                "increase market.horizon to at least 798\n")
+            assert not (tmp_path / "cmp").exists()
+        else:
+            assert code == 0 and len(runs) == 1
+            summary = json.loads((tmp_path / "cmp" / "compare_summary.json").read_text())
+            assert summary["n_compared"] == 399
+
     @pytest.mark.parametrize("states, alphas", [("20000", "1e-18"),
                                                 ("99999999999999999999", "1")])
     def test_bounds_checks_the_states_first(self, tmp_path, capsys, states, alphas):

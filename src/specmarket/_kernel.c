@@ -441,25 +441,12 @@ static const uint64_t pow10_table[20] = {
     UINT64_C(1000000000000000000), UINT64_C(10000000000000000000),
 };
 
-/* a * b, from 32-bit halves: returns the high 64 bits and stores the low 64 */
-static uint64_t mul_128(uint64_t a, uint64_t b, uint64_t *lo)
-{
-    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
-    uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
-    *lo = mid << 32 | (uint32_t)p00;
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-}
-
 /* floor(m * mul / 2^j) for a 125-bit mul and 64 < j < 128 */
 static uint64_t mul_shift(uint64_t m, const uint64_t mul[2], int32_t j)
 {
-    uint64_t low0, low1;
-    uint64_t high0 = mul_128(m, mul[0], &low0);
-    uint64_t high1 = mul_128(m, mul[1], &low1);
-    uint64_t mid = high0 + low1;
-    high1 += mid < high0;
-    return high1 << (128 - j) | mid >> (j - 64);
+    unsigned __int128 low = (unsigned __int128)m * mul[0];
+    unsigned __int128 high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
 }
 
 /* floor(log10(2^e)) for 0 <= e <= 1650 */

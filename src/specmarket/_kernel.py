@@ -89,7 +89,9 @@ leave the cells as they are.
 
 The row writer takes float64 and int64 columns only. It writes each float64
 as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
-does, and an empty cell where a column's mask is set.
+does, and an empty cell where a column's mask is set. Its 128-bit products use
+the compiler's ``unsigned __int128``, so, like the vector types and atomics,
+the library needs GCC or Clang on a 64-bit target (x86-64 or aarch64).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, io, sweep
-from .errors import SpecmarketError, analyzing
-from .market import run
+from .errors import ConfigError, SpecmarketError, analyzing
+from .market import check_seed, run
 
 
 def _add_common(parser):
@@ -57,6 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seeded(config, args):
+    """``config`` with the seed of ``--seed``, where one is given; a seed outside [0, 2**64) is
+    refused by the flag's name before anything runs."""
+    if args.seed is None:
+        return config
+    try:
+        check_seed(args.seed)
+    except ConfigError as exc:
+        raise ConfigError(io._named_by_keys(str(exc), {"seed": "--seed"})) from None
+    return replace(config, seed=args.seed)
+
+
 def cmd_simulate(args) -> int:
     """Run the market and write its artifact to ``--out``.
 
@@ -67,9 +79,7 @@ def cmd_simulate(args) -> int:
     once the analysis has passed. No directory is made before then, and a
     refused run or analysis removes the file, so it changes nothing on disk.
     """
-    config = io.parse_market_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _seeded(io.parse_market_config(args.config), args)
     outdir = Path(args.out)
     home = next(path for path in (outdir, *outdir.parents) if path.is_dir())
     partial = home / f".run-{os.urandom(8).hex()}.csv.tmp"
@@ -88,28 +98,23 @@ def cmd_sweep(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise SpecmarketError(f"--threads must be >= 1, got {args.threads}")
     spec = io.parse_sweep_spec(args.config)
-    if args.seed is not None:
-        spec = replace(spec, base=replace(spec.base, seed=args.seed))
+    spec = replace(spec, base=_seeded(spec.base, args))
     nodes = sweep.run_sweep(spec, workers=args.threads)
     outdir = Path(args.out)
     chash = io.config_hash(spec.base)
-    axis_names = [axis.name for axis in spec.axes]
 
-    rows = []
+    names = (*(axis.name for axis in spec.axes), "metric", "value", "n_runs")
+    rows = []  # one per node and metric; NaN where the node failed
     for node in nodes:
         aggregates = node.aggregates
-        for metric in spec.metrics:
-            value = math.nan if aggregates is None else aggregates[metric]
-            rows.append({
-                **{name: node.coords[name] for name in axis_names},
-                "metric": metric,
-                "value": value if math.isfinite(value) else None,  # failed or undefined
-                "n_runs": node.n_success,
-            })
+        rows += [(*node.coords.values(), metric,
+                  math.nan if aggregates is None else aggregates[metric], node.n_success)
+                 for metric in spec.metrics]
     if args.format == "json":
         payload = {
             "config_hash": chash, "base_seed": spec.base.seed, "repetitions": spec.repetitions,
-            "grid": rows,
+            "grid": [dict(zip(names, row), value=row[-2] if math.isfinite(row[-2]) else None)
+                     for row in rows],
             "failures": [
                 {"node": node.index, "repetition": i, "reason": rep.error}
                 for node in nodes for i, rep in enumerate(node.reps) if rep.error
@@ -117,14 +122,9 @@ def cmd_sweep(args) -> int:
         }
         io.write_json(outdir / "grid.json", payload)
     else:
-        values = np.array([np.nan if row["value"] is None else row["value"] for row in rows],
-                          dtype=float)
-        columns = [np.array([row[name] for row in rows]) for name in axis_names]
-        columns += [[row["metric"] for row in rows], values,
-                    np.array([row["n_runs"] for row in rows])]
-        empty = [None] * len(axis_names) + [None, np.isnan(values), None]
-        io.write_columns(outdir / "grid.csv", ("config-hash", chash),
-                         axis_names + ["metric", "value", "n_runs"], columns, empty)
+        columns = list(zip(*rows))
+        empty = [None] * (len(names) - 2) + [~np.isfinite(columns[-2]), None]
+        io.write_columns(outdir / "grid.csv", ("config-hash", chash), names, columns, empty)
     n_failed = sum(1 for node in nodes for rep in node.reps if rep.error)
     print(f"sweep: {len(nodes)} nodes x {spec.repetitions} repetitions, {n_failed} failed")
     return 0
@@ -146,7 +146,10 @@ def cmd_bounds(args) -> int:
         raise SpecmarketError(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
     if not alphas:
         raise SpecmarketError("--alphas must list at least one value")
-    curve = analytics.variance_curve(args.states, alphas)
+    try:
+        curve = analytics.variance_curve(args.states, alphas)
+    except ConfigError as exc:  # the dimension's range is stated once, in analytics
+        raise ConfigError(io._named_by_keys(str(exc), {"dimension": "--states"})) from None
     outdir = Path(args.out)
     if args.format == "json":
         io.write_json(outdir / "bounds.json",
@@ -163,9 +166,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = io.parse_market_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _seeded(io.parse_market_config(args.config), args)
     emp_returns = io.load_empirical(args.empirical).log_returns()
     with analyzing(f"the {emp_returns.size} returns of --empirical {args.empirical}"):
         emp = io.analyze_returns(emp_returns)

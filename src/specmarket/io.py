@@ -699,8 +699,10 @@ def _parse_date(token: str) -> Optional[datetime.date]:
 def load_empirical(path) -> EmpiricalSeries:
     """Load a two-column (date, close) text file; header lines are tolerated.
 
-    Dates must be strictly increasing and closes finite and positive;
-    violations are reported with their row number.
+    Lines before the first that starts with a date are skipped as a header.
+    From that line on, every line holds exactly a date and a close, split at
+    commas and whitespace; dates must be strictly increasing and closes finite
+    and positive. Violations are reported with their row number.
     """
     text = _read_text(path)
     dates, closes = [], []
@@ -710,15 +712,13 @@ def load_empirical(path) -> EmpiricalSeries:
         if not line or line.startswith("#"):
             continue
         parts = [p for chunk in line.split(",") for p in chunk.split()]
-        if len(parts) < 2:
-            if started:
-                raise DataFormatError(f"{path}: row {row}: expected date and close, got {line!r}")
-            continue
-        date = _parse_date(parts[0])
-        if date is None:
-            if started:
-                raise DataFormatError(f"{path}: row {row}: unparseable date {parts[0]!r}")
+        date = _parse_date(parts[0]) if parts else None
+        if date is None and not started:
             continue  # header tolerance: skip leading non-data lines
+        if len(parts) != 2:  # an OHLC row, or a close with a space in it
+            raise DataFormatError(f"{path}: row {row}: expected date and close, got {line!r}")
+        if date is None:
+            raise DataFormatError(f"{path}: row {row}: unparseable date {parts[0]!r}")
         started = True
         try:
             close = float(parts[1])

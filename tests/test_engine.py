@@ -36,6 +36,7 @@ from specmarket.io import write_run_artifact
 from specmarket.market import record_bytes, validate_config
 from test_analytics import README_ALPHAS
 from test_golden import ARTIFACT_CASES, CASES, GOLDEN_ARTIFACTS, file_digests
+from test_writer import edge_doubles, expected_floats, random_doubles, written
 
 FIELDS = ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals")
 
@@ -558,7 +559,8 @@ def test_kernel_source_compiles_without_warnings():
 @pytest.mark.skipif(not X86_64, reason="the portable target is x86-64")
 def test_portable_build_gives_the_same_records(monkeypatch, tmp_path):
     """The vector lanes of the pairwise tree add as scalars on any x86-64, not only this CPU,
-    and the span-counting chain gives the same bounds."""
+    the span-counting chain gives the same bounds, and the row writer's 128-bit multiply
+    gives ``repr``'s digits."""
     native = {case: run(config) for case, config in CASES.items()}
     native_bounds = variance_curve(512, README_ALPHAS)
     monkeypatch.setattr(_kernel, "FLAGS", PORTABLE_FLAGS)
@@ -569,6 +571,8 @@ def test_portable_build_gives_the_same_records(monkeypatch, tmp_path):
     for case, config in CASES.items():
         assert_same_bytes(run(config), native[case])
     assert variance_curve(512, README_ALPHAS) == native_bounds
+    for values in (edge_doubles(), random_doubles(np.random.default_rng(20261020), 100_000)):
+        assert written([values], tmp_path) == expected_floats(values)
 
 
 def test_cache_name_keys_source_flags_and_cpu():

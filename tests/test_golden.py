@@ -114,6 +114,9 @@ GOLDEN_CLI = {
     },
     "sweep": {"grid.csv": "fb24a57459d418176e3b4741b3ad39faac63110eabeb92326fbcf4a67b3c9a20"},
     "sweep_json": {"grid.json": "2be26048d679da275a9447fffae2e8a9759a71cb56898eace08ed34c15866658"},
+    "sweep_failing": {"grid.csv": "747472a938e45714204334e3cc6ae5368f9ec1d8b4e7e3e2f5ff0c837014c8c7"},
+    "sweep_failing_json": {
+        "grid.json": "af74afba9e16d1d0f211a1db4ad413cefba2cfd5225c3763ce835a6e40c4a27e"},
     "bounds": {"bounds.csv": "b313c540de0ea5c861ffbbff70fb414d75e6f7fc58ed232710c894991513887c"},
     "bounds_json": {"bounds.json": "d6def46279b5fcb387b2ec4c2e617a4103c44972c6b5e8e0e388e5994ca07ef0"},
     "bounds_d512": {"bounds.csv": "98d68f0d7032aad3ea0e6e366635b1eb2dd9386180589390bae2977479405af8"},
@@ -136,6 +139,10 @@ def test_golden_cli_bytes(tmp_path):
     write_run_artifact(tmp_path / "sim", config, run(config))
     ini = tmp_path / "sweep.ini"
     ini.write_text(emit_config(config) + "\n[sweep]\naxes = alpha\nalpha = 0.25, 2\nrepetitions = 2\n")
+    # an integer axis, and a node whose every repetition is refused: empty cells and failures
+    failing = tmp_path / "failing.ini"
+    failing.write_text(emit_config(config) + "\n[sweep]\naxes = n_states, use_param\nn_states = 16\n"
+                       "use_param = 0.5, 1.5\nrepetitions = 3\nmetrics = variance, income_factor\n")
     closes = 50.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, size=400)))
     day = datetime.date(1990, 1, 1)
     empirical = tmp_path / "emp.csv"
@@ -149,6 +156,8 @@ def test_golden_cli_bytes(tmp_path):
         ("stats", ["stats", "--input", str(tmp_path / "sim" / "run.csv")]),
         ("sweep", ["sweep", "--config", str(ini)]),
         ("sweep_json", ["sweep", "--config", str(ini), "--format", "json"]),
+        ("sweep_failing", ["sweep", "--config", str(failing)]),
+        ("sweep_failing_json", ["sweep", "--config", str(failing), "--format", "json"]),
         ("compare", ["compare", "--config", str(ini), "--empirical", str(empirical)]),
         ("bounds", bounds),
         ("bounds_json", bounds + ["--format", "json"]),

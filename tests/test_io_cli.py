@@ -513,6 +513,20 @@ class TestEmpirical:
         returns = series.log_returns()
         assert returns[0] == pytest.approx(np.log10(1.1))
 
+    @pytest.mark.parametrize("text, row", [
+        # an OHLC file once loaded its Open column as the closes
+        ("Date,Open,High,Low,Close\n2020-01-01,100,105,99,104\n2020-01-02,104,106,101,102\n"
+         "2020-01-03,102,103,98,99\n", "2020-01-01,100,105,99,104"),
+        # and this close once loaded as 1.0
+        ("2020-01-01,10.5\n2020-01-02,1 000.5\n", "2020-01-02,1 000.5"),
+        # and a first date with no close was skipped as a header
+        ("Date,Close\n2020-01-01\n2020-01-02,10\n2020-01-03,11\n", "2020-01-01"),
+    ], ids=["ohlc", "spaced_close", "lone_date"])
+    def test_refuses_a_row_with_more_than_a_date_and_a_close(self, tmp_path, text, row):
+        with pytest.raises(DataFormatError, match=re.escape(f"row 2: expected date and close, "
+                                                            f"got {row!r}")):
+            load_empirical(write(tmp_path, text, "px.csv"))
+
     def test_date_formats(self, tmp_path):
         path = write(tmp_path, "19000102 68.13\n19000103 68.5\n", "px.txt")
         assert len(load_empirical(path).closes) == 2
@@ -652,6 +666,9 @@ class TestCli:
         assert values[0][2] > 0 > values[1][2]
         assert values == [(0.5, "variance", values[0][2]), (0.5, "income_factor", values[1][2]),
                           (1.5, "variance", None), (1.5, "income_factor", None)]
+        reason = "ConfigError: use_param must be in (0, 1], got 1.5"
+        assert payload["failures"] == [{"node": 1, "repetition": i, "reason": reason}
+                                       for i in range(3)]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_sweep_refuses_threads_below_one_by_name(self, tmp_path, capsys, threads):
@@ -664,13 +681,19 @@ class TestCli:
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_sweep_refuses_seed_outside_uint64_by_name(self, tmp_path, capsys, seed):
-        config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n"
-        config = write(tmp_path, config_text, "sweep.ini")
-        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "g"), "--seed", seed])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    def test_seed_outside_uint64_refused_by_the_flag(self, tmp_path, capsys, command, seed):
+        """The refusal names ``--seed``, comes before the market runs and makes no ``--out``."""
+        sweep_keys = "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n"
+        config = write(tmp_path, MINIMAL + (sweep_keys if command == "sweep" else ""))
+        empirical = write(tmp_path, "2020-01-01,10\n2020-01-02,11\n2020-01-03,10.5\n", "px.csv")
+        extra = ["--empirical", str(empirical)] if command == "compare" else []
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--seed", seed, *extra])
         assert code == 1
-        assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
+        assert capsys.readouterr().err == \
+            f"error: --seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_json_format(self, tmp_path):
         config_text = MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 2\n"
@@ -902,14 +925,14 @@ class TestCli:
             summary = json.loads((tmp_path / "cmp" / "compare_summary.json").read_text())
             assert summary["n_compared"] == 399
 
-    @pytest.mark.parametrize("states, alphas", [("20000", "1e-18"),
+    @pytest.mark.parametrize("states, alphas", [("20000", "1e-18"), ("0", "1"),
                                                 ("99999999999999999999", "1")])
     def test_bounds_checks_the_states_first(self, tmp_path, capsys, states, alphas):
-        """A dimension out of range is named as such, not as an alpha whose N_s overflows."""
+        """A dimension out of range is named by its flag, not as an alpha whose N_s overflows."""
         code = main(["bounds", "--states", states, "--alphas", alphas,
                      "--out", str(tmp_path / "b")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: dimension must be in [1, 16384], got {states}\n"
+        assert capsys.readouterr().err == f"error: --states must be in [1, 16384], got {states}\n"
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("sweep_keys, message", [

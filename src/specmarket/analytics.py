@@ -58,7 +58,7 @@ class VarianceBounds:
 def var_r0(n_speculators: int) -> float:
     """Variance of the very first log return, 8 / (N_s ln(10)^2)."""
     if n_speculators < 1:
-        raise ConfigError(f"n_speculators must be >= 1, got {n_speculators}")
+        raise ConfigError("n_speculators", f" must be >= 1, got {n_speculators}")
     return 8.0 / (n_speculators * LN10 * LN10)
 
 
@@ -105,15 +105,15 @@ def dim_distribution(
 
 def _check_dimension(dimension: int) -> None:
     if not 1 <= dimension <= MAX_DIMENSION:
-        raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
+        raise ConfigError("dimension", f" must be in [1, {MAX_DIMENSION}], got {dimension}")
 
 
 def _check(dimension: int, n_vectors: int, increment: str) -> None:
     _check_dimension(dimension)
     if not 1 <= n_vectors < 1 << 63:
-        raise ConfigError(f"n_vectors must be in [1, 2**63), got {n_vectors}")
+        raise ConfigError("n_vectors", f" must be in [1, 2**63), got {n_vectors}")
     if increment not in INCREMENT_MODES:
-        raise ConfigError(f"increment must be one of {INCREMENT_MODES}, got {increment!r}")
+        raise ConfigError("increment", f" must be one of {INCREMENT_MODES}, got {increment!r}")
 
 
 def _step(dimension: int, n_vectors: int, increment: str) -> float:
@@ -212,7 +212,7 @@ def _cant_cancel(dimension: int, cases: Sequence[tuple[int, str]]) -> list[float
     keys = []
     for n_speculators, increment in cases:
         if n_speculators < 1:
-            raise ConfigError(f"n_speculators must be >= 1, got {n_speculators}")
+            raise ConfigError("n_speculators", f" must be >= 1, got {n_speculators}")
         n_vectors = max(1, n_speculators - 1)
         _check(dimension, n_vectors, increment)
         step = _step(dimension, n_vectors, increment)
@@ -234,10 +234,10 @@ def speculators_at(dimension: int, alpha: float) -> int:
     Raises ``ConfigError`` naming alpha where D / alpha is not below 2**63.
     """
     if not (0 < alpha < math.inf):
-        raise ConfigError(f"alpha must be positive and finite, got {alpha}")
+        raise ConfigError("alpha", f" must be positive and finite, got {alpha}")
     n_spec = dimension / alpha
     if not n_spec < 2.0**63:
-        raise ConfigError(f"alpha = {alpha} gives N_s = D / alpha = {n_spec} at D = {dimension}, "
+        raise ConfigError("alpha", f" = {alpha} gives N_s = D / alpha = {n_spec} at D = {dimension}, "
                           f"which does not fit a 64-bit integer; alpha must exceed D / 2**63")
     return max(1, round(n_spec))
 

@@ -59,13 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _seeded(config, args):
     """``config`` with the seed of ``--seed``, where one is given; a seed outside [0, 2**64) is
-    refused by the flag's name before anything runs."""
+    refused before anything runs."""
     if args.seed is None:
         return config
-    try:
-        check_seed(args.seed)
-    except ConfigError as exc:
-        raise ConfigError(io._named_by_keys(str(exc), {"seed": "--seed"})) from None
+    check_seed(args.seed)
     return replace(config, seed=args.seed)
 
 
@@ -95,11 +92,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise SpecmarketError(f"--threads must be >= 1, got {args.threads}")
     spec = io.parse_sweep_spec(args.config)
     spec = replace(spec, base=_seeded(spec.base, args))
-    nodes = sweep.run_sweep(spec, workers=args.threads)
+    nodes = sweep.run_sweep(spec, workers=args.threads)  # refuses --threads before any cell runs
     outdir = Path(args.out)
     chash = io.config_hash(spec.base)
 
@@ -146,10 +141,7 @@ def cmd_bounds(args) -> int:
         raise SpecmarketError(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
     if not alphas:
         raise SpecmarketError("--alphas must list at least one value")
-    try:
-        curve = analytics.variance_curve(args.states, alphas)
-    except ConfigError as exc:  # the dimension's range is stated once, in analytics
-        raise ConfigError(io._named_by_keys(str(exc), {"dimension": "--states"})) from None
+    curve = analytics.variance_curve(args.states, alphas)  # refuses --states before --alphas
     outdir = Path(args.out)
     if args.format == "json":
         io.write_json(outdir / "bounds.json",
@@ -202,6 +194,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+#: the flag for each field a command hands to the model as given; the model states each range once
+_FLAGS = {"seed": "--seed", "workers": "--threads", "dimension": "--states",
+          "alpha": ("--alphas", ": alpha")}
+
 _COMMANDS = {
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
@@ -217,7 +213,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (SpecmarketError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.renamed(_FLAGS) if isinstance(exc, ConfigError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -4,7 +4,10 @@ Configs are flat INI files with one section per concern, so diffs stay
 reviewable. Every emitted artifact carries a format version and the hash of
 the resolved config; re-running from the echoed config reproduces the files
 byte for byte. Model output and empirical data go through the same estimator
-pipeline so their statistics are directly comparable.
+pipeline so their statistics are directly comparable. A refusal names the key of
+the file: each boundary maps the fields a ``ConfigError`` carries through its one
+table (``_market_names``, ``_SWEEP_NAMES``; ``cli._FLAGS`` for flags), and none
+reads a message.
 """
 
 from __future__ import annotations
@@ -65,14 +68,15 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _get(section, key, convert, where):
+def _get(section, key, convert, where, *at):
+    """``convert`` of the value of ``key``; a missing key is required at the pieces ``at``, if given."""
     raw = section.get(key)
     if raw is None:
-        raise ConfigError(f"{where}.{key} is required")
+        raise ConfigError(f"{where}.{key}", " is required at " if at else " is required", *at)
     try:
         return convert(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from exc
+        raise ConfigError(f"{where}.{key}", f": {exc}") from exc
 
 
 def _to_int(raw: str) -> int:
@@ -122,87 +126,72 @@ _INFO_KEYS = {
 }
 _SWEEP_KEYS = {"repetitions": _to_int, "metrics": _to_words}
 #: the keys whose sum is the agent count that the size cap multiplies by the state count
-_AGENT_KEYS = "market.n_speculators + market.n_producers"
+_AGENT_KEYS = ("market.n_speculators", " + ", "market.n_producers")
 
 
 def _reject_unknown(parser, section, known):
-    if section not in parser:
-        return
     unknown = set(parser[section]).difference(known)
     if unknown:
-        raise ConfigError(f"unknown key {section}.{sorted(unknown)[0]}")
+        raise ConfigError("", "unknown key ", f"{section}.{sorted(unknown)[0]}")
 
 
-def _parse_weights(section, prefix, n_agents):
+def _parse_weights(section, prefix, n_agents, at):
     """Common weight-vector grammar: explicit list or a named distribution."""
     w_key = f"{prefix}weights"
     d_key = f"{prefix}distribution"
     if section.get(w_key) is not None:
         if section.get(d_key) is not None:
-            raise ConfigError(f"info.{w_key} and info.{d_key} are mutually exclusive")
+            raise ConfigError(f"info.{w_key}", " and ", f"info.{d_key}", " are mutually exclusive")
         return _get(section, w_key, _to_floats, "info")
-    dist = _get(section, d_key, _to_word, "info")
-    states = _get(section, f"{prefix}states", _to_int, "info")
+    dist = _get(section, d_key, _to_word, "info", *at)
+    states = _get(section, f"{prefix}states", _to_int, "info", *at)
     if states < 1:
-        raise ConfigError(f"info.{prefix}states must be >= 1, got {states}")
-    check_market_size(states, n_agents, f"info.{prefix}states at {_AGENT_KEYS}")
+        raise ConfigError(f"info.{prefix}states", f" must be >= 1, got {states}")
+    check_market_size(states, n_agents, f"info.{prefix}states", " at ", *_AGENT_KEYS)
     if dist == "uniform":
         return uniform_weights(states)
     if dist == "exp":
-        rate = _get(section, f"{prefix}rate", _to_float, "info")
+        rate = _get(section, f"{prefix}rate", _to_float, "info", *at)
         return exponential_weights(rate, states, f"info.{prefix}rate")
-    raise ConfigError(f"info.{d_key} must be 'uniform' or 'exp', got {dist!r}")
+    raise ConfigError(f"info.{d_key}", f" must be 'uniform' or 'exp', got {dist!r}")
 
 
 def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
     """The [info] section's information mode, not yet validated, for ``n_agents`` agents."""
     if "info" not in parser:
-        raise ConfigError("info section is required")
+        raise ConfigError("info", " section is required")
     section = parser["info"]
     _reject_unknown(parser, "info", _INFO_KEYS)
     mode = _get(section, "mode", _to_word, "info")
-    try:
-        if mode == "endogenous":
-            return Endogenous(_get(section, "memory_bits", _to_int, "info"))
-        if mode == "exogenous":
-            return Exogenous(_parse_weights(section, "", n_agents))
-        if mode == "mixed":
-            return Mixed(_get(section, "endo_bits", _to_int, "info"),
-                         _get(section, "exo_bits", _to_int, "info"),
-                         _parse_weights(section, "exo_", n_agents))
-    except ConfigError as exc:  # a key the mode calls for is named with the mode of the file
-        if not str(exc).endswith(" is required"):
-            raise
-        raise ConfigError(f"{exc} at info.mode = {mode}") from None
-    raise ConfigError(f"info.mode must be endogenous, exogenous or mixed, got {mode!r}")
+    at = ("info.mode", f" = {mode}")  # a key the mode calls for is named with the mode of the file
+    if mode == "endogenous":
+        return Endogenous(_get(section, "memory_bits", _to_int, "info", *at))
+    if mode == "exogenous":
+        return Exogenous(_parse_weights(section, "", n_agents, at))
+    if mode == "mixed":
+        return Mixed(_get(section, "endo_bits", _to_int, "info", *at),
+                     _get(section, "exo_bits", _to_int, "info", *at),
+                     _parse_weights(section, "exo_", n_agents, at))
+    raise ConfigError("info.mode", f" must be endogenous, exogenous or mixed, got {mode!r}")
 
 
 def _market_names(section, mode) -> dict:
-    """The key of the file for each name that leads a ``validate_config`` refusal. A field of
-    ``mode`` is its [info] key, a weight vector set by a distribution its state count; the
-    size cap names the mode's keys."""
+    """The key of the file for each field of a ``validate_config`` refusal. A field of ``mode``
+    is its [info] key, a weight vector set by a distribution its state count; the size cap
+    names the mode's keys."""
     mode_keys = {f"info_mode.{f.name}": f"info.{f.name}" for f in fields(mode)}
     for field in ("weights", "exo_weights"):
         if f"info_mode.{field}" in mode_keys and section.get(field) is None:
             mode_keys[f"info_mode.{field}"] = f"info.{field.replace('weights', 'states')}"
-    return {**{key: f"market.{key}" for key in _MARKET_KEYS}, **mode_keys,
-            "info_mode/n_speculators": f"{', '.join(mode_keys.values())} at {_AGENT_KEYS}"}
+    size_cap = [piece for key in mode_keys.values() for piece in (", ", key)][1:]
+    return {**{key: f"market.{key}" for key in _MARKET_KEYS}, **mode_keys, "exo_bits": "info.exo_bits",
+            "info_mode/n_speculators": (*size_cap, " at ", *_AGENT_KEYS)}
 
 
-#: what replaces each name that leads a [sweep] refusal of ``SweepSpec`` or ``SweepAxis``;
+#: the key of the file for each field of a [sweep] refusal of ``SweepSpec`` or ``SweepAxis``;
 #: ``axis <name>`` is led by ``sweep.<name>`` for each axis the file lists
-_SWEEP_NAMES = {"repetitions": "sweep.repetitions", "metrics": "sweep.metrics",
-                "metric": "sweep.metrics: metric", "axes": "sweep.axes", "axis": "sweep.axes: axis"}
-
-
-def _named_by_keys(message: str, names: dict, otherwise: str = "") -> str:
-    """``message`` with the name that leads it, of two words or of one, replaced by its entry
-    of ``names``; a message that no name of ``names`` leads is led by ``otherwise``."""
-    words = message.split(" ", 2)
-    for name in (" ".join(words[:2]), words[0].rstrip(":")):
-        if name in names:
-            return names[name] + message[len(name):]
-    return otherwise + message
+_SWEEP_NAMES = {"repetitions": "sweep.repetitions", "metrics": "sweep.metrics", "axes": "sweep.axes",
+                "metric": ("sweep.metrics", ": metric"), "axis": ("sweep.axes", ": axis")}
 
 
 def parse_market_config(path) -> MarketConfig:
@@ -215,14 +204,14 @@ def parse_market_config(path) -> MarketConfig:
 
 def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     if "market" not in parser:
-        raise ConfigError("market section is required")
+        raise ConfigError("market", " section is required")
     for name in parser.sections():
         if name not in ("market", "info", "sweep"):
-            raise ConfigError(f"unknown section [{name}]")
+            raise ConfigError("", "unknown section ", f"[{name}]")
     _reject_unknown(parser, "market", {*_MARKET_KEYS, "record_agents"})
     section = parser["market"]
     if "record_agents" in section and _get(section, "record_agents", _to_bool, "market"):
-        raise ConfigError("market.record_agents must be false: per-agent capitals are not recorded")
+        raise ConfigError("market.record_agents", " must be false: per-agent capitals are not recorded")
     config = MarketConfig(info_mode=None, **{
         key: _get(section, key, convert, "market")
         for key, convert in _MARKET_KEYS.items()
@@ -233,8 +222,7 @@ def _parse_market(parser: configparser.ConfigParser) -> MarketConfig:
     try:
         validate_config(config)
     except ConfigError as exc:
-        message = _named_by_keys(str(exc), _market_names(parser["info"], config.info_mode))
-        raise ConfigError(message.replace("2**exo_bits", "2**info.exo_bits")) from None
+        raise exc.renamed(_market_names(parser["info"], config.info_mode)) from None
     return config
 
 
@@ -244,12 +232,12 @@ def parse_sweep_spec(path) -> SweepSpec:
     Keys left out of [sweep] take the defaults of :class:`SweepSpec`. A
     refusal of the spec or of an axis names the key of the file it concerns
     (``sweep.repetitions``, ``sweep.metrics``, ``sweep.axes`` or
-    ``sweep.<axis>``), or else ``[sweep]``.
+    ``sweep.<axis>``).
     """
     parser = _read_ini(path)
     base = _parse_market(parser)
     if "sweep" not in parser:
-        raise ConfigError("sweep section is required")
+        raise ConfigError("sweep", " section is required")
     section = parser["sweep"]
     axis_names = _get(section, "axes", _to_words, "sweep")
     _reject_unknown(parser, "sweep", {"axes", *_SWEEP_KEYS, *axis_names})
@@ -260,8 +248,8 @@ def parse_sweep_spec(path) -> SweepSpec:
         spec = SweepSpec(base=base, axes=tuple(SweepAxis(*axis) for axis in values), **settings)
         spec.validate()
     except ConfigError as exc:
-        names = {**_SWEEP_NAMES, **{f"axis {name}": f"sweep.{name}: axis {name}" for name in axis_names}}
-        raise ConfigError(_named_by_keys(str(exc), names, "[sweep] ")) from None
+        axes = {f"axis {name}": (f"sweep.{name}", f": axis {name}") for name in axis_names}
+        raise exc.renamed({**_SWEEP_NAMES, **axes}) from None
     return spec
 
 

@@ -76,9 +76,8 @@ class Endogenous:
 
     def validate(self) -> None:
         if not isinstance(self.memory_bits, int) or not 1 <= self.memory_bits <= _MAX_STATE_BITS:
-            raise ConfigError(
-                f"info_mode.memory_bits must be in [1, {_MAX_STATE_BITS}], got {self.memory_bits!r}"
-            )
+            raise ConfigError("info_mode.memory_bits",
+                              f" must be in [1, {_MAX_STATE_BITS}], got {self.memory_bits!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +114,15 @@ class Mixed:
 
     def validate(self) -> None:
         if not isinstance(self.endo_bits, int) or not 1 <= self.endo_bits < _MAX_STATE_BITS:
-            raise ConfigError(f"info_mode.endo_bits must be in [1, {_MAX_STATE_BITS - 1}], "
+            raise ConfigError("info_mode.endo_bits", f" must be in [1, {_MAX_STATE_BITS - 1}], "
                               f"got {self.endo_bits!r}")
         exo_max = _MAX_STATE_BITS - self.endo_bits
         if not isinstance(self.exo_bits, int) or not 1 <= self.exo_bits <= exo_max:
-            raise ConfigError(f"info_mode.exo_bits must be in [1, {exo_max}], got {self.exo_bits!r}")
+            raise ConfigError("info_mode.exo_bits", f" must be in [1, {exo_max}], got {self.exo_bits!r}")
         w = np.asarray(self.exo_weights, dtype=float)
         if w.shape != (1 << self.exo_bits,):
-            raise ConfigError(f"info_mode.exo_weights must have length 2**exo_bits = "
-                              f"{1 << self.exo_bits}, got {w.shape}")
+            raise ConfigError("info_mode.exo_weights", " must have length 2**", "exo_bits",
+                              f" = {1 << self.exo_bits}, got {w.shape}")
         _check_weights(w, "info_mode.exo_weights")
 
     def __eq__(self, other):
@@ -146,11 +145,11 @@ def _check_weights(weights, name: str) -> None:
     finite, nonnegative and summing to 1 within 1e-12."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
-        raise ConfigError(f"{name} must be a non-empty 1-d vector")
+        raise ConfigError(name, " must be a non-empty 1-d vector")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ConfigError(f"{name} must be finite and nonnegative")
+        raise ConfigError(name, " must be finite and nonnegative")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise ConfigError(f"{name} must sum to 1 within 1e-12, got sum {float(w.sum())}")
+        raise ConfigError(name, f" must sum to 1 within 1e-12, got sum {float(w.sum())}")
 
 
 def _weights_key(weights) -> bytes:
@@ -161,7 +160,7 @@ def _weights_key(weights) -> bytes:
 def uniform_weights(n_states: int) -> np.ndarray:
     """Uniform exogenous distribution over ``n_states`` states."""
     if n_states < 1:
-        raise ConfigError(f"n_states must be >= 1, got {n_states}")
+        raise ConfigError("n_states", f" must be >= 1, got {n_states}")
     return np.full(n_states, 1.0 / n_states)
 
 
@@ -172,14 +171,14 @@ def exponential_weights(rate: float, n_states: int, field: str = "rate") -> np.n
     overflow float64, raises :class:`ConfigError` naming ``field``.
     """
     if n_states < 1:
-        raise ConfigError(f"n_states must be >= 1, got {n_states}")
+        raise ConfigError("n_states", f" must be >= 1, got {n_states}")
     if not math.isfinite(rate):
-        raise ConfigError(f"{field} must be finite, got {rate}")
+        raise ConfigError(field, f" must be finite, got {rate}")
     with np.errstate(over="ignore"):
         w = np.exp(-rate * np.arange(n_states, dtype=float))
         total = w.sum()
     if not math.isfinite(total):
-        raise ConfigError(f"{field} = {rate}: the weights exp(-rate * mu) over {n_states} states "
+        raise ConfigError(field, f" = {rate}: the weights exp(-rate * mu) over {n_states} states "
                           "overflow float64")
     return w / total
 
@@ -219,51 +218,46 @@ class MarketConfig:
 def validate_config(config: MarketConfig) -> None:
     """Raise :class:`ConfigError` naming the offending field on any violation."""
     if not isinstance(config.n_speculators, int) or config.n_speculators < 1:
-        raise ConfigError(f"n_speculators must be a positive integer, got {config.n_speculators!r}")
+        raise ConfigError("n_speculators", f" must be a positive integer, got {config.n_speculators!r}")
     if not isinstance(config.n_producers, int) or config.n_producers < 0:
-        raise ConfigError(f"n_producers must be a nonnegative integer, got {config.n_producers!r}")
+        raise ConfigError("n_producers", f" must be a nonnegative integer, got {config.n_producers!r}")
     if config.producer_kind not in PRODUCER_KINDS:
-        raise ConfigError(
-            f"producer_kind must be one of {PRODUCER_KINDS}, got {config.producer_kind!r}"
-        )
+        raise ConfigError("producer_kind",
+                          f" must be one of {PRODUCER_KINDS}, got {config.producer_kind!r}")
     if not (0.0 < config.use_param <= 1.0):
-        raise ConfigError(f"use_param must be in (0, 1], got {config.use_param}")
+        raise ConfigError("use_param", f" must be in (0, 1], got {config.use_param}")
     # epsilon only guards against empty order-book sides; anything near 1e-3
     # would start to distort prices.
     if not (0.0 < config.epsilon < 1e-3):
-        raise ConfigError(f"epsilon must satisfy 0 < epsilon << 1e-3, got {config.epsilon}")
+        raise ConfigError("epsilon", f" must satisfy 0 < epsilon << 1e-3, got {config.epsilon}")
     if not isinstance(config.horizon, int) or config.horizon < 1:
-        raise ConfigError(f"horizon must be a positive integer, got {config.horizon!r}")
+        raise ConfigError("horizon", f" must be a positive integer, got {config.horizon!r}")
     check_seed(config.seed)
     if not isinstance(config.info_mode, (Endogenous, Exogenous, Mixed)):
-        raise ConfigError(f"info_mode must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
+        raise ConfigError("info_mode", f" must be Endogenous, Exogenous or Mixed, got {config.info_mode!r}")
     config.info_mode.validate()
     check_market_size(config.n_states, config.n_agents, "info_mode/n_speculators")
     size = record_bytes(config)
     if size > _MAX_RECORD_BYTES:
-        raise ConfigError(
-            f"horizon: {config.horizon} steps need {size} bytes of record, "
-            f"above the supported {_MAX_RECORD_BYTES}"
-        )
+        raise ConfigError("horizon", f": {config.horizon} steps need {size} bytes of record, "
+                          f"above the supported {_MAX_RECORD_BYTES}")
 
 
 def check_seed(seed) -> None:
     """Raise :class:`ConfigError` unless ``seed`` is an integer in [0, 2**64)."""
     if not isinstance(seed, int) or seed < 0 or seed >= 1 << 64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ConfigError("seed", f" must be an integer in [0, 2**64), got {seed!r}")
 
 
-def check_market_size(n_states: int, n_agents: int, field: str) -> None:
-    """Raise :class:`ConfigError` naming ``field`` if a market's per-state storage exceeds the cap.
+def check_market_size(n_states: int, n_agents: int, *field: str) -> None:
+    """Raise :class:`ConfigError` led by ``field`` if a market's per-state storage exceeds the cap.
 
     Counts the (D, N) bool strategy table and the float64/int64 arrays of length D.
     """
     size = n_states * (max(n_agents, 1) + 8 * _PER_STATE_ARRAYS)
     if size > _MAX_MARKET_BYTES:
-        raise ConfigError(
-            f"{field}: {n_states} states x {n_agents} agents need {size} bytes of strategies "
-            f"and per-state arrays, above the supported {_MAX_MARKET_BYTES}"
-        )
+        raise ConfigError(*field, f": {n_states} states x {n_agents} agents need {size} bytes of "
+                          f"strategies and per-state arrays, above the supported {_MAX_MARKET_BYTES}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +440,7 @@ def check_clearing(config: MarketConfig, t: int, price: float, before: float) ->
     ratio = price / before
     if not (0.0 < price < math.inf and 0.0 < ratio < math.inf):
         raise ConfigError(
-            f"epsilon = {config.epsilon} is too small for this market: step {t} clears at "
+            "epsilon", f" = {config.epsilon} is too small for this market: step {t} clears at "
             f"price {price!r} after {before!r}; a price must be finite and positive and its "
             "log return finite"
         )

@@ -68,7 +68,7 @@ class SweepAxis:
 
 def _integral(axis: str, value) -> int:
     if not float(value).is_integer():
-        raise ConfigError(f"axis {axis} takes integers, got {value}")
+        raise ConfigError(f"axis {axis}", f" takes integers, got {value}")
     return int(value)
 
 
@@ -82,31 +82,31 @@ class SweepSpec:
     def validate(self) -> None:
         check_seed(self.base.seed)
         if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+            raise ConfigError("repetitions", f" must be >= 1, got {self.repetitions}")
         if not self.axes:
-            raise ConfigError("axes must contain at least one axis")
+            raise ConfigError("axes", " must contain at least one axis")
         names = [axis.name for axis in self.axes]
         for axis in self.axes:
             if axis.name not in AXIS_NAMES:
-                raise ConfigError(f"axis name must be one of {AXIS_NAMES}, got {axis.name!r}")
+                raise ConfigError("axis", f" name must be one of {AXIS_NAMES}, got {axis.name!r}")
             if names.count(axis.name) > 1:
-                raise ConfigError(f"axis {axis.name} is named twice")
+                raise ConfigError(f"axis {axis.name}", " is named twice")
             if len(axis.values) < 1:
-                raise ConfigError(f"axis {axis.name} has no values")
+                raise ConfigError(f"axis {axis.name}", " has no values")
             bad = [v for v in axis.values if not math.isfinite(v)]
             if bad:
-                raise ConfigError(f"axis {axis.name} values must be finite, got {bad[0]}")
+                raise ConfigError(f"axis {axis.name}", f" values must be finite, got {bad[0]}")
             repeated = [v for i, v in enumerate(axis.values) if v in axis.values[:i]]
             if repeated:
-                raise ConfigError(f"axis {axis.name} lists the value {repeated[0]} twice")
+                raise ConfigError(f"axis {axis.name}", f" lists the value {repeated[0]} twice")
         _check_one_state_axis(names)
         if not self.metrics:
-            raise ConfigError("metrics must name at least one metric")
+            raise ConfigError("metrics", " must name at least one metric")
         for m in self.metrics:
             if m not in KNOWN_METRICS:
-                raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {m!r}")
+                raise ConfigError("metric", f" must be one of {KNOWN_METRICS}, got {m!r}")
             if self.metrics.count(m) > 1:
-                raise ConfigError(f"metric {m} is named twice")
+                raise ConfigError("metric", f" {m} is named twice")
 
 
 @dataclass
@@ -136,7 +136,7 @@ class NodeResult:
 
 def _check_one_state_axis(names) -> None:
     if "alpha" in names and "n_states" in names:
-        raise ConfigError("axes alpha and n_states both set the state count; sweep one of them")
+        raise ConfigError("axes", " alpha and n_states both set the state count; sweep one of them")
 
 
 def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
@@ -163,18 +163,16 @@ def node_config(base: MarketConfig, coords: dict) -> MarketConfig:
                 check_market_size(d_exact, cfg.n_agents, "alpha")
                 d = round(d_exact) if d_exact >= 1 else 0  # round(-inf) raises too
                 if d < 1 or abs(d - d_exact) > 1e-9:
-                    raise ConfigError(
-                        f"alpha = {value} gives a non-integer state count {d_exact} "
-                        f"at n_speculators = {cfg.n_speculators}"
-                    )
+                    raise ConfigError("alpha", f" = {value} gives a non-integer state count {d_exact} "
+                                      f"at n_speculators = {cfg.n_speculators}")
             else:
                 d = _integral(name, value)
                 if d < 1:
-                    raise ConfigError(f"n_states must be >= 1, got {value}")
+                    raise ConfigError("n_states", f" must be >= 1, got {value}")
                 check_market_size(d, cfg.n_agents, "n_states")
             cfg = replace(cfg, info_mode=_resize_mode(cfg.info_mode, d))
         else:
-            raise ConfigError(f"axis name must be one of {AXIS_NAMES}, got {name!r}")
+            raise ConfigError("axis", f" name must be one of {AXIS_NAMES}, got {name!r}")
     return cfg
 
 
@@ -182,16 +180,15 @@ def _resize_mode(mode, n_states: int):
     if isinstance(mode, Endogenous):
         bits = int(round(math.log2(n_states)))
         if 1 << bits != n_states:
-            raise ConfigError(
-                f"alpha/n_states: endogenous information needs a power-of-two state count, got {n_states}"
-            )
+            raise ConfigError("alpha/n_states", ": endogenous information needs a power-of-two state "
+                              f"count, got {n_states}")
         return Endogenous(bits)
     if isinstance(mode, Exogenous):
         w = np.asarray(mode.weights)
         if not np.array_equal(w, uniform_weights(w.size)):
-            raise ConfigError("alpha/n_states: only uniform exogenous weights can be resized")
+            raise ConfigError("alpha/n_states", ": only uniform exogenous weights can be resized")
         return Exogenous(uniform_weights(n_states))
-    raise ConfigError("alpha/n_states: mixed information cannot be resized over a sweep axis")
+    raise ConfigError("alpha/n_states", ": mixed information cannot be resized over a sweep axis")
 
 
 def derive_seed(base_seed: int, node_index: int, repetition: int) -> int:
@@ -212,7 +209,7 @@ def compute_metrics(record: SimulationRecord, metrics: Sequence[str]) -> dict:
     post = stats.post_transient(record.returns)
     unknown = [name for name in metrics if name not in _METRICS]
     if unknown:
-        raise ConfigError(f"metric must be one of {KNOWN_METRICS}, got {unknown[0]!r}")
+        raise ConfigError("metric", f" must be one of {KNOWN_METRICS}, got {unknown[0]!r}")
     return {name: _METRICS[name](record, post) for name in metrics}
 
 
@@ -226,7 +223,7 @@ def aggregate(rep_metrics: Sequence[dict]) -> dict:
     completion order.
     """
     if not rep_metrics:
-        raise ConfigError("cannot aggregate an empty node")
+        raise ConfigError("", "cannot aggregate an empty node")
     out = {}
     for key in rep_metrics[0]:
         # sorted before reduction so the result is bit-identical under any
@@ -264,9 +261,8 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
         for rep in range(spec.repetitions):
             seed = derive_seed(spec.base.seed, node_index, rep)
             if seed in seeds_seen:
-                raise ConfigError(
-                    f"seed collision between cells {seeds_seen[seed]} and {(node_index, rep)}"
-                )
+                raise ConfigError("", f"seed collision between cells {seeds_seen[seed]} and "
+                                      f"{(node_index, rep)}")
             seeds_seen[seed] = (node_index, rep)
             record = RepRecord(seed=seed, error=node_error)
             node.reps.append(record)
@@ -287,7 +283,7 @@ def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecor
     all have joined.
     """
     if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+        raise ConfigError("workers", f" must be >= 1, got {workers}")
     threads = min(workers or math.inf, _usable_cpus(), len(configs))
     outcomes = [None] * len(configs)
     lock = threading.Lock()
@@ -355,7 +351,7 @@ def _variant_spec(base: MarketConfig, variant: str, alphas, repetitions: int,
                   n_producers: int) -> SweepSpec:
     """The alpha sweep of one ``alpha_scan`` variant."""
     if variant not in ALPHA_SCAN_VARIANTS:
-        raise ConfigError(f"variant must be one of {ALPHA_SCAN_VARIANTS}, got {variant!r}")
+        raise ConfigError("variant", f" must be one of {ALPHA_SCAN_VARIANTS}, got {variant!r}")
     if variant == "endogenous":
         mode = Endogenous(1)
     elif variant == "reference":

@@ -5,8 +5,8 @@ Each reader gets arbitrary bytes and one-field mutations of a valid file: one
 comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
 one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
 replaced by a hostile token, arbitrary text, a number or arbitrary bytes. A
-``ConfigError`` from a mutated market or sweep INI names a ``section.key`` of the
-file, or the ``[section]`` header of a section it holds. A simulated
+``ConfigError`` from a mutated market or sweep INI carries a ``section.key`` of the
+file, or the ``[section]`` header of a section it holds, among its fields. A simulated
 ``run.csv`` with one tau changed is refused by that row's number.
 """
 
@@ -184,11 +184,11 @@ def ini_names(path) -> set:
 
 def assert_ini_named(reader, path):
     """The INI at ``path`` is loaded or refused as ``assert_loaded_or_refused`` allows
-    ``reader``, and a ``ConfigError`` names one of its ``ini_names``."""
+    ``reader``, and one of the fields a ``ConfigError`` carries is one of its ``ini_names``."""
     refusal = assert_loaded_or_refused(reader, path)
     if isinstance(refusal, ConfigError):
         names = ini_names(path)
-        assert any(name in str(refusal) for name in names), f"{refusal} names none of {names}"
+        assert names.intersection(refusal.fields), f"{refusal} carries {refusal.fields}, none of {names}"
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import specmarket.cli
 import specmarket.io
 from specmarket import Endogenous, Exogenous, MarketConfig, Mixed, run, uniform_weights
-from specmarket import sweep
+from specmarket import analytics, sweep
 from specmarket.cli import main
 from specmarket.errors import ConfigError, DataFormatError
+from specmarket.market import check_seed
 from specmarket.io import (
     FORMAT_VERSION,
     analyze_returns,
@@ -247,6 +248,36 @@ class TestParseConfig:
             Endogenous(0).validate()
         with pytest.raises(ConfigError, match=r"^info_mode\.exo_weights must have length 2\*\*exo_bits"):
             Mixed(2, 2, uniform_weights(8)).validate()
+
+    @pytest.mark.parametrize("refuse, fields", [
+        (lambda: Endogenous(0).validate(), ("info_mode.memory_bits",)),
+        (lambda: Mixed(2, 2, uniform_weights(8)).validate(), ("info_mode.exo_weights", "exo_bits")),
+        (lambda: check_seed(-1), ("seed",)),
+        (lambda: sweep.run_many([], len, 0), ("workers",)),
+        (lambda: analytics.variance_curve(0, [1]), ("dimension",)),
+    ], ids=["memory_bits", "exo_weights", "seed", "workers", "dimension"])
+    def test_dataclass_refusals_carry_their_fields(self, refuse, fields):
+        with pytest.raises(ConfigError) as refusal:
+            refuse()
+        assert refusal.value.fields == fields
+
+    @pytest.mark.parametrize("changes, fields", [
+        ({"memory_bits = 4": "memory_bits = 0"}, ("info.memory_bits",)),
+        ({"memory_bits = 4": "memory_bits = 20", "n_speculators = 64": f"n_speculators = {10**11}"},
+         ("info.memory_bits", "market.n_speculators", "market.n_producers")),
+        ({"endogenous\nmemory_bits = 4": "mixed\nendo_bits = 2\nexo_bits = 2\n"
+                                         "exo_distribution = uniform\nexo_states = 8"},
+         ("info.exo_states", "info.exo_bits")),
+        ({"endogenous\nmemory_bits = 4": "mixed\nendo_bits = 2"}, ("info.exo_bits", "info.mode")),
+        ({"seed = 3": "seed = -1"}, ("market.seed",)),
+    ], ids=["memory_bits", "size_cap", "exo_weights", "required_by_mode", "seed"])
+    def test_file_refusals_carry_the_keys_of_the_file(self, tmp_path, changes, fields):
+        text = MINIMAL
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError) as refusal:
+            parse_market_config(write(tmp_path, text))
+        assert refusal.value.fields == fields
 
     @pytest.mark.parametrize("mode, message", [
         (Exogenous(np.array([0.3, 0.3])), "info_mode.weights must sum to 1 within 1e-12, got sum 0.6"),
@@ -680,6 +711,22 @@ class TestCli:
         assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("argv, fields", [
+        (["simulate", "--seed", "-1"], ("--seed",)),
+        (["sweep", "--threads", "0"], ("--threads",)),
+        (["bounds", "--states", "0", "--alphas", "1"], ("--states",)),
+        (["bounds", "--states", "16", "--alphas", "0"], ("--alphas",)),
+    ], ids=["seed", "threads", "states", "alphas"])
+    def test_flag_refusals_carry_the_flag(self, tmp_path, argv, fields):
+        """A field the model refuses as the command handed it over is mapped to its flag."""
+        config = write(tmp_path, MINIMAL + "\n[sweep]\naxes = alpha\nalpha = 0.25\nrepetitions = 1\n")
+        common = [] if argv[0] == "bounds" else ["--config", str(config)]
+        args = specmarket.cli.build_parser().parse_args([*argv, *common, "--out", str(tmp_path / "o")])
+        with pytest.raises(ConfigError) as refusal:
+            specmarket.cli._COMMANDS[args.command](args)
+        assert refusal.value.renamed(specmarket.cli._FLAGS).fields == fields
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
     def test_seed_outside_uint64_refused_by_the_flag(self, tmp_path, capsys, command, seed):
@@ -990,14 +1037,23 @@ class TestCli:
         }
         assert documented == declared
 
-    @pytest.mark.parametrize("alphas, named", [
-        ("1,nan", "alpha"), ("1,inf", "alpha"), ("", "--alphas"), (" , ", "--alphas"),
-        ("1,1e-200", "alpha"), ("1e-320", "alpha"),
-    ])
-    def test_bounds_bad_alphas_fail_by_name(self, tmp_path, capsys, alphas, named):
+    @pytest.mark.parametrize("alphas, line", [
+        ("1,nan", "--alphas: alpha must be positive and finite, got nan"),
+        ("1,inf", "--alphas: alpha must be positive and finite, got inf"),
+        ("", "--alphas must list at least one value"),
+        (" , ", "--alphas must list at least one value"),
+        ("1,1e-200", "--alphas: alpha = 1e-200 gives N_s = D / alpha = 1.6e+201 at D = 16, which does "
+                     "not fit a 64-bit integer; alpha must exceed D / 2**63"),
+        ("1e-320", "--alphas: alpha = 1e-320 gives N_s = D / alpha = inf at D = 16, which does not "
+                   "fit a 64-bit integer; alpha must exceed D / 2**63"),
+        ("0", "--alphas: alpha must be positive and finite, got 0.0"),
+        ("nan", "--alphas: alpha must be positive and finite, got nan"),
+    ], ids=["1,nan-alpha", "1,inf-alpha", "---alphas", " , ---alphas", "1,1e-200-alpha",
+            "1e-320-alpha", "0-alpha", "nan-alpha"])
+    def test_bounds_bad_alphas_fail_by_name(self, tmp_path, capsys, alphas, line):
         code = main(["bounds", "--states", "16", "--alphas", alphas, "--out", str(tmp_path / "b")])
         assert code == 1
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "b").exists()
 
 

@@ -11,18 +11,12 @@ load on another CPU. Where the cache cannot be written, or the host's
 in a temporary directory for the process. A build writes under a temporary
 name and renames into place, so concurrent cold builds cannot race, and
 loading from a warm cache starts no process. ``library()`` loads it once per
-process, under a lock, so threads that call it first build and bind it once;
-where it cannot be built or loaded, it warns once, and ``market.run`` then
-loops over ``market.step``, ``analytics.dim_distribution`` runs its chain in
-numpy and ``io.write_columns`` formats its cells in Python. The library is a
-``ctypes.CDLL``, so every call into it releases the GIL. Two places start
-threads that make use of it: ``sweep.run_many``, whose markets run side by
-side on separate cores, and ``market.run`` with a follower, which formats
-``run.csv`` with the row writer on a helper thread while the step kernel
-runs on the caller. ``SIGNATURES`` holds each entry point's argument and
-return types, which ``_bind`` declares at load. The library's only shared
-state is the writer's tables, filled once at load and read-only after, and
-the progress counter a caller passes to the step kernel.
+process, and says what runs where it cannot. The library is a ``ctypes.CDLL``,
+so every call into it releases the GIL, and the threads of ``sweep.run_many``
+and of ``market.run``'s follower run it side by side. ``SIGNATURES`` holds each
+entry point's argument and return types, which ``_bind`` declares at load. The
+library's only shared state is the writer's tables, filled once at load and
+read-only after, and the progress counter a caller passes to the step kernel.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
 states, taus, capitals) with the bits of ``market.step``:

@@ -7,23 +7,8 @@ the lower variance limit (transition at alpha = 1), counting half a degree the
 upper limit (transition at alpha = 1/2, where positive weights first span the
 space), and a mixing rule in between gives the heuristic curve.
 
-The chain runs only over the window of cells that can hold probability mass
-and stops at its fixed point (see ``dim_distribution``): the same bits as a
-full-array update at a cost of O(n_vectors * W) instead of O(n_vectors**2),
-where W, about 54 / increment, counts the cells with D - 54 < d < D. Its
-arrays hold O(D / increment) cells, whatever n_vectors is, and its loop is
-``specmarket_dim_chain`` of the C kernel (``_kernel.c``), which runs each step
-in two vectorised passes through a scratch array of the walk's, or a numpy
-loop over the same window where the kernel cannot be built.
-
-The distribution after n vectors is the chain's state after a number of steps
-that grows with n, so one walk of the chain is read at every n that shares its
-step: ``variance_curve`` costs one walk per distinct step (``full``, ``half``,
-and each ``interpolated`` step below N_s = 2 D), not one per alpha and
-increment, and no step runs twice. The walk yields each reading while it
-stands at its count: ``dim_distribution`` copies its one reading out, and
-``p_cant_cancel`` and ``variance_curve`` take a dot product of the live cells
-with weights computed once per walk.
+How the chain keeps the bits of a full-array update on a window of cells is in
+``dim_distribution``, and how one walk of it serves many counts in ``_walk``.
 """
 
 from __future__ import annotations
@@ -92,10 +77,8 @@ def dim_distribution(
     most ceil((D - 1) / step) in exact arithmetic, so the arrays hold
     ceil((D - 1) / step) + 2 cells (one spare for a quotient rounded down),
     or n_vectors if that is fewer: O(D / step) cells, with n_vectors only the
-    number of steps. The distribution is one reading of the walk that
-    ``variance_curve`` reads at many counts: its cost there is one walk per
-    distinct step, not one per alpha and increment. The loop runs in the C
-    kernel, and in numpy where the kernel cannot be built. Returns
+    number of steps. The loop is ``specmarket_dim_chain`` of the C kernel, or
+    ``_chain`` in numpy where the kernel cannot be built. Returns
     ``(dims, probs)`` with probs summing to 1.
     """
     _check(dimension, n_vectors, increment)
@@ -141,7 +124,8 @@ def _walk(dimension: int, step: float,
     increasing order, with the distribution in ``dims[:top + 1]`` and
     ``probs[:top + 1]``. They are live: ``dims`` is the same array in every
     reading, and the walk goes on to update ``probs`` when the next reading is
-    asked for, so a caller that keeps a reading copies it.
+    asked for, so a caller that keeps a reading copies it. A caller that reads
+    many counts of one step, as ``variance_curve`` does, runs no step twice.
     """
     size = min(max(counts), math.ceil((dimension - 1) / step) + 2)
     dims = np.minimum(1.0 + step * np.arange(size), float(dimension))

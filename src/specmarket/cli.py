@@ -69,12 +69,10 @@ def _seeded(config, args):
 def cmd_simulate(args) -> int:
     """Run the market and write its artifact to ``--out``.
 
-    run.csv is written by a ``run`` follower while the market steps, under a
-    temporary name in ``--out``, or in its nearest existing ancestor where
-    ``--out`` does not exist yet; any directory made under that ancestor is on
-    its filesystem, so ``write_run_artifact`` can rename the file into place
-    once the analysis has passed. No directory is made before then, and a
-    refused run or analysis removes the file, so it changes nothing on disk.
+    A ``run`` follower writes run.csv while the market steps, under a temporary
+    name in ``--out`` or, before that exists, its nearest existing ancestor, on
+    whose filesystem any directory made under it lies; ``write_run_artifact``
+    renames the file into place. A refused run or analysis removes it.
     """
     config = _seeded(io.parse_market_config(args.config), args)
     outdir = Path(args.out)

@@ -454,11 +454,12 @@ def write_json(path, payload: dict) -> Path:
 def write_analysis(outdir, chash: str, returns: np.ndarray, extra: Optional[dict] = None) -> dict:
     """Analyze the post-transient window of ``returns``; write ccdf.csv, autocorr.csv, summary.json.
 
-    The reduction ratio compares the first 10 return magnitudes against the
-    window, and ``extra`` adds its keys to the summary. Every statistic is
-    computed before the first file is written, so returns the analysis refuses
-    leave no file. Returns the written paths keyed ``ccdf``, ``autocorr`` and
-    ``summary``.
+    It is the one writer of these files, so ``simulate`` and ``stats`` write the
+    same ccdf.csv and autocorr.csv from the same returns. The reduction ratio
+    compares the first 10 return magnitudes against the window, and ``extra``
+    adds its keys to the summary. Every statistic is computed before the first
+    file is written, so returns the analysis refuses leave no file. Returns the
+    written paths keyed ``ccdf``, ``autocorr`` and ``summary``.
     """
     window = post_transient(returns)
     analysis = analyze_returns(window)

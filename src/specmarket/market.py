@@ -14,17 +14,10 @@ Randomness comes from one Philox counter-based generator per market, fully
 determined by the config seed, so equal configs replay bit-identically.
 
 ``step`` and its four phases are the step-by-step reference. There is one
-engine, ``run``: it steps a market's whole horizon in one call of a C kernel
-(``_kernel.c``) with the same bits as ``step``. The kernel writes the whole
-record (prices, returns, states, taus and capitals) and leaves the state's
-holdings and ``last_seen`` as ``step`` does. Given a follower, ``run`` hands
-it the record on a helper thread, with the counts of rows the kernel has
-completed, so that ``run.csv`` is written while the market steps. It sums two arrays per pass of
-one pairwise tree, copied from numpy's, and takes each return from the C
-library's ``log10``, which ``math.log10`` calls. The kernel is compiled on
-first use and cached in the package's ``__pycache__/`` under a hash of its
-source, its flags and the host CPU (see ``specmarket._kernel``). Where it
-cannot be built, ``run`` warns once and loops over ``step`` itself.
+engine, ``run``: it steps a market's whole horizon in one call of the C kernel
+with the bits of ``step``, or loops over ``step`` where the kernel cannot be
+built. How the kernel keeps those bits, and how it is built, is in the
+docstring of ``specmarket._kernel``.
 """
 
 from __future__ import annotations
@@ -308,7 +301,7 @@ class SimulationRecord:
     prices: np.ndarray             # (T,)
     returns: np.ndarray            # (T-1,), returns[i] = log10 prices[i+1] - log10 prices[i]
     mus: np.ndarray                # (T,) int
-    taus: np.ndarray               # (T,) int, 0 where the state had not occurred before
+    taus: np.ndarray               # (T,) int64, 0 where the state had not occurred before
     mean_spec_capital: np.ndarray  # (T,)
     final_spec_capitals: np.ndarray  # (N_s,)
 
@@ -531,6 +524,8 @@ def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRe
         mus=np.empty(horizon, dtype=np.int64), taus=np.empty(horizon, dtype=np.int64),
         mean_spec_capital=np.empty(horizon), final_spec_capitals=np.empty(0))
     lib = _kernel.library()
+    # with one usable CPU a helper thread costs more than it hides: 0.110 against 0.102 s
+    # per `simulate` of configs/market.ini, the process pinned to one CPU of a 2-core VM
     helper = follow is not None and lib and _usable_cpus() > 1
     if helper:
         with _following(lib, follow, record) as progress:

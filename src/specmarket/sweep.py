@@ -1,15 +1,11 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
-:func:`run_many` is the one map over markets: it runs a batch of configs on
-threads of this process (the C kernel behind ``market.run`` releases the GIL,
-so they overlap on separate cores), at most one market per thread at a time,
-and returns each market's measurement in input order. :func:`run_sweep` and
-:func:`alpha_scan` map their grids' cells through it, and so does the
-acceptance suite its batches of seeded markets. Each (node, repetition) cell
-derives its seed from the base seed and its grid coordinates, so a sweep is
-bit-identical whatever the thread count. A node aggregates each metric by its
-own rule (:func:`aggregate`); failed repetitions are recorded with their
-reason and left out of the aggregate.
+:func:`run_sweep`, :func:`alpha_scan` and the acceptance suite run their
+markets through :func:`run_many`, the one map of configs onto threads. Each
+(node, repetition) cell derives its seed from the base seed and its grid
+coordinates, so a sweep is bit-identical whatever the thread count. A node
+aggregates each metric by its own rule (:func:`aggregate`); failed repetitions
+are recorded with their reason and left out of the aggregate.
 """
 
 from __future__ import annotations
@@ -277,10 +273,12 @@ def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecor
 
     Runs on min(``workers``, usable CPUs, configs) threads, the caller among
     them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
-    thread takes the next config under a lock and measures its record itself,
-    so at most one record per thread is alive at once. A ``BaseException`` on
-    any thread stops every thread taking configs and is re-raised here once
-    all have joined.
+    thread takes the next config under a lock, measures its record itself and
+    stores the outcome at the config's index, so at most one record per thread
+    is alive at once and the outcomes do not depend on the thread count. The C
+    kernel releases the GIL, so the markets run side by side; without it they
+    take turns, with the same outcomes. A ``BaseException`` on any thread stops
+    every thread taking configs and is re-raised here once all have joined.
     """
     if workers is not None and workers < 1:
         raise ConfigError("workers", f" must be >= 1, got {workers}")
@@ -385,7 +383,7 @@ def alpha_scan(
     sweep, with the cells and seeds :func:`run_sweep` gives it. Every
     variant's grid is walked and validated first, so a bad variant or config
     raises before any cell runs. Then all the variants' cells go through one
-    :func:`run_many` on every usable CPU.
+    :func:`run_many` on every usable CPU, so no thread waits at a variant's end.
     """
     grids = [(variant, *_grid(_variant_spec(base, variant, alphas, repetitions, n_producers)))
              for variant in variants]

@@ -6,7 +6,9 @@ comma-separated cell of ``run.csv``, one cell of an empirical date/close file,
 one value of a market INI or one value of a sweep INI's ``[sweep]`` section is
 replaced by a hostile token, arbitrary text, a number or arbitrary bytes. A
 ``ConfigError`` from a mutated market or sweep INI carries a ``section.key`` of the
-file, or the ``[section]`` header of a section it holds, among its fields. A simulated
+file, or the ``[section]`` header of a section it holds, among its fields. A refusal of a
+missing key may carry instead a key that a section the file holds requires: a mutation
+such as ``4\n[sweep]`` moves the keys after it into another section. A simulated
 ``run.csv`` with one tau changed is refused by that row's number.
 """
 
@@ -16,13 +18,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from specmarket import Endogenous, MarketConfig, run
 from specmarket.errors import ConfigError, DataFormatError, SpecmarketError
-from specmarket.io import (FORMAT_VERSION, load_empirical, parse_market_config, parse_sweep_spec,
-                           read_run_csv, write_run_csv)
+from specmarket.io import (_REQUIRED_MARKET_KEYS, FORMAT_VERSION, _to_word, _to_words,
+                           load_empirical, parse_market_config, parse_sweep_spec, read_run_csv,
+                           write_run_csv)
 from specmarket.market import validate_config
 from specmarket.sweep import INTEGER_AXES, node_config
 
@@ -174,12 +177,33 @@ def assert_loaded_or_refused(reader, path):
     return None
 
 
+#: the [info] keys that each mode calls for
+INFO_MODE_KEYS = {
+    "endogenous": ("memory_bits",),
+    "exogenous": ("distribution", "states", "rate"),
+    "mixed": ("endo_bits", "exo_bits", "exo_distribution", "exo_states", "exo_rate"),
+}
+
+
+def required_keys(parser) -> dict:
+    """The keys each section of ``parser`` requires: the fields of ``MarketConfig`` without a
+    default, [info]'s ``mode`` and the keys of that mode, and [sweep]'s ``axes`` and each axis
+    it lists."""
+    mode = _to_word(parser["info"].get("mode", "")) if "info" in parser else ""
+    axes = _to_words(parser["sweep"].get("axes", "")) if "sweep" in parser else ()
+    return {"market": _REQUIRED_MARKET_KEYS, "info": ("mode", *INFO_MODE_KEYS.get(mode, ())),
+            "sweep": ("axes", *axes)}
+
+
 def ini_names(path) -> set:
-    """Every ``section.key`` of the INI file at ``path``, and every ``[section]`` header."""
+    """Every ``section.key`` of the INI file at ``path``, every ``[section]`` header, and the
+    ``section.key`` of each key that one of its sections requires."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(path.read_text(encoding="utf-8"))
+    required = required_keys(parser)
     return {name for section in parser.sections()
-            for name in (f"[{section}]", *(f"{section}.{key}" for key in parser[section]))}
+            for name in (f"[{section}]", *(f"{section}.{key}" for key in
+                                           (*parser[section], *required.get(section, ()))))}
 
 
 def assert_ini_named(reader, path):
@@ -260,12 +284,17 @@ def test_empirical_cell_mutations(input_file, cell, value):
     assert_loaded_or_refused("empirical", input_file)
 
 
+#: each (info, line) of the market INIs that holds a value
+MARKET_VALUES = [(info, i) for info in sorted(MARKET_INIS)
+                 for i in ini_values(MARKET + MARKET_INIS[info])]
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), info=st.sampled_from(sorted(MARKET_INIS)), value=VALUES)
-def test_market_ini_value_mutations(input_file, data, info, value):
-    text = MARKET + MARKET_INIS[info]
-    index = data.draw(st.sampled_from(ini_values(text)))
-    input_file.write_bytes(mutate_value(text, index, value))
+@given(line=st.sampled_from(MARKET_VALUES), value=VALUES)
+@example(line=("endogenous", 2), value=b"4\n[sweep]")  # n_producers: the later keys move to [sweep]
+def test_market_ini_value_mutations(input_file, line, value):
+    info, index = line
+    input_file.write_bytes(mutate_value(MARKET + MARKET_INIS[info], index, value))
     assert_ini_named("market_ini", input_file)
 
 
@@ -284,6 +313,7 @@ SWEEP_VALUES = [i for i in ini_values(SWEEP) if i > SWEEP.splitlines().index("[s
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(index=st.sampled_from(SWEEP_VALUES), value=VALUES)
+@example(index=SWEEP_VALUES[0], value=b"alpha, n_speculators, use_param, n_producers")  # no values
 def test_sweep_ini_value_mutations(input_file, index, value):
     input_file.write_bytes(mutate_value(SWEEP, index, value))
     assert_ini_named("sweep_ini", input_file)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -1055,6 +1056,35 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "b").exists()
+
+
+README = Path(__file__).parents[1] / "README.md"
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def test_readme_config_examples_parse_as_the_shipped_configs(tmp_path):
+    """The README's ``[market]``/``[info]`` example is ``configs/market.ini``'s config, and its
+    ``[sweep]`` example, after that market example, has ``configs/sweep.ini``'s axes,
+    repetitions and metrics."""
+    market, grid = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert parse_market_config(write(tmp_path, market)) == parse_market_config(CONFIGS / "market.ini")
+    spec = parse_sweep_spec(write(tmp_path, market + "\n" + grid))
+    shipped = parse_sweep_spec(CONFIGS / "sweep.ini")
+    assert (spec.axes, spec.repetitions, spec.metrics) == (shipped.axes, shipped.repetitions,
+                                                           shipped.metrics)
+
+
+def test_readme_pointers_resolve():
+    """Every backticked ``specmarket.<module>[.<name>]`` of the README, a trailing ``()``
+    stripped, is a module of the package and, with a name, an attribute of it."""
+    pointers = re.findall(r"`(specmarket(?:\.\w+)+)(?:\(\))?`", README.read_text())
+    assert pointers
+    for pointer in pointers:
+        _, module, *names = pointer.split(".")
+        target = importlib.import_module(f"specmarket.{module}")
+        for name in names:
+            assert hasattr(target, name), f"README points at {pointer}, which does not exist"
+            target = getattr(target, name)
 
 
 #: the README table, pinned as ``GOLDEN_CLI["bounds_d512"]``

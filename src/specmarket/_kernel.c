@@ -279,7 +279,8 @@ int64_t specmarket_progress(const int64_t *progress)
  * queue receives each refill of n_queue states. money, stocks and last_seen
  * are updated in place; m and s are scratch of length n. Records prices,
  * base-10 log returns (horizon - 1 of them), states, taus (0 on a state's
- * first occurrence) and the speculators' capital sum.
+ * first occurrence) and, where capital is not NULL, the speculators'
+ * capital sum after each step.
  *
  * Returns horizon, or the first step t whose price is not finite and
  * positive or whose return's ratio price / before is not (before is 1.0 at
@@ -373,8 +374,10 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
             tmp -= s[i];
             stocks[i] += tmp;
         }
-        totals held = pairwise2(money + k, stocks + k, n_spec);
-        capital[t] = (0.0 + held.a) + (0.0 + held.b);
+        if (capital) {
+            totals held = pairwise2(money + k, stocks + k, n_spec);
+            capital[t] = (0.0 + held.a) + (0.0 + held.b);
+        }
     }
     publish(returns, start, t, progress);
     }

@@ -19,7 +19,8 @@ library's only shared state is the writer's tables, filled once at load and
 read-only after, and the progress counter a caller passes to the step kernel.
 
 The step kernel writes the whole record of ``market.run`` (prices, returns,
-states, taus, capitals) with the bits of ``market.step``:
+states, taus, and the capitals where the caller passes their array) with the
+bits of ``market.step``:
 
 - Totals copy numpy's pairwise sum: blocks of 128, 8 accumulators, the same
   final reduction order and ``0.0 +`` at the top. One tree sums two arrays
@@ -119,7 +120,7 @@ SIGNATURES = {
         _p, _i64, _p,                 # strategies, mu, last_seen
         _p, _p, _p, _p,               # money, stocks, m, s
         _p, _p, _p, _p,               # prices, returns, mus, taus
-        _p, _p,                       # capital, progress
+        _p, _p,                       # capital (NULL: no capital sum), progress
     ), _i64),
     "specmarket_progress": ((_p,), _i64),  # progress; returns the complete rows
     "specmarket_divide": ((_p, _i64, _f64, _p), _i64),  # m, n, price, q

@@ -80,7 +80,8 @@ def cmd_simulate(args) -> int:
     partial = home / f".run-{os.urandom(8).hex()}.csv.tmp"
     chash = io.config_hash(config)
     try:
-        record = run(config, lambda record, counts: io.write_run_csv(partial, chash, record, counts))
+        record = run(config, lambda record, counts: io.write_run_csv(partial, chash, record, counts),
+                     capital=False)
         files = io.write_run_artifact(outdir, config, record, run_csv=partial)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -168,7 +169,7 @@ def cmd_compare(args) -> int:
         )
 
     # the same length as the empirical series, for a fair comparison
-    window = io.post_transient(run(config).returns)[: emp_returns.size]
+    window = io.post_transient(run(config, capital=False).returns)[: emp_returns.size]
     with analyzing(f"the model's {window.size} returns at horizon = {config.horizon}"):
         model = io.analyze_returns(window)
     outdir = Path(args.out)

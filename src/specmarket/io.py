@@ -241,7 +241,9 @@ def parse_sweep_spec(path) -> SweepSpec:
     section = parser["sweep"]
     axis_names = _get(section, "axes", _to_words, "sweep")
     _reject_unknown(parser, "sweep", {"axes", *_SWEEP_KEYS, *axis_names})
-    values = [(name, tuple(_get(section, name, _to_floats, "sweep").tolist())) for name in axis_names]
+    at = ("sweep.axes", f" = {', '.join(axis_names)}")  # an axis left out is named with the list
+    values = [(name, tuple(_get(section, name, _to_floats, "sweep", *at).tolist()))
+              for name in axis_names]
     settings = {key: _get(section, key, convert, "sweep")
                 for key, convert in _SWEEP_KEYS.items() if key in section}
     try:

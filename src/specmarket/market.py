@@ -498,13 +498,19 @@ def _usable_cpus() -> int:
 _FOLLOW_POLL_S = 2e-4
 
 
-def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRecord:
+def run(config: MarketConfig, follow: Optional[Callable] = None, *,
+        capital: bool = True) -> SimulationRecord:
     """Execute ``config.horizon`` steps and return the full record.
 
     The record is bit-identical to stepping the market with :func:`step`, so
     equal configs replay bit-identically. A step whose price is not finite and
     positive, or whose return is not finite, raises the :class:`ConfigError`
     of :func:`check_clearing`, as :func:`step` does.
+
+    ``mean_spec_capital`` holds the speculators' mean capital after each step,
+    which only the income factor reads. With ``capital=False`` the run skips
+    that per-step sum and the field is an empty float64 array; every other
+    field keeps its bits, ``final_spec_capitals`` included.
 
     ``follow(record, counts)``, if given, reads the record while it is written:
     ``counts`` is an iterable of rising counts of complete rows that ends when
@@ -522,24 +528,25 @@ def run(config: MarketConfig, follow: Optional[Callable] = None) -> SimulationRe
     record = SimulationRecord(
         prices=np.empty(horizon), returns=np.empty(horizon - 1),
         mus=np.empty(horizon, dtype=np.int64), taus=np.empty(horizon, dtype=np.int64),
-        mean_spec_capital=np.empty(horizon), final_spec_capitals=np.empty(0))
+        mean_spec_capital=np.empty(horizon if capital else 0), final_spec_capitals=np.empty(0))
     lib = _kernel.library()
     # with one usable CPU a helper thread costs more than it hides: 0.110 against 0.102 s
     # per `simulate` of configs/market.ini, the process pinned to one CPU of a 2-core VM
     helper = follow is not None and lib and _usable_cpus() > 1
     if helper:
         with _following(lib, follow, record) as progress:
-            _step_kernel(lib, state, record, progress)
+            _step_kernel(lib, state, record, capital, progress)
     elif lib:
-        _step_kernel(lib, state, record, None)
+        _step_kernel(lib, state, record, capital, None)
     else:
         for t in range(horizon):
             out = step(state)
             record.prices[t], record.mus[t], record.taus[t] = out.price, out.mu, out.tau
             if t:
                 record.returns[t - 1] = out.log_return
-            record.mean_spec_capital[t] = (np.add.reduce(state.money[k:])
-                                           + np.add.reduce(state.stocks[k:]))
+            if capital:
+                record.mean_spec_capital[t] = (np.add.reduce(state.money[k:])
+                                               + np.add.reduce(state.stocks[k:]))
     record.mean_spec_capital /= 2.0 * n_spec
     record.final_spec_capitals = (state.money[k:] + state.stocks[k:]) / 2.0
     if follow is not None and not helper:
@@ -595,9 +602,10 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
-def _step_kernel(lib, state, record, progress) -> None:
-    """The whole horizon in one call of the C kernel, which stores its complete rows into
-    ``progress`` where it is not None; the state ends as ``step`` leaves it."""
+def _step_kernel(lib, state, record, capital, progress) -> None:
+    """The whole horizon in one call of the C kernel, which sums the capital where
+    ``capital`` is true and stores its complete rows into ``progress`` where it is not
+    None; the state ends as ``step`` leaves it."""
     cfg = state.config
     n, k, horizon = cfg.n_agents, cfg.n_producers, cfg.horizon
     prices, returns, mus = record.prices, record.returns, record.mus
@@ -614,7 +622,7 @@ def _step_kernel(lib, state, record, progress) -> None:
             state.strategies.ctypes.data, state.mu, state.last_seen.ctypes.data,
             state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
             prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, record.taus.ctypes.data,
-            record.mean_spec_capital.ctypes.data, _address(progress),
+            _address(record.mean_spec_capital if capital else None), _address(progress),
         )
     if done < horizon:
         check_clearing(cfg, done, float(prices[done]), float(prices[done - 1]) if done else 1.0)

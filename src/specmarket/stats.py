@@ -161,7 +161,7 @@ def hill_fit_ks(
 
 
 #: sampled ranks per candidate in the successive pruning passes of hill_fit_ks
-_KS_SAMPLES = (16, 64, 256, 1024, 4096, 8192)
+_KS_SAMPLES = (4, 16, 64, 256, 1024, 4096, 8192)
 #: slack on the pruning threshold; it absorbs rounding between the sampled and
 #: the full distance and lies far above float64 resolution, so it only ever
 #: keeps extra candidates

@@ -268,8 +268,9 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
 
 
 def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecord], Any],
-             workers: Optional[int] = None) -> list:
-    """``measure(run(config))`` for each config in input order, or the ``Exception`` raised.
+             workers: Optional[int] = None, *, capital: bool = True) -> list:
+    """``measure(run(config, capital=capital))`` for each config in input order, or the
+    ``Exception`` raised.
 
     Runs on min(``workers``, usable CPUs, configs) threads, the caller among
     them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
@@ -296,7 +297,7 @@ def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecor
                     return
                 index, taken = taken, taken + 1
             try:
-                outcomes[index] = measure(run(configs[index]))
+                outcomes[index] = measure(run(configs[index], capital=capital))
             except Exception as exc:  # the config's outcome, never aborts the map
                 outcomes[index] = exc
             except BaseException as exc:  # re-raised by the calling thread after the join
@@ -317,8 +318,10 @@ def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecor
 
 
 def _measure(cells: list, metrics, workers: Optional[int] = None) -> None:
-    """Run :func:`_grid`'s cells through :func:`run_many`; each record takes its metrics or error."""
-    outcomes = run_many([config for _, config in cells], lambda r: compute_metrics(r, metrics), workers)
+    """Run :func:`_grid`'s cells through :func:`run_many`; each record takes its metrics or error.
+    The runs sum the capital series only where ``income_factor``, which reads it, is a metric."""
+    outcomes = run_many([config for _, config in cells], lambda r: compute_metrics(r, metrics),
+                        workers, capital="income_factor" in metrics)
     for (record, _), outcome in zip(cells, outcomes):
         failed = isinstance(outcome, Exception)
         record.metrics, record.error = (None, _error(outcome)) if failed else (outcome, None)

@@ -11,6 +11,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -70,14 +71,14 @@ def assert_matches_step(record, config):
     assert record.final_spec_capitals.tobytes() == agents[-1].tobytes()
 
 
-def fallback_run(config):
+def fallback_run(config, **options):
     """``run`` looping over ``step``, as on a host where the kernel cannot be built."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_LIBRARY", False)
-        return run(config)
+        return run(config, **options)
 
 
-@pytest.mark.parametrize("config", [
+STEP_CONFIGS = [
     MarketConfig(n_speculators=24, use_param=0.6, info_mode=Endogenous(3), horizon=400, seed=1),
     MarketConfig(n_speculators=2, use_param=1.0, info_mode=Endogenous(2), horizon=400, seed=3),
     MarketConfig(n_speculators=16, use_param=0.4, info_mode=Mixed(1, 2, exponential_weights(0.3, 4)),
@@ -86,10 +87,36 @@ def fallback_run(config):
     *(MarketConfig(n_speculators=256, use_param=0.5, info_mode=Endogenous(7), horizon=300,
                    seed=21, n_producers=16, producer_kind=kind)
       for kind in ("deterministic", "random")),
-], ids=["endogenous", "ties", "mixed_random_producers", "n272_deterministic_producers",
-        "n272_random_producers"])
+]
+STEP_IDS = ["endogenous", "ties", "mixed_random_producers", "n272_deterministic_producers",
+            "n272_random_producers"]
+#: exogenous markets whose 9000 steps cross two refills of the 4096-draw queue
+QUEUE_CONFIGS = [
+    MarketConfig(n_speculators=8, use_param=0.5, info_mode=Exogenous(uniform_weights(4)),
+                 horizon=9000, seed=5, n_producers=2, producer_kind="random"),
+    MarketConfig(n_speculators=8, use_param=0.5, info_mode=Exogenous(exponential_weights(0.4, 7)),
+                 horizon=9000, seed=6, n_producers=2, producer_kind="random"),
+]
+
+
+@pytest.mark.parametrize("config", STEP_CONFIGS, ids=STEP_IDS)
 def test_run_matches_step_reference(config):
     assert_matches_step(run(config), config)
+
+
+@pytest.mark.parametrize("engine", [run, fallback_run], ids=["kernel", "fallback"])
+@pytest.mark.parametrize("config", STEP_CONFIGS + QUEUE_CONFIGS,
+                         ids=STEP_IDS + ["exogenous_uniform", "exogenous_exp"])
+def test_run_without_capital_keeps_every_other_field(engine, config):
+    """``capital=False`` leaves the mean capital an empty float64 array and every other field,
+    the final capitals included, with the bits of a run that sums it."""
+    full, bare = engine(config), engine(config, capital=False)
+    assert (bare.mean_spec_capital.dtype, bare.mean_spec_capital.shape) == (np.float64, (0,))
+    assert full.mean_spec_capital.shape == (config.horizon,)
+    for name in FIELDS:
+        if name != "mean_spec_capital":
+            x, y = getattr(full, name), getattr(bare, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def _mode(kind, size):
@@ -128,9 +155,7 @@ def test_run_equals_step_and_fallback(config):
 
 def test_exogenous_queue_crosses_chunks():
     """9000 steps cross two refills of the 4096-draw exogenous queue."""
-    base = MarketConfig(n_speculators=8, use_param=0.5, info_mode=Exogenous(uniform_weights(4)),
-                        horizon=9000, seed=5, n_producers=2, producer_kind="random")
-    for config in (base, replace(base, seed=6, info_mode=Exogenous(exponential_weights(0.4, 7)))):
+    for config in QUEUE_CONFIGS:
         record = run(config)
         assert_matches_step(record, config)
         assert_same_bytes(record, fallback_run(config))
@@ -307,15 +332,17 @@ def test_steps_outside_the_fma_guard_match_step(config, tripped):
 def test_tiny_epsilon_is_refused_by_name_on_both_engines(n_speculators, use_param, epsilon, seed,
                                                          at):
     """A price that is not finite and positive, or a return that is not finite, raises one
-    ``ConfigError`` naming epsilon from the kernel, ``run``'s loop and ``step``."""
+    ``ConfigError`` naming epsilon from the kernel, ``run``'s loop and ``step``, with or
+    without the capital sum."""
     config = MarketConfig(n_speculators=n_speculators, use_param=use_param,
                           info_mode=Endogenous(1), epsilon=epsilon, horizon=200, seed=seed)
     messages = []
-    for engine in (run, fallback_run, reference_run):
+    for engine in (run, fallback_run, reference_run, partial(run, capital=False),
+                   partial(fallback_run, capital=False)):
         with pytest.raises(ConfigError, match=f"^epsilon = {epsilon!r} is too small") as raised:
             engine(config)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert len(set(messages)) == 1
     assert at in messages[0]
 
 

@@ -193,10 +193,14 @@ class TestParseConfig:
         ("axes = alpha\nalpha =\n", "sweep.alpha: axis alpha has no values"),
         ("axes = n_speculators\nn_speculators = 32.7\n",
          "sweep.n_speculators: axis n_speculators takes integers, got 32.7"),
+        ("axes = alpha, n_speculators, use_param, n_producers\nalpha = 0.5\nn_speculators = 64\n"
+         "use_param = 0.1\n",
+         "sweep.n_producers is required at sweep.axes = alpha, n_speculators, use_param, n_producers"),
     ], ids=["repetitions", "unknown_metric", "no_metric", "no_axis", "unknown_axis", "repeated_value",
-            "nan", "no_value", "fraction"])
+            "nan", "no_value", "fraction", "listed_axis_left_out"])
     def test_sweep_refusal_names_the_keys_of_the_file(self, tmp_path, sweep, message):
-        """A refusal of the [sweep] section is led by the key of the file that set it."""
+        """A refusal of the [sweep] section is led by the key of the file that set it; an axis
+        that ``axes`` lists and the file leaves out, by ``sweep.axes`` as well."""
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_sweep_spec(write(tmp_path, MINIMAL + "\n[sweep]\n" + sweep))
 
@@ -959,7 +963,8 @@ class TestCli:
         empirical = self.write_empirical(
             tmp_path, 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=400))))
         runs = []
-        monkeypatch.setattr(specmarket.cli, "run", lambda config: runs.append(config) or run(config))
+        monkeypatch.setattr(specmarket.cli, "run",
+                            lambda config, **options: runs.append(config) or run(config, **options))
         code = main(["compare", "--config", str(self.write_config(tmp_path, horizon=horizon)),
                      "--empirical", str(empirical), "--out", str(tmp_path / "cmp")])
         if horizon == 797:

@@ -1,3 +1,4 @@
+import datetime
 import math
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specmarket.cli
 from specmarket import Endogenous, Exogenous, MarketConfig, run, stats, sweep, uniform_weights
+from specmarket.cli import main
 from specmarket.errors import ConfigError
 from specmarket.sweep import (
     SweepAxis,
@@ -23,6 +26,7 @@ from specmarket.sweep import (
     run_many,
     run_sweep,
 )
+from test_io_cli import MINIMAL, write
 
 
 def base_config(**kwargs):
@@ -300,13 +304,13 @@ class TestThreadMap:
         _cpus(monkeypatch, 2)
         barrier, started, lock = threading.Barrier(2, timeout=30), set(), threading.Lock()
 
-        def meeting(config):
+        def meeting(config, **options):
             with lock:
                 first = threading.get_ident() not in started
                 started.add(threading.get_ident())
             if first:
                 barrier.wait()
-            return run(config)
+            return run(config, **options)
 
         monkeypatch.setattr(sweep, "run", meeting)
         assert _outcomes(run_sweep(self.SPEC, workers=2)) == _outcomes(serial)
@@ -347,13 +351,13 @@ class TestThreadMap:
         before = threading.active_count()
         calls, lock = [], threading.Lock()
 
-        def interrupted(config):
+        def interrupted(config, **options):
             with lock:
                 calls.append(config.seed)
                 third = len(calls) == 3
             if third:
                 raise KeyboardInterrupt
-            return run(config)
+            return run(config, **options)
 
         monkeypatch.setattr(sweep, "run", interrupted)
         spec = replace(self.SPEC, repetitions=10)
@@ -367,10 +371,10 @@ class TestThreadMap:
         _cpus(monkeypatch, 8)
         calls = []
 
-        def counting(config):
+        def counting(config, **options):
             calls.append(config.seed)
             time.sleep(0)
-            return run(config)
+            return run(config, **options)
 
         monkeypatch.setattr(sweep, "run", counting)
         spec = replace(self.SPEC, base=replace(self.SPEC.base, horizon=50), repetitions=40)
@@ -397,10 +401,10 @@ class TestThreadMap:
         _cpus(monkeypatch, 2)
         finished, other_done = [], threading.Event()
 
-        def first_last(config):
+        def first_last(config, **options):
             if config.seed == 0:
                 assert other_done.wait(30)
-            record = run(config)
+            record = run(config, **options)
             finished.append(config.seed)
             if config.seed != 0:
                 other_done.set()
@@ -573,3 +577,59 @@ class TestAlphaScan:
     def test_base_seed_outside_uint64_refused_by_name(self, seed):
         with pytest.raises(ConfigError, match=rf"seed must be an integer in \[0, 2\*\*64\), got {seed}"):
             alpha_scan(base_config(seed=seed), alphas=(1.0,), variants=("reference",), repetitions=1)
+
+
+def _capital_spy(monkeypatch, module):
+    """Replace ``module.run`` with a spy that records each call's ``capital`` and runs it."""
+    asked = []
+
+    def spy(config, *args, **options):
+        asked.append(options.get("capital", True))
+        return run(config, *args, **options)
+
+    monkeypatch.setattr(module, "run", spy)
+    return asked
+
+
+class TestCapitalSeries:
+    """The runs sum the speculators' mean capital only where a metric reads it."""
+
+    @pytest.mark.parametrize("metrics, capital", [
+        (sweep.DEFAULT_METRICS, False),
+        (("gini", "tail_exponent"), False),  # the final capitals are kept without the series
+        (("income_factor",), True),
+        (sweep.ALPHA_SCAN_METRICS, True),
+    ])
+    def test_measure_asks_for_capital_exactly_for_the_income_factor(self, monkeypatch, metrics,
+                                                                    capital):
+        asked = _capital_spy(monkeypatch, sweep)
+        spec = SweepSpec(base=base_config(horizon=400), axes=(SweepAxis("use_param", (0.3, 0.5)),),
+                         repetitions=2, metrics=metrics)
+        nodes = run_sweep(spec, workers=1)
+        assert asked == [capital] * 4
+        for node in nodes:
+            for rep in node.reps:
+                record = run(replace(spec.base, seed=rep.seed, use_param=node.coords["use_param"]))
+                assert rep.metrics == compute_metrics(record, metrics)
+
+    def test_alpha_scan_income_factor_reads_the_full_series(self):
+        base = base_config(horizon=600)
+        rows = alpha_scan(base, alphas=(0.25, 1.0), variants=("deterministic_producers",),
+                          repetitions=1, n_producers=4)
+        _, cells = sweep._grid(sweep._variant_spec(base, "deterministic_producers", (0.25, 1.0), 1, 4))
+        expected = [stats.income_factor(run(config).mean_spec_capital) for _, config in cells]
+        assert [row["income_factor"] for row in rows] == expected
+        assert all(math.isfinite(value) and value != 0.0 for value in expected)
+
+    def test_simulate_and_compare_skip_the_capital_sum(self, monkeypatch, tmp_path):
+        asked = _capital_spy(monkeypatch, specmarket.cli)
+        config = write(tmp_path, MINIMAL.replace("horizon = 500", "horizon = 1000"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        rng = np.random.default_rng(6)
+        closes = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=400)))
+        days = (datetime.date(1990, 1, 1) + datetime.timedelta(days=i) for i in range(closes.size))
+        empirical = write(tmp_path, "".join(f"{day.isoformat()},{float(close)!r}\n"
+                                            for day, close in zip(days, closes)), "emp.csv")
+        assert main(["compare", "--config", str(config), "--empirical", str(empirical),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert asked == [False, False]

@@ -2,19 +2,9 @@
  * span-counting chain of specmarket.analytics.dim_distribution, and the CSV
  * row writer of specmarket.io.write_columns.
  *
- * Built and loaded by specmarket._kernel; see its docstring for the rules
- * that keep the bits equal to numpy's and Python's: the pairwise totals, the
- * order of the draws, the settle updates and the chain's cell updates
- * (compile with -ffp-contract=off, so the one fused multiply-add is the
- * explicit fma of the settle quotient) and the C library's log10.
- *
- * The settle quotient m / price is correctly rounded on either path. Where
- * the compiler targets FMA (__FMA__) and a step is inside the guard (price
- * in [2^-60, 2^60], every order +0.0 or in [2^-900, 2^901)), it is
- * Markstein's FMA-corrected quotient from y = 1 / price (P. W. Markstein,
- * IBM J. Res. Dev. 34(1), 1990; J.-M. Muller et al., Handbook of
- * Floating-Point Arithmetic, division with an FMA): nothing in it underflows
- * or overflows, so it equals the division. Any other step divides.
+ * Built and loaded by specmarket._kernel with -ffp-contract=off, so the one
+ * fused multiply-add is the explicit fma of settle_quotient. The comment at
+ * each function says how it keeps the bits of numpy and Python.
  */
 
 #include <math.h>
@@ -200,9 +190,13 @@ static inline int fma_step(double price, uint64_t lo, uint64_t hi)
 #endif
 }
 
-/* m / price, correctly rounded. On an fma_step, from y = 1 / price:
- * q0 = m * y is within a few ulps, the inner fma gives its remainder
- * m - q0 * price exactly, and the outer one rounds the corrected quotient. */
+/* m / price, correctly rounded. On an fma_step, Markstein's FMA-corrected
+ * quotient from y = 1 / price (P. W. Markstein, IBM J. Res. Dev. 34(1), 1990;
+ * J.-M. Muller et al., Handbook of Floating-Point Arithmetic, division with an
+ * FMA): q0 = m * y is within a few ulps, the inner fma gives its remainder
+ * m - q0 * price exactly, and the outer one rounds the corrected quotient;
+ * inside the guard nothing in it underflows or overflows, so it equals the
+ * division. Any other step divides. */
 static inline double settle_quotient(double m, double price, double y, int fast)
 {
 #ifdef __FMA__
@@ -250,7 +244,10 @@ static int64_t upper_bound(const double *cum, int64_t n, double u)
 #define PUBLISH_STEPS 1024
 
 /* Rows from .. to - 1 are complete once the ratios of their returns are
- * logged: returns[i] is row i + 1's, and row 0 has none. Stores to in
+ * logged, by the C library's log10, the function math.log10 calls for a
+ * finite positive argument: returns[i] is row i + 1's, and row 0 has none.
+ * A cold helper, so the step loop's code is as with one pass at the end.
+ * Stores to in
  * progress, where it is not NULL, with release order, so that a thread that
  * reads it with specmarket_progress also sees the rows. */
 static __attribute__((noinline, cold)) void publish(double *returns, int64_t from, int64_t to,
@@ -270,7 +267,8 @@ int64_t specmarket_progress(const int64_t *progress)
     return __atomic_load_n(progress, __ATOMIC_ACQUIRE);
 }
 
-/* Steps a market from its initial state for `horizon` steps.
+/* Steps a market from its initial state for `horizon` steps, drawing through
+ * bg->next_double in the order of specmarket.market.step.
  *
  * n agents, the first k of them producers, the first n_random of those
  * drawing a fresh bit every step. endo_states is the size of the
@@ -302,84 +300,83 @@ int64_t specmarket_run(bitgen_t *bg, int64_t horizon, int64_t n, int64_t k, int6
     double price = 1.0, before = 1.0;
     int64_t endo = 0, pos = n_queue;
     int64_t t = 0, end = 0;
-    /* blocks of PUBLISH_STEPS steps, until the horizon or a refused step; the
-     * step loop keeps the indent it has as the function's one loop */
+    /* blocks of PUBLISH_STEPS steps, until the horizon or a refused step */
     while (t == end && t < horizon) {
-    const int64_t start = t;
-    end = horizon - t > PUBLISH_STEPS ? t + PUBLISH_STEPS : horizon;
-    for (; t < end; t++) {
-        if (t > 0) {
-            if (endo_states) {
-                int64_t bit;
-                if (price > before) {
-                    bit = 1;
-                } else if (price < before) {
-                    bit = 0;
-                } else {
-                    bit = bg->next_double(bg->state) < 0.5;
-                }
-                endo = ((mu & endo_mask) << 1 | bit) & endo_mask;
-            }
-            if (cum) {
-                if (pos == n_queue) {
-                    for (int64_t i = 0; i < n_queue; i++) {
-                        queue[i] = upper_bound(cum, n_cum, bg->next_double(bg->state));
+        const int64_t start = t;
+        end = horizon - t > PUBLISH_STEPS ? t + PUBLISH_STEPS : horizon;
+        for (; t < end; t++) {
+            if (t > 0) {
+                if (endo_states) {
+                    int64_t bit;
+                    if (price > before) {
+                        bit = 1;
+                    } else if (price < before) {
+                        bit = 0;
+                    } else {
+                        bit = bg->next_double(bg->state) < 0.5;
                     }
-                    pos = 0;
+                    endo = ((mu & endo_mask) << 1 | bit) & endo_mask;
                 }
-                const int64_t draw = queue[pos++];
-                mu = endo_states ? draw * endo_states + endo : draw;
-            } else {
-                mu = endo;
+                if (cum) {
+                    if (pos == n_queue) {
+                        for (int64_t i = 0; i < n_queue; i++) {
+                            queue[i] = upper_bound(cum, n_cum, bg->next_double(bg->state));
+                        }
+                        pos = 0;
+                    }
+                    const int64_t draw = queue[pos++];
+                    mu = endo_states ? draw * endo_states + endo : draw;
+                } else {
+                    mu = endo;
+                }
+            }
+            mus[t] = mu;
+            taus[t] = last_seen[mu] >= 0 ? t - last_seen[mu] : 0;
+            last_seen[mu] = t;
+            const uint8_t *row = strategies + mu * n;
+            uint64_t lo = UINT64_MAX, hi = 0;
+            for (int64_t i = 0; i < n_random; i++) {
+                int buy = bg->next_double(bg->state) < 0.5;
+                m[i] = order(money[i] * gamma, buy);
+                s[i] = order(stocks[i] * gamma, !buy);
+                lo = fold_lo(lo, m[i]);
+                hi = fold_hi(hi, m[i]);
+            }
+            for (int64_t i = n_random; i < n; i++) {
+                m[i] = order(money[i] * gamma, row[i]);
+                s[i] = order(stocks[i] * gamma, !row[i]);
+                lo = fold_lo(lo, m[i]);
+                hi = fold_hi(hi, m[i]);
+            }
+            before = price;
+            totals orders = pairwise2(m, s, n);
+            price = ((0.0 + orders.a) + eps) / ((0.0 + orders.b) + eps);
+            prices[t] = price;
+            double ratio = price / before;
+            if (!(price > 0.0 && price < INFINITY && ratio > 0.0 && ratio < INFINITY)) {
+                break;
+            }
+            if (t > 0) {
+                returns[t - 1] = ratio;
+            }
+            for (int64_t i = k; i < n; i++) {
+                double tmp = s[i] * price;
+                tmp -= m[i];
+                money[i] += tmp;
+            }
+            const int fast = fma_step(price, lo, hi);
+            const double y = 1.0 / price;
+            for (int64_t i = k; i < n; i++) {
+                double tmp = settle_quotient(m[i], price, y, fast);
+                tmp -= s[i];
+                stocks[i] += tmp;
+            }
+            if (capital) {
+                totals held = pairwise2(money + k, stocks + k, n_spec);
+                capital[t] = (0.0 + held.a) + (0.0 + held.b);
             }
         }
-        mus[t] = mu;
-        taus[t] = last_seen[mu] >= 0 ? t - last_seen[mu] : 0;
-        last_seen[mu] = t;
-        const uint8_t *row = strategies + mu * n;
-        uint64_t lo = UINT64_MAX, hi = 0;
-        for (int64_t i = 0; i < n_random; i++) {
-            int buy = bg->next_double(bg->state) < 0.5;
-            m[i] = order(money[i] * gamma, buy);
-            s[i] = order(stocks[i] * gamma, !buy);
-            lo = fold_lo(lo, m[i]);
-            hi = fold_hi(hi, m[i]);
-        }
-        for (int64_t i = n_random; i < n; i++) {
-            m[i] = order(money[i] * gamma, row[i]);
-            s[i] = order(stocks[i] * gamma, !row[i]);
-            lo = fold_lo(lo, m[i]);
-            hi = fold_hi(hi, m[i]);
-        }
-        before = price;
-        totals orders = pairwise2(m, s, n);
-        price = ((0.0 + orders.a) + eps) / ((0.0 + orders.b) + eps);
-        prices[t] = price;
-        double ratio = price / before;
-        if (!(price > 0.0 && price < INFINITY && ratio > 0.0 && ratio < INFINITY)) {
-            break;
-        }
-        if (t > 0) {
-            returns[t - 1] = ratio;
-        }
-        for (int64_t i = k; i < n; i++) {
-            double tmp = s[i] * price;
-            tmp -= m[i];
-            money[i] += tmp;
-        }
-        const int fast = fma_step(price, lo, hi);
-        const double y = 1.0 / price;
-        for (int64_t i = k; i < n; i++) {
-            double tmp = settle_quotient(m[i], price, y, fast);
-            tmp -= s[i];
-            stocks[i] += tmp;
-        }
-        if (capital) {
-            totals held = pairwise2(money + k, stocks + k, n_spec);
-            capital[t] = (0.0 + held.a) + (0.0 + held.b);
-        }
-    }
-    publish(returns, start, t, progress);
+        publish(returns, start, t, progress);
     }
     return t;
 }

@@ -2,91 +2,25 @@
 
 The library holds three things: the step kernel behind ``market.run``, the
 span-counting chain behind ``analytics.dim_distribution`` and the CSV row
-writer behind ``io.write_columns``. It is compiled on first use with
-the system C compiler and cached in the package's ``__pycache__/``. The cache
-file is named by a hash of the C source, the compiler flags, the libraries it
-links and the host CPU's identity, because ``-march=native`` code must never
-load on another CPU. Where the cache cannot be written, or the host's
-``/proc/cpuinfo`` has no line that identifies its CPU, the library is built
-in a temporary directory for the process. A build writes under a temporary
-name and renames into place, so concurrent cold builds cannot race, and
-loading from a warm cache starts no process. ``library()`` loads it once per
-process, and says what runs where it cannot. The library is a ``ctypes.CDLL``,
-so every call into it releases the GIL, and the threads of ``sweep.run_many``
-and of ``market.run``'s follower run it side by side. ``SIGNATURES`` holds each
-entry point's argument and return types, which ``_bind`` declares at load. The
-library's only shared state is the writer's tables, filled once at load and
-read-only after, and the progress counter a caller passes to the step kernel.
-
-The step kernel writes the whole record of ``market.run`` (prices, returns,
-states, taus, and the capitals where the caller passes their array) with the
-bits of ``market.step``:
-
-- Totals copy numpy's pairwise sum: blocks of 128, 8 accumulators, the same
-  final reduction order and ``0.0 +`` at the top. One tree sums two arrays
-  of one length at once, each in its own vector of eight lanes, and each
-  lane adds as a scalar double does: the order totals (m, s) are one pass,
-  the speculators' money and stocks another. A tree node whose children are
-  two leaves, or two pairs of leaves, runs those two or four blocks' chains
-  of vector adds interleaved in one loop; each block adds in numpy's order
-  and the block totals combine in the tree's order, so every total keeps its
-  bits. At N_s = 256 with 16 producers, the 272 orders are two pairs of
-  leaves and the 256 capitals one pair.
-- An order is a select: ``m = x if buy else x * 0.0`` and
-  ``s = y * 0.0 if buy else y``, with ``x = money * gamma`` and
-  ``y = stocks * gamma``, the bits of ``x * float(buy)`` and
-  ``y * float(not buy)``.
-- Returns are ``log10(price / before)`` from the C library, the function
-  ``math.log10`` calls for a finite positive argument; ``-lm`` is linked
-  explicitly. A step stores the ratio. The steps run in blocks of 1024, and
-  after each block (the last, and one cut short by a refused step,
-  included) a cold, never-inlined helper takes the log10 of its ratios, so
-  the step loop's code is the same as with one pass at the end. Where the
-  caller passes a progress counter, the helper then stores the count of
-  complete rows there with release order; ``specmarket_progress`` loads it
-  with acquire order, so a thread that reads a count also sees those rows'
-  prices, states, taus and returns.
-- Taus count the steps since the state's ``last_seen``, which the kernel
-  updates in place; 0 on a state's first occurrence.
-- The draws go through the bit generator's ``next_double`` in the order of
-  ``market.step``, and ``-ffp-contract=off`` keeps multiply-adds unfused.
-- The one explicit ``fma`` is the settle quotient ``m / price``: where the
-  build targets FMA (``__FMA__``, as ``-march=native`` does on x86 CPUs
-  with FMA) and a step is inside the guard (price in [2^-60, 2^60], every
-  order +0.0 or in [2^-900, 2^901)), it is Markstein's FMA-corrected
-  quotient from ``y = 1 / price``, ``q0 = m * y``,
-  ``q = fma(fma(-q0, price, m), y, q0)`` (P. W. Markstein, IBM J. Res. Dev.
-  34(1), 1990; J.-M. Muller et al., *Handbook of Floating-Point
-  Arithmetic*, division with an FMA). Nothing in it underflows or
-  overflows there, so it is the correctly rounded quotient, the bits of
-  ``/``. Other steps, and builds without FMA, divide. The order loops fold
-  the guard into two unsigned bounds per step, the least of ``bits - 1``
-  and the greatest of ``bits`` over the orders' bit patterns; the step is
-  outside the guard iff the first is below ``(123 << 52) - 1`` or the
-  second is at least ``1924 << 52``, which is the per-order rule with +0.0
-  inside and signs, infinities and NaNs outside. ``specmarket_divide``
-  exposes the guarded quotient of one step's orders, with the same fold.
-- A step whose price is not finite and positive, or whose return is not
-  finite, stops the kernel, which returns that step; ``market.run`` then
-  raises the ``ConfigError`` that ``market.settle`` raises on that step.
-
-The chain runs the three float64 operations per cell of the numpy loop in
-``analytics``, in its order, over the same window of cells, and stops after
-the same step. Each step is two passes, both vectorised: ``moved = p *
-escape`` into a scratch array the caller passes (``analytics._walk``
-allocates it once per walk, as long as ``p``), with the test for a nonzero
-moved amount, then ``p[j] = (p[j] - moved[j]) + moved[j - 1]``;
-``-ffp-contract=off`` keeps ``p - p * escape`` unfused. One call runs steps
-``first`` .. ``last`` of a walk, so a walk resumes where the previous call
-left it, and returns the step at which the walk reached its fixed point (the
-first step that moved nothing), or 0 if it did not; every later step would
-leave the cells as they are.
-
-The row writer takes float64 and int64 columns only. It writes each float64
-as ``repr`` does (shortest round-trip digits, by Ryu), each int64 as ``str``
-does, and an empty cell where a column's mask is set. Its 128-bit products use
-the compiler's ``unsigned __int128``, so, like the vector types and atomics,
-the library needs GCC or Clang on a 64-bit target (x86-64 or aarch64).
+writer behind ``io.write_columns``; how each keeps the bits of numpy and
+Python is said in ``_kernel.c``. It is compiled on first use with the system
+C compiler, which must be GCC or Clang on a 64-bit target (the source uses
+their vector types, atomics and ``unsigned __int128``), and cached in the
+package's ``__pycache__/``. The cache file is named by a hash of the C
+source, the compiler flags, the libraries it links and the host CPU's
+identity, because ``-march=native`` code must never load on another CPU.
+Where the cache cannot be written, or the host's ``/proc/cpuinfo`` has no
+line that identifies its CPU, the library is built in a temporary directory
+for the process. A build writes under a temporary name and renames into
+place, so concurrent cold builds cannot race, and loading from a warm cache
+starts no process. ``library()`` loads it once per process, and says what
+runs where it cannot. The library is a ``ctypes.CDLL``, so every call into
+it releases the GIL, and the threads of ``sweep.run_many`` and of
+``market.run``'s follower run it side by side. ``SIGNATURES`` holds each
+entry point's argument and return types, which ``_bind`` declares at load.
+The library's only shared state is the writer's tables, filled once at load
+and read-only after, and the progress counter a caller passes to the step
+kernel.
 """
 
 from __future__ import annotations

@@ -146,12 +146,10 @@ def cmd_bounds(args) -> int:
         io.write_json(outdir / "bounds.json",
                       {"states": args.states, "bounds": [vars(b) for b in curve]})
     else:
+        rows = [(b.alpha, analytics.speculators_at(args.states, b.alpha), b.lower, b.heuristic,
+                 b.upper) for b in curve]
         io.write_columns(outdir / "bounds.csv", ("states", args.states),
-                         ("alpha", "n_speculators", "lower", "heuristic", "upper"),
-                         ([b.alpha for b in curve],
-                          [analytics.speculators_at(args.states, b.alpha) for b in curve],
-                          [b.lower for b in curve], [b.heuristic for b in curve],
-                          [b.upper for b in curve]))
+                         ("alpha", "n_speculators", "lower", "heuristic", "upper"), list(zip(*rows)))
     print(f"bounds: {len(curve)} alpha values at D = {args.states}")
     return 0
 

@@ -334,7 +334,7 @@ def analyze_returns(returns: np.ndarray) -> ReturnsAnalysis:
 # artifacts
 # ---------------------------------------------------------------------------
 
-#: rows formatted per write in ``write_columns``; it caps the bytes held at once
+#: rows formatted per write in ``_write_table``; it caps the bytes held at once
 _CHUNK_ROWS = 1 << 13
 
 #: cell kinds of the C row writer, and the longest cell of each: repr of a
@@ -391,30 +391,29 @@ def _write_rows(lib, fh, prepared, empty, n_rows: int) -> None:
         fh.write(buffer[:written])
 
 
-def _write_body(lib, fh, columns, empty, n_rows: int) -> None:
-    """Write the ``n_rows`` rows of ``columns`` to binary ``fh``, with ``empty`` as in
-    ``write_columns`` but contiguous, in chunks of ``_CHUNK_ROWS``. The C row writer of
-    ``lib`` formats a table of float and integer columns; ``_cells`` formats any other
-    table, and every table where ``lib`` is not loaded."""
-    prepared = _writer_columns(columns) if lib else None
-    if prepared:
-        _write_rows(lib, fh, prepared, empty, n_rows)
-        return
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
-        cells = [_cells(column[chunk], None if mask is None else mask[chunk])
-                 for column, mask in zip(columns, empty)]
-        fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
-
-
-def _open_table(path, tag: tuple, names):
-    """``path`` opened for binary writing, its directory made, and the format header, the
-    ``# key: value`` tag line and the column names written."""
+def _write_table(path, tag: tuple, names, blocks) -> Path:
+    """Write a specmarket CSV, the one body of ``write_columns`` and ``write_run_csv``: the
+    format header, the ``# key: value`` tag line, the column names, then the rows of each
+    ``(columns, empty)`` of ``blocks``, with ``empty`` as in ``write_columns`` but
+    contiguous, in chunks of ``_CHUNK_ROWS``. The C row writer formats a block of float and
+    integer columns; ``_cells`` formats any other block, and every block where the library
+    is not loaded. Makes the directory of ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "wb")
-    fh.write((_header(*tag) + ",".join(names) + "\n").encode())
-    return fh
+    lib = _kernel.library()
+    with open(path, "wb") as fh:
+        fh.write((_header(*tag) + ",".join(names) + "\n").encode())
+        for columns, empty in blocks:
+            prepared = _writer_columns(columns) if lib else None
+            if prepared:
+                _write_rows(lib, fh, prepared, empty, len(columns[0]))
+                continue
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                chunk = slice(start, start + _CHUNK_ROWS)
+                cells = [_cells(column[chunk], None if mask is None else mask[chunk])
+                         for column, mask in zip(columns, empty)]
+                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+    return path
 
 
 def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
@@ -424,10 +423,7 @@ def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
     ``("states", D)`` for the analytic bounds. ``columns`` are equal-length
     arrays or sequences; ``empty``, if given, holds a bool mask of that length,
     or None, per column. Cells are ``repr`` of floats, ``str`` of anything else
-    and empty where their mask is set. The C row writer of ``_kernel.c``
-    writes a table of float and integer columns in chunks of ``_CHUNK_ROWS``
-    rows; ``_cells`` formats any other table, and every table where that
-    library cannot be loaded.
+    and empty where their mask is set. ``_write_table`` writes the table.
     """
     empty = [None if mask is None else np.ascontiguousarray(mask, dtype=bool)
              for mask in ([None] * len(columns) if empty is None else empty)]
@@ -436,9 +432,7 @@ def write_columns(path, tag: tuple, names, columns, empty=None) -> Path:
         raise ValueError(f"{len(empty)} masks for {len(columns)} columns")
     if len(set(lengths)) > 1:
         raise ValueError(f"columns and masks of unequal lengths {lengths}")
-    with _open_table(path, tag, names) as fh:
-        _write_body(_kernel.library(), fh, columns, empty, lengths[0])
-    return Path(path)
+    return _write_table(path, tag, names, [(columns, empty)])
 
 
 def write_json(path, payload: dict) -> Path:
@@ -494,23 +488,22 @@ def write_run_csv(path, chash: str, record: SimulationRecord, counts=None) -> Pa
     not occurred before, and the log return is empty at t = 0. ``counts``, if
     given, is the iterable of complete-row counts of a ``market.run``
     follower: the rows are written as they complete, up to the last count.
-    Row 0 goes out on its own, its log return a masked cell, so no column is
-    copied; the C row writer formats the rest in chunks of ``_CHUNK_ROWS``.
+    ``_write_table`` takes the rows each count completes as one block, and row
+    0 as a block of its own, its log return a masked cell, so no column is
+    copied.
     """
-    lib = _kernel.library()
-    done = 0
-    with _open_table(path, ("config-hash", chash), RUN_COLUMNS) as fh:
+    def blocks():
+        done = 0
         for ready in (len(record.prices),) if counts is None else counts:
             while done < ready:
                 stop = ready if done else 1  # row 0 alone: its log return is a masked cell
                 taus = record.taus[done:stop]
-                columns = (np.arange(done, stop), record.mus[done:stop], taus,
-                           record.prices[done:stop],
-                           record.returns[done - 1:stop - 1] if done else np.zeros(1))
-                empty = (None, None, taus == 0, None, None if done else np.ones(1, dtype=bool))
-                _write_body(lib, fh, columns, empty, stop - done)
+                yield ((np.arange(done, stop), record.mus[done:stop], taus, record.prices[done:stop],
+                        record.returns[done - 1:stop - 1] if done else np.zeros(1)),
+                       (None, None, taus == 0, None, None if done else np.ones(1, dtype=bool)))
                 done = stop
-    return Path(path)
+
+    return _write_table(path, ("config-hash", chash), RUN_COLUMNS, blocks())
 
 
 def write_run_artifact(outdir, config: MarketConfig, record: SimulationRecord,

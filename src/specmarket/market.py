@@ -16,8 +16,8 @@ determined by the config seed, so equal configs replay bit-identically.
 ``step`` and its four phases are the step-by-step reference. There is one
 engine, ``run``: it steps a market's whole horizon in one call of the C kernel
 with the bits of ``step``, or loops over ``step`` where the kernel cannot be
-built. How the kernel keeps those bits, and how it is built, is in the
-docstring of ``specmarket._kernel``.
+built. How the kernel keeps those bits is said in the comments of
+``_kernel.c``, and how it is built in the docstring of ``specmarket._kernel``.
 """
 
 from __future__ import annotations
@@ -533,11 +533,9 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
     # with one usable CPU a helper thread costs more than it hides: 0.110 against 0.102 s
     # per `simulate` of configs/market.ini, the process pinned to one CPU of a 2-core VM
     helper = follow is not None and lib and _usable_cpus() > 1
-    if helper:
-        with _following(lib, follow, record) as progress:
-            _step_kernel(lib, state, record, capital, progress)
-    elif lib:
-        _step_kernel(lib, state, record, capital, None)
+    if lib:
+        with _following(lib, follow, record) if helper else contextlib.nullcontext() as progress:
+            _step_kernel(lib, state, record, progress)
     else:
         for t in range(horizon):
             out = step(state)
@@ -592,7 +590,8 @@ def _following(lib, follow, record):
 
 
 def _address(array) -> Optional[int]:
-    return None if array is None else array.ctypes.data
+    """The data pointer of ``array``; None, which ctypes passes as NULL, for None or no values."""
+    return None if array is None or not array.size else array.ctypes.data
 
 
 def _endo_states(mode: InformationMode) -> int:
@@ -602,10 +601,10 @@ def _endo_states(mode: InformationMode) -> int:
     return 1 << mode.endo_bits if isinstance(mode, Mixed) else 0
 
 
-def _step_kernel(lib, state, record, capital, progress) -> None:
-    """The whole horizon in one call of the C kernel, which sums the capital where
-    ``capital`` is true and stores its complete rows into ``progress`` where it is not
-    None; the state ends as ``step`` leaves it."""
+def _step_kernel(lib, state, record, progress) -> None:
+    """The whole horizon in one call of the C kernel, which sums the capital into
+    ``record.mean_spec_capital`` where that array is not empty and stores its complete
+    rows into ``progress`` where it is not None; the state ends as ``step`` leaves it."""
     cfg = state.config
     n, k, horizon = cfg.n_agents, cfg.n_producers, cfg.horizon
     prices, returns, mus = record.prices, record.returns, record.mus
@@ -622,7 +621,7 @@ def _step_kernel(lib, state, record, capital, progress) -> None:
             state.strategies.ctypes.data, state.mu, state.last_seen.ctypes.data,
             state.money.ctypes.data, state.stocks.ctypes.data, m.ctypes.data, s.ctypes.data,
             prices.ctypes.data, returns.ctypes.data, mus.ctypes.data, record.taus.ctypes.data,
-            _address(record.mean_spec_capital if capital else None), _address(progress),
+            _address(record.mean_spec_capital), _address(progress),
         )
     if done < horizon:
         check_clearing(cfg, done, float(prices[done]), float(prices[done - 1]) if done else 1.0)

@@ -1,11 +1,12 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
 :func:`run_sweep`, :func:`alpha_scan` and the acceptance suite run their
-markets through :func:`run_many`, the one map of configs onto threads. Each
-(node, repetition) cell derives its seed from the base seed and its grid
-coordinates, so a sweep is bit-identical whatever the thread count. A node
-aggregates each metric by its own rule (:func:`aggregate`); failed repetitions
-are recorded with their reason and left out of the aggregate.
+markets through :func:`run_many`, the one thread map of work items: each
+thread does one item's work at a time. Each (node, repetition) cell derives
+its seed from the base seed and its grid coordinates, so a sweep is
+bit-identical whatever the thread count. A node aggregates each metric by its
+own rule (:func:`aggregate`); failed repetitions are recorded with their
+reason and left out of the aggregate.
 """
 
 from __future__ import annotations
@@ -267,48 +268,47 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
     return nodes, cells
 
 
-def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecord], Any],
-             workers: Optional[int] = None, *, capital: bool = True) -> list:
-    """``measure(run(config, capital=capital))`` for each config in input order, or the
-    ``Exception`` raised.
+def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int] = None) -> list:
+    """``work(item)`` for each item in input order, or the ``Exception`` it raised.
 
-    Runs on min(``workers``, usable CPUs, configs) threads, the caller among
+    Runs on min(``workers``, usable CPUs, items) threads, the caller among
     them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
-    thread takes the next config under a lock, measures its record itself and
-    stores the outcome at the config's index, so at most one record per thread
-    is alive at once and the outcomes do not depend on the thread count. The C
-    kernel releases the GIL, so the markets run side by side; without it they
-    take turns, with the same outcomes. A ``BaseException`` on any thread stops
-    every thread taking configs and is re-raised here once all have joined.
+    thread takes the next item under a lock, does its work itself and stores
+    the outcome at the item's index, so one item's work per thread runs at a
+    time and the outcomes do not depend on the thread count. Work that calls
+    the C kernel, such as ``run``, releases the GIL, so the items run side by
+    side; other work takes turns, with the same outcomes. A ``BaseException``
+    on any thread stops every thread taking items and is re-raised here once
+    all have joined.
     """
     if workers is not None and workers < 1:
         raise ConfigError("workers", f" must be >= 1, got {workers}")
-    threads = min(workers or math.inf, _usable_cpus(), len(configs))
-    outcomes = [None] * len(configs)
+    threads = min(workers or math.inf, _usable_cpus(), len(items))
+    outcomes = [None] * len(items)
     lock = threading.Lock()
     taken = 0
     raised = []
 
-    def work():
+    def take():
         nonlocal taken
         while True:
             with lock:
-                if raised or taken == len(configs):
+                if raised or taken == len(items):
                     return
                 index, taken = taken, taken + 1
             try:
-                outcomes[index] = measure(run(configs[index], capital=capital))
-            except Exception as exc:  # the config's outcome, never aborts the map
+                outcomes[index] = work(items[index])
+            except Exception as exc:  # the item's outcome, never aborts the map
                 outcomes[index] = exc
             except BaseException as exc:  # re-raised by the calling thread after the join
                 raised.append(exc)
                 return
 
-    helpers = [threading.Thread(target=work, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
+    helpers = [threading.Thread(target=take, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        take()
     finally:
         for helper in helpers:
             helper.join()
@@ -319,9 +319,10 @@ def run_many(configs: Sequence[MarketConfig], measure: Callable[[SimulationRecor
 
 def _measure(cells: list, metrics, workers: Optional[int] = None) -> None:
     """Run :func:`_grid`'s cells through :func:`run_many`; each record takes its metrics or error.
-    The runs sum the capital series only where ``income_factor``, which reads it, is a metric."""
-    outcomes = run_many([config for _, config in cells], lambda r: compute_metrics(r, metrics),
-                        workers, capital="income_factor" in metrics)
+    A thread measures each market it runs, so at most one record per thread is alive. The runs
+    sum the capital series only where ``income_factor``, which reads it, is a metric."""
+    outcomes = run_many([config for _, config in cells], lambda config: compute_metrics(
+        run(config, capital="income_factor" in metrics), metrics), workers)
     for (record, _), outcome in zip(cells, outcomes):
         failed = isinstance(outcome, Exception)
         record.metrics, record.error = (None, _error(outcome)) if failed else (outcome, None)

@@ -42,7 +42,7 @@ def report(number, ok, detail):
 
 def run_all(configs, measure):
     """``measure`` of each config's market, mapped on threads by ``run_many``; a failure raises."""
-    outcomes = run_many(configs, measure)
+    outcomes = run_many(configs, lambda config: measure(run(config)))
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

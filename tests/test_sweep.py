@@ -396,7 +396,7 @@ class TestThreadMap:
 
     def test_run_many_keeps_input_order_when_configs_finish_out_of_order(self, monkeypatch):
         """The first config waits until another has finished, yet its outcome comes first."""
-        serial = run_many(self.CONFIGS, self.first_return, workers=1)
+        serial = run_many(self.CONFIGS, lambda config: self.first_return(run(config)), workers=1)
         assert serial == [run(config).returns[0] for config in self.CONFIGS]
         _cpus(monkeypatch, 2)
         finished, other_done = [], threading.Event()
@@ -410,13 +410,14 @@ class TestThreadMap:
                 other_done.set()
             return record
 
-        monkeypatch.setattr(sweep, "run", first_last)
-        assert run_many(self.CONFIGS, self.first_return, workers=2) == serial
+        assert run_many(self.CONFIGS, lambda config: self.first_return(first_last(config)),
+                        workers=2) == serial
         assert finished[0] != 0 and sorted(finished) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_many_exception_takes_its_configs_place(self, monkeypatch, workers):
-        """An exception from ``run`` (a refused config) or from ``measure`` comes back in place."""
+        """An exception from ``run`` (a refused config) or from ``measure`` comes back in place,
+        and so does one from work on items that are not configs."""
         _cpus(monkeypatch, 2)
         last = run(self.CONFIGS[3]).returns[0]
 
@@ -426,10 +427,20 @@ class TestThreadMap:
             return record.returns[0]
 
         configs = [self.CONFIGS[0], replace(self.CONFIGS[1], use_param=1.5), *self.CONFIGS[2:]]
-        first, bad_config, third, bad_measure = run_many(configs, measure, workers=workers)
+        first, bad_config, third, bad_measure = run_many(
+            configs, lambda config: measure(run(config)), workers=workers)
         assert [first, third] == [run(self.CONFIGS[i]).returns[0] for i in (0, 2)]
         assert type(bad_config) is ConfigError and str(bad_config) == "use_param must be in (0, 1], got 1.5"
         assert type(bad_measure) is ValueError
+
+        def halve(item):
+            if item == 4:
+                raise ValueError("cannot halve 4")
+            return item / 2
+
+        *head, bad_item, last_item = run_many(range(6), halve, workers=workers)
+        assert [*head, last_item] == [0.0, 0.5, 1.0, 1.5, 2.5]
+        assert type(bad_item) is ValueError and str(bad_item) == "cannot halve 4"
 
     def test_run_many_base_exception_reraised_once_every_thread_joined(self, monkeypatch):
         """The caller's KeyboardInterrupt waits for the helper's record, and then no thread is left."""
@@ -448,7 +459,7 @@ class TestThreadMap:
 
         configs = [base_config(horizon=200, seed=seed) for seed in range(20)]
         with pytest.raises(KeyboardInterrupt):
-            run_many(configs, measure, workers=2)
+            run_many(configs, lambda config: measure(run(config)), workers=2)
         assert threading.active_count() == before
         assert len(helper_measured) == 1  # it finished its record and took no other
 

@@ -15,12 +15,11 @@ for the process. A build writes under a temporary name and renames into
 place, so concurrent cold builds cannot race, and loading from a warm cache
 starts no process. ``library()`` loads it once per process, and says what
 runs where it cannot. The library is a ``ctypes.CDLL``, so every call into
-it releases the GIL, and the threads of ``sweep.run_many`` and of
-``market.run``'s follower run it side by side. ``SIGNATURES`` holds each
-entry point's argument and return types, which ``_bind`` declares at load.
-The library's only shared state is the writer's tables, filled once at load
-and read-only after, and the progress counter a caller passes to the step
-kernel.
+it releases the GIL, and the threads of ``market.run_many`` run it side by
+side. ``SIGNATURES`` holds each entry point's argument and return types,
+which ``_bind`` declares at load. The library's only shared state is the
+writer's tables, filled once at load and read-only after, and the progress
+counter a caller passes to the step kernel.
 """
 
 from __future__ import annotations

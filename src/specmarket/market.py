@@ -18,16 +18,17 @@ engine, ``run``: it steps a market's whole horizon in one call of the C kernel
 with the bits of ``step``, or loops over ``step`` where the kernel cannot be
 built. How the kernel keeps those bits is said in the comments of
 ``_kernel.c``, and how it is built in the docstring of ``specmarket._kernel``.
+``run_many`` is the package's one thread map: ``run`` hands it the stepping
+and a follower, and the sweeps their markets.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -494,7 +495,56 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: seconds the helper's counts wait between looks at the kernel's progress
+def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int] = None) -> list:
+    """``work(item)`` for each item in input order, or the ``Exception`` it raised.
+
+    Runs on min(``workers``, usable CPUs, items) threads, the caller among
+    them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
+    thread takes the next item under a lock, does its work itself and stores
+    the outcome at the item's index, so one item's work per thread runs at a
+    time and the outcomes do not depend on the thread count. Work that calls
+    the C kernel, such as ``run``, releases the GIL, so the items run side by
+    side; other work takes turns, with the same outcomes. A ``BaseException``
+    on any thread stops every thread taking items and is re-raised here once
+    all have joined.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError("workers", f" must be >= 1, got {workers}")
+    threads = min(workers or math.inf, _usable_cpus(), len(items))
+    outcomes = [None] * len(items)
+    lock = threading.Lock()
+    taken = 0
+    raised = []
+
+    def take():
+        nonlocal taken
+        while True:
+            with lock:
+                if raised or taken == len(items):
+                    return
+                index, taken = taken, taken + 1
+            try:
+                outcomes[index] = work(items[index])
+            except Exception as exc:  # the item's outcome, never aborts the map
+                outcomes[index] = exc
+            except BaseException as exc:  # re-raised by the calling thread after the join
+                raised.append(exc)
+                return
+
+    helpers = [threading.Thread(target=take, name=f"specmarket-worker-{i}") for i in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        take()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if raised:
+        raise raised[0]
+    return outcomes
+
+
+#: seconds the follower's counts wait between looks at the kernel's progress
 _FOLLOW_POLL_S = 2e-4
 
 
@@ -516,12 +566,15 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
     ``counts`` is an iterable of rising counts of complete rows that ends when
     the run ends; after a count c, rows ``0 .. c - 1`` of the prices, mus and
     taus, and the returns before them, hold their final bits. Where the C
-    kernel is loaded and two CPUs are usable, ``follow`` runs on one helper
-    thread while the kernel steps on the calling thread, and ``counts`` yields
-    what the kernel publishes; elsewhere it runs on the caller after the
-    stepping, and ``counts`` is ``(horizon,)``. A follower may return before
-    the run ends. The helper is joined before ``run`` returns or raises, and
-    an exception it raised is re-raised here.
+    kernel is loaded, the stepping and ``follow`` are the two items of one
+    :func:`run_many`, so with two usable CPUs they run side by side, and with
+    one, by ``run_many``'s cap of its threads at the usable CPUs, the follower
+    runs on the caller after the stepping; ``counts`` yields
+    what the kernel publishes. Without the kernel, ``follow`` runs on the
+    caller once the record is whole, and ``counts`` is ``(horizon,)``. A
+    follower may return before the run ends. ``run`` returns or raises once
+    both are done; the stepping's exception is raised before the follower's.
+    Without a follower, the kernel steps on the caller and no thread starts.
     """
     state = new_market(config)
     horizon, k, n_spec = config.horizon, config.n_producers, config.n_speculators
@@ -530,12 +583,23 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
         mus=np.empty(horizon, dtype=np.int64), taus=np.empty(horizon, dtype=np.int64),
         mean_spec_capital=np.empty(horizon if capital else 0), final_spec_capitals=np.empty(0))
     lib = _kernel.library()
-    # with one usable CPU a helper thread costs more than it hides: 0.110 against 0.102 s
-    # per `simulate` of configs/market.ini, the process pinned to one CPU of a 2-core VM
-    helper = follow is not None and lib and _usable_cpus() > 1
-    if lib:
-        with _following(lib, follow, record) if helper else contextlib.nullcontext() as progress:
-            _step_kernel(lib, state, record, progress)
+    if lib and follow is not None:
+        progress, ended = np.zeros(1, dtype=np.int64), threading.Event()
+
+        def stepping():
+            try:
+                _step_kernel(lib, state, record, progress)
+            finally:
+                ended.set()
+
+        # the stepping first: on one CPU run_many runs the jobs in order on the caller, and
+        # the follower's counts end only once the stepping has set ``ended``
+        jobs = [stepping, lambda: follow(record, _counts(lib, progress, ended))]
+        for outcome in run_many(jobs, lambda job: job()):
+            if isinstance(outcome, Exception):
+                raise outcome
+    elif lib:
+        _step_kernel(lib, state, record, None)
     else:
         for t in range(horizon):
             out = step(state)
@@ -547,46 +611,23 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
                                                + np.add.reduce(state.stocks[k:]))
     record.mean_spec_capital /= 2.0 * n_spec
     record.final_spec_capitals = (state.money[k:] + state.stocks[k:]) / 2.0
-    if follow is not None and not helper:
+    if follow is not None and not lib:
         follow(record, (horizon,))
     return record
 
 
-@contextlib.contextmanager
-def _following(lib, follow, record):
-    """Run ``follow(record, counts)`` on a helper thread while the kernel steps in the body,
-    which gets the progress counter the kernel stores into. On the way out the run is
-    marked ended, the helper joined and the exception it raised, if any, re-raised."""
-    progress = np.zeros(1, dtype=np.int64)
-    ended = threading.Event()
-    raised = []
-
-    def counts():
-        seen, finished = 0, False
-        while not finished:
-            finished = ended.is_set()  # before the count, so a finished run's count is final
-            count = lib.specmarket_progress(progress.ctypes.data)
-            if count > seen:
-                seen = count
-                yield count
-            elif not finished:
-                ended.wait(_FOLLOW_POLL_S)
-
-    def work():
-        try:
-            follow(record, counts())
-        except BaseException as exc:  # re-raised by the stepping thread after the join
-            raised.append(exc)
-
-    helper = threading.Thread(target=work, name="specmarket-follow")
-    helper.start()
-    try:
-        yield progress
-    finally:
-        ended.set()
-        helper.join()
-        if raised:
-            raise raised[0]
+def _counts(lib, progress, ended):
+    """The rising counts of complete rows that the kernel stores into ``progress``,
+    until ``ended`` is set and the last count is taken."""
+    seen, finished = 0, False
+    while not finished:
+        finished = ended.is_set()  # before the count, so a finished run's count is final
+        count = lib.specmarket_progress(progress.ctypes.data)
+        if count > seen:
+            seen = count
+            yield count
+        elif not finished:
+            ended.wait(_FOLLOW_POLL_S)
 
 
 def _address(array) -> Optional[int]:

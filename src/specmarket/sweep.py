@@ -1,9 +1,10 @@
 """Grid experiments over market parameters with reproducible per-repetition seeds.
 
 :func:`run_sweep`, :func:`alpha_scan` and the acceptance suite run their
-markets through :func:`run_many`, the one thread map of work items: each
-thread does one item's work at a time. Each (node, repetition) cell derives
-its seed from the base seed and its grid coordinates, so a sweep is
+markets through :func:`~specmarket.market.run_many`, the package's one thread
+map of work items: each thread does one item's work at a time, and ``run``
+without a follower starts no thread of its own. Each (node, repetition) cell
+derives its seed from the base seed and its grid coordinates, so a sweep is
 bit-identical whatever the thread count. A node aggregates each metric by its
 own rule (:func:`aggregate`); failed repetitions are recorded with their
 reason and left out of the aggregate.
@@ -12,10 +13,9 @@ reason and left out of the aggregate.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .market import (
     Exogenous,
     MarketConfig,
     SimulationRecord,
-    _usable_cpus,
     check_market_size,
     check_seed,
     run,
+    run_many,
     uniform_weights,
 )
 from . import stats
@@ -266,55 +266,6 @@ def _grid(spec: SweepSpec) -> tuple[list[NodeResult], list]:
             if cfg is not None:
                 cells.append((record, replace(cfg, seed=seed)))
     return nodes, cells
-
-
-def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int] = None) -> list:
-    """``work(item)`` for each item in input order, or the ``Exception`` it raised.
-
-    Runs on min(``workers``, usable CPUs, items) threads, the caller among
-    them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
-    thread takes the next item under a lock, does its work itself and stores
-    the outcome at the item's index, so one item's work per thread runs at a
-    time and the outcomes do not depend on the thread count. Work that calls
-    the C kernel, such as ``run``, releases the GIL, so the items run side by
-    side; other work takes turns, with the same outcomes. A ``BaseException``
-    on any thread stops every thread taking items and is re-raised here once
-    all have joined.
-    """
-    if workers is not None and workers < 1:
-        raise ConfigError("workers", f" must be >= 1, got {workers}")
-    threads = min(workers or math.inf, _usable_cpus(), len(items))
-    outcomes = [None] * len(items)
-    lock = threading.Lock()
-    taken = 0
-    raised = []
-
-    def take():
-        nonlocal taken
-        while True:
-            with lock:
-                if raised or taken == len(items):
-                    return
-                index, taken = taken, taken + 1
-            try:
-                outcomes[index] = work(items[index])
-            except Exception as exc:  # the item's outcome, never aborts the map
-                outcomes[index] = exc
-            except BaseException as exc:  # re-raised by the calling thread after the join
-                raised.append(exc)
-                return
-
-    helpers = [threading.Thread(target=take, name=f"specmarket-sweep-{i}") for i in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        take()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if raised:
-        raise raised[0]
-    return outcomes
 
 
 def _measure(cells: list, metrics, workers: Optional[int] = None) -> None:

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -7,12 +8,21 @@ from specmarket import Endogenous, Exogenous, MarketConfig, uniform_weights
 
 @pytest.fixture(autouse=True)
 def no_helper_thread_outlives_the_test():
-    """Fail a test after which a ``specmarket-*`` thread (a ``run`` follower, a ``run_many``
-    worker) is still alive: each must be joined before the call that started it returns."""
+    """Fail a test after which a ``specmarket-*`` thread, a ``run_many`` worker, is still
+    alive: each must be joined before the ``run_many`` that started it returns."""
     yield
     alive = [thread.name for thread in threading.enumerate()
              if thread.name.startswith("specmarket-")]
     assert not alive, f"threads still alive after the test: {alive}"
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the process see ``n`` usable CPUs for the rest of the test."""
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return see
 
 
 @pytest.fixture

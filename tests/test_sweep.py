@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import specmarket.cli
-from specmarket import Endogenous, Exogenous, MarketConfig, run, stats, sweep, uniform_weights
+from specmarket import (Endogenous, Exogenous, MarketConfig, market, run, stats, sweep,
+                        uniform_weights)
 from specmarket.cli import main
 from specmarket.errors import ConfigError
 from specmarket.sweep import (
@@ -268,7 +269,7 @@ class TestRunSweep:
             assert [r.metrics for r in a.reps] == [r.metrics for r in b.reps]
             assert a.aggregates == b.aggregates
 
-    @pytest.mark.skipif(sweep._usable_cpus() < 2, reason="needs 2 usable CPUs")
+    @pytest.mark.skipif(market._usable_cpus() < 2, reason="needs 2 usable CPUs")
     def test_parallel_scaling_sanity(self):
         cfg = base_config(n_speculators=1024, info_mode=Endogenous(8), horizon=100_000)
         spec = SweepSpec(base=cfg, axes=(SweepAxis("use_param", (0.5,)),),
@@ -285,11 +286,6 @@ class TestRunSweep:
         assert elapsed <= (4 / 2 + 1) * single * 1.3
 
 
-def _cpus(monkeypatch, n):
-    """Make the process see ``n`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def _outcomes(nodes):
     return [(n.coords, [(r.seed, r.metrics, r.error) for r in n.reps]) for n in nodes]
 
@@ -298,10 +294,10 @@ class TestThreadMap:
     SPEC = SweepSpec(base=base_config(horizon=200), axes=(SweepAxis("use_param", (0.3, 0.5, 1.5)),),
                      repetitions=2, metrics=("variance",))
 
-    def test_cells_overlap_on_two_threads(self, monkeypatch):
+    def test_cells_overlap_on_two_threads(self, monkeypatch, cpus):
         """Each thread's first cell waits for the other's, so this passes only if two run at once."""
         serial = run_sweep(self.SPEC, workers=1)
-        _cpus(monkeypatch, 2)
+        cpus(2)
         barrier, started, lock = threading.Barrier(2, timeout=30), set(), threading.Lock()
 
         def meeting(config, **options):
@@ -316,7 +312,7 @@ class TestThreadMap:
         assert _outcomes(run_sweep(self.SPEC, workers=2)) == _outcomes(serial)
         assert len(started) == 2 and not barrier.broken
 
-    @pytest.mark.parametrize("cpus, workers, axis, helpers", [
+    @pytest.mark.parametrize("usable, workers, axis, helpers", [
         (2, 10**6, ("use_param", (0.3, 0.5, 0.7)), 1),  # capped by the CPUs
         (8, None, ("use_param", (0.5,)), 1),            # capped by the 2 runnable cells
         (8, None, ("use_param", (0.3, 0.5, 0.7)), 5),   # the default: every usable CPU
@@ -324,7 +320,7 @@ class TestThreadMap:
         (8, None, ("use_param", (1.5,)), 1),            # cells that run refuses are runnable
         (8, None, ("alpha", (0.3,)), 0),                # a node without a config has none
     ])
-    def test_thread_count_is_capped(self, monkeypatch, cpus, workers, axis, helpers):
+    def test_thread_count_is_capped(self, monkeypatch, cpus, usable, workers, axis, helpers):
         """min(workers, usable CPUs, runnable cells) threads, the caller among them."""
         built = []
 
@@ -339,15 +335,15 @@ class TestThreadMap:
             def join(self, timeout=None):
                 pass
 
-        _cpus(monkeypatch, cpus)
+        cpus(usable)
         monkeypatch.setattr(threading, "Thread", InlineThread)
         nodes = run_sweep(replace(self.SPEC, axes=(SweepAxis(*axis),)), workers=workers)
         assert len(built) == helpers
         assert all(rep.error is not None or rep.metrics is not None
                    for node in nodes for rep in node.reps)
 
-    def test_base_exception_on_a_worker_is_reraised(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+    def test_base_exception_on_a_worker_is_reraised(self, monkeypatch, cpus):
+        cpus(2)
         before = threading.active_count()
         calls, lock = [], threading.Lock()
 
@@ -366,9 +362,9 @@ class TestThreadMap:
         assert threading.active_count() == before
         assert len(calls) <= 4  # the other thread finished its cell and took no more
 
-    def test_every_cell_runs_once_under_contention(self, monkeypatch):
+    def test_every_cell_runs_once_under_contention(self, monkeypatch, cpus):
         """Eight threads, a short switch interval: no cell is lost or taken twice."""
-        _cpus(monkeypatch, 8)
+        cpus(8)
         calls = []
 
         def counting(config, **options):
@@ -394,11 +390,11 @@ class TestThreadMap:
     def first_return(record):
         return record.returns[0]
 
-    def test_run_many_keeps_input_order_when_configs_finish_out_of_order(self, monkeypatch):
+    def test_run_many_keeps_input_order_when_configs_finish_out_of_order(self, cpus):
         """The first config waits until another has finished, yet its outcome comes first."""
         serial = run_many(self.CONFIGS, lambda config: self.first_return(run(config)), workers=1)
         assert serial == [run(config).returns[0] for config in self.CONFIGS]
-        _cpus(monkeypatch, 2)
+        cpus(2)
         finished, other_done = [], threading.Event()
 
         def first_last(config, **options):
@@ -415,10 +411,10 @@ class TestThreadMap:
         assert finished[0] != 0 and sorted(finished) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_many_exception_takes_its_configs_place(self, monkeypatch, workers):
+    def test_run_many_exception_takes_its_configs_place(self, cpus, workers):
         """An exception from ``run`` (a refused config) or from ``measure`` comes back in place,
         and so does one from work on items that are not configs."""
-        _cpus(monkeypatch, 2)
+        cpus(2)
         last = run(self.CONFIGS[3]).returns[0]
 
         def measure(record):
@@ -442,9 +438,9 @@ class TestThreadMap:
         assert [*head, last_item] == [0.0, 0.5, 1.0, 1.5, 2.5]
         assert type(bad_item) is ValueError and str(bad_item) == "cannot halve 4"
 
-    def test_run_many_base_exception_reraised_once_every_thread_joined(self, monkeypatch):
+    def test_run_many_base_exception_reraised_once_every_thread_joined(self, cpus):
         """The caller's KeyboardInterrupt waits for the helper's record, and then no thread is left."""
-        _cpus(monkeypatch, 2)
+        cpus(2)
         before = threading.active_count()
         barrier, helper_measured = threading.Barrier(2, timeout=30), []
 
@@ -553,7 +549,7 @@ class TestAlphaScan:
             def join(self, timeout=None):
                 pass
 
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(market, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(threading, "Thread", InlineThread)
         rows = alpha_scan(base_config(horizon=200), alphas=(0.5, 1.0), repetitions=2, n_producers=4)
         assert len(built) == 1

@@ -50,9 +50,10 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path``; ``DataFormatError`` naming it where it cannot be read."""
+    """The UTF-8 text of ``path`` without a leading byte-order mark, which Excel's "CSV UTF-8"
+    writes; ``DataFormatError`` naming it where it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

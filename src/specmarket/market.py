@@ -18,8 +18,8 @@ engine, ``run``: it steps a market's whole horizon in one call of the C kernel
 with the bits of ``step``, or loops over ``step`` where the kernel cannot be
 built. How the kernel keeps those bits is said in the comments of
 ``_kernel.c``, and how it is built in the docstring of ``specmarket._kernel``.
-``run_many`` is the package's one thread map: ``run`` hands it the stepping
-and a follower, and the sweeps their markets.
+``run_many`` is the package's one thread map, whose caller does item 0: ``run``
+hands it the stepping first and a follower second, and the sweeps their markets.
 """
 
 from __future__ import annotations
@@ -499,14 +499,15 @@ def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int]
     """``work(item)`` for each item in input order, or the ``Exception`` it raised.
 
     Runs on min(``workers``, usable CPUs, items) threads, the caller among
-    them; ``workers`` defaults to the usable CPUs and is refused below 1. Each
-    thread takes the next item under a lock, does its work itself and stores
-    the outcome at the item's index, so one item's work per thread runs at a
-    time and the outcomes do not depend on the thread count. Work that calls
-    the C kernel, such as ``run``, releases the GIL, so the items run side by
-    side; other work takes turns, with the same outcomes. A ``BaseException``
-    on any thread stops every thread taking items and is re-raised here once
-    all have joined.
+    them; ``workers`` defaults to the usable CPUs and is refused below 1. The
+    caller claims item 0 before any helper starts, so item 0 always runs on
+    the calling thread. From then on each thread takes the next item under a
+    lock, does its work itself and stores the outcome at the item's index, so
+    one item's work per thread runs at a time and the outcomes do not depend
+    on the thread count. Work that calls the C kernel, such as ``run``,
+    releases the GIL, so the items run side by side; other work takes turns,
+    with the same outcomes. A ``BaseException`` on any thread stops every
+    thread taking items and is re-raised here once all have joined.
     """
     if workers is not None and workers < 1:
         raise ConfigError("workers", f" must be >= 1, got {workers}")
@@ -523,6 +524,9 @@ def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int]
                 if raised or taken == len(items):
                     return
                 index, taken = taken, taken + 1
+            if index == 0:  # the caller's claim: the helpers start only now
+                for helper in helpers:
+                    helper.start()
             try:
                 outcomes[index] = work(items[index])
             except Exception as exc:  # the item's outcome, never aborts the map
@@ -532,8 +536,6 @@ def run_many(items: Sequence, work: Callable[[Any], Any], workers: Optional[int]
                 return
 
     helpers = [threading.Thread(target=take, name=f"specmarket-worker-{i}") for i in range(1, threads)]
-    for helper in helpers:
-        helper.start()
     try:
         take()
     finally:
@@ -566,11 +568,12 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
     ``counts`` is an iterable of rising counts of complete rows that ends when
     the run ends; after a count c, rows ``0 .. c - 1`` of the prices, mus and
     taus, and the returns before them, hold their final bits. Where the C
-    kernel is loaded, the stepping and ``follow`` are the two items of one
-    :func:`run_many`, so with two usable CPUs they run side by side, and with
-    one, by ``run_many``'s cap of its threads at the usable CPUs, the follower
-    runs on the caller after the stepping; ``counts`` yields
-    what the kernel publishes. Without the kernel, ``follow`` runs on the
+    kernel is loaded, the stepping and ``follow`` are items 0 and 1 of one
+    :func:`run_many`, so the kernel always steps on the thread that called
+    ``run``. With two usable CPUs ``follow`` runs beside it on
+    ``specmarket-worker-1``; with one, by ``run_many``'s cap of its threads at
+    the usable CPUs, it runs on the caller after the stepping. ``counts``
+    yields what the kernel publishes. Without the kernel, ``follow`` runs on the
     caller once the record is whole, and ``counts`` is ``(horizon,)``. A
     follower may return before the run ends. ``run`` returns or raises once
     both are done; the stepping's exception is raised before the follower's.
@@ -592,8 +595,8 @@ def run(config: MarketConfig, follow: Optional[Callable] = None, *,
             finally:
                 ended.set()
 
-        # the stepping first: on one CPU run_many runs the jobs in order on the caller, and
-        # the follower's counts end only once the stepping has set ``ended``
+        # the stepping is item 0, which run_many's caller does itself: on one CPU the follower
+        # runs after it on the caller, and its counts end only once the stepping has set ``ended``
         jobs = [stepping, lambda: follow(record, _counts(lib, progress, ended))]
         for outcome in run_many(jobs, lambda job: job()):
             if isinstance(outcome, Exception):

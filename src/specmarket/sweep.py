@@ -2,12 +2,12 @@
 
 :func:`run_sweep`, :func:`alpha_scan` and the acceptance suite run their
 markets through :func:`~specmarket.market.run_many`, the package's one thread
-map of work items: each thread does one item's work at a time, and ``run``
-without a follower starts no thread of its own. Each (node, repetition) cell
-derives its seed from the base seed and its grid coordinates, so a sweep is
-bit-identical whatever the thread count. A node aggregates each metric by its
-own rule (:func:`aggregate`); failed repetitions are recorded with their
-reason and left out of the aggregate.
+map of work items: the caller does item 0, each thread does one item's work at
+a time, and ``run`` without a follower starts no thread of its own. Each
+(node, repetition) cell derives its seed from the base seed and its grid
+coordinates, so a sweep is bit-identical whatever the thread count. A node
+aggregates each metric by its own rule (:func:`aggregate`); failed repetitions
+are recorded with their reason and left out of the aggregate.
 """
 
 from __future__ import annotations

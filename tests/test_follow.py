@@ -1,12 +1,12 @@
 """run.csv written while the market steps: ``market.run``'s follower and ``cli simulate``.
 
 ``run(config, follow)`` hands the C kernel's stepping and ``follow(record, counts)`` to
-``run_many`` as two items, so with two usable CPUs they run on two threads, either of
-them the caller's, and the kernel publishes its complete rows every 1024 steps. The
-streamed run.csv, and the whole artifact of ``cli simulate``, must hold the bytes
-that ``write_run_artifact(run(config))`` writes, and a refused run must change
-nothing on disk. Every thread that ``run``, ``cli simulate`` and the sweeps start is
-a ``run_many`` worker.
+``run_many`` as items 0 and 1, so with two usable CPUs the kernel steps on the caller's
+thread and the follower runs on ``specmarket-worker-1``, and the kernel publishes its
+complete rows every 1024 steps. The streamed run.csv, and the whole artifact of
+``cli simulate``, must hold the bytes that ``write_run_artifact(run(config))`` writes,
+and a refused run must change nothing on disk. Every thread that ``run``,
+``cli simulate`` and the sweeps start is a ``run_many`` worker.
 """
 
 import itertools
@@ -108,9 +108,10 @@ def file_bytes(directory):
 @pytest.mark.parametrize("horizon", HORIZONS)
 @pytest.mark.parametrize("case", CONFIGS)
 def test_streamed_run_csv_equals_the_written_one(tmp_path, monkeypatch, cpus, case, horizon):
-    """The follower, on another thread than the stepping, writes the bytes ``write_run_csv``
-    writes from the finished record, and ``run`` returns the same record. The stepping and
-    the follower first meet at a barrier, so this passes only if the two run at once."""
+    """The follower, on ``specmarket-worker-1`` while the caller steps, writes the bytes
+    ``write_run_csv`` writes from the finished record, and ``run`` returns the same record.
+    The stepping and the follower first meet at a barrier, so this passes only if the two
+    run at once."""
     cpus(2)
     config = replace(CONFIGS[case], horizon=horizon)
     expected = run(config)
@@ -118,8 +119,8 @@ def test_streamed_run_csv_equals_the_written_one(tmp_path, monkeypatch, cpus, ca
     follower = Follower(tmp_path / "streamed.csv")
     steppers = stepping_threads(monkeypatch, meeting)
     record = run(config, lambda record, counts: (meeting.wait(), follower(record, counts)))
-    assert len(steppers) == 1 and len(follower.threads) == 1
-    assert follower.threads[0] is not steppers[0]
+    assert steppers == [threading.main_thread()]
+    assert [thread.name for thread in follower.threads] == ["specmarket-worker-1"]
     assert follower.record is record
     for name in ("prices", "returns", "mus", "taus", "mean_spec_capital", "final_spec_capitals"):
         assert getattr(record, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -251,8 +252,8 @@ def test_simulate_into_a_new_nested_out_streams_into_the_nearest_ancestor(tmp_pa
 
 
 def test_a_raising_follow_is_reraised_after_the_join(cpus):
-    """The follower's exception reaches the caller, and the follower's thread, where that is
-    not the caller's, has ended by then."""
+    """The follower's exception reaches the caller, and the follower's thread, a helper, has
+    ended by then."""
     cpus(2)
     threads = threading.active_count()
     helpers = []
@@ -264,17 +265,19 @@ def test_a_raising_follow_is_reraised_after_the_join(cpus):
 
     with pytest.raises(KeyError, match="follower"):
         run(replace(CONFIGS["endogenous"], horizon=5000), follow)
-    assert helpers[0] is threading.main_thread() or not helpers[0].is_alive()
+    assert not helpers[0].is_alive()
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("taken", [0, 1])
-def test_a_follower_may_return_before_the_run_ends(cpus, taken):
-    """A follower that returns after ``taken`` counts, while the kernel still steps, neither
-    holds ``run`` up nor leaves its thread alive, and the record is whole."""
+def test_a_follower_may_return_before_the_run_ends(monkeypatch, cpus, taken):
+    """A follower that returns after ``taken`` counts, while the kernel still steps on the
+    thread that called ``run``, neither holds ``run`` up nor leaves its thread alive, and the
+    record is whole."""
     cpus(2)
     config = replace(CONFIGS["endogenous"], n_speculators=512, horizon=200_000)  # about 0.1 s
     seen, result = [], []
+    steppers = stepping_threads(monkeypatch)
 
     def follow(record, counts):
         seen.extend(itertools.islice(counts, taken))
@@ -283,6 +286,7 @@ def test_a_follower_may_return_before_the_run_ends(cpus, taken):
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(result) == 1
+    assert steppers == [caller]
     assert len(seen) == taken and all(0 < count < config.horizon for count in seen)
     assert not [thread for thread in threading.enumerate() if thread.name.startswith("specmarket-")]
     assert result[0].prices.tobytes() == run(config).prices.tobytes()

@@ -57,6 +57,14 @@ def write(tmp_path, text, name="config.ini"):
     return path
 
 
+def with_bom(tmp_path, path):
+    """A copy of ``path`` in ``tmp_path`` that starts with the UTF-8 byte-order mark, as
+    Excel's "CSV UTF-8" export writes."""
+    copy = tmp_path / f"bom-{Path(path).name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return copy
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         config = parse_market_config(write(tmp_path, MINIMAL))
@@ -346,6 +354,14 @@ class TestParseConfig:
 
 
 class TestArtifacts:
+    def test_run_csv_after_a_byte_order_mark_reads_as_without(self, tmp_path, make_config):
+        config = make_config(horizon=300)
+        path = write_run_artifact(tmp_path / "out", config, run(config))["run"]
+        plain, marked = read_run_csv(path), read_run_csv(with_bom(tmp_path, path))
+        assert plain.keys() == marked.keys()
+        for key, value in plain.items():
+            np.testing.assert_array_equal(marked[key], value)
+
     def test_run_csv_round_trip(self, tmp_path, make_config):
         config = make_config(horizon=300)
         record = run(config)
@@ -542,6 +558,14 @@ class TestRoundTripProperties:
 
 
 class TestEmpirical:
+    def test_a_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        """The first date after a byte-order mark once failed to parse, so its row was
+        skipped as a header."""
+        path = write(tmp_path, "2020-01-01,10.0\n2020-01-02,11.0\n2020-01-03,9.5\n", "px.csv")
+        series = load_empirical(with_bom(tmp_path, path))
+        assert series.dates == load_empirical(path).dates
+        assert series.closes.tolist() == [10.0, 11.0, 9.5]
+
     def test_loads_with_header_tolerance(self, tmp_path):
         path = write(tmp_path, "Date Close\n2020-01-01 10.0\n2020-01-02 11.0\n2020-01-03 9.5\n", "px.txt")
         series = load_empirical(path)
@@ -1065,6 +1089,12 @@ class TestCli:
 
 README = Path(__file__).parents[1] / "README.md"
 CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def test_a_config_after_a_byte_order_mark_parses_as_without(tmp_path):
+    """A marked config was once refused: "File contains no section headers"."""
+    shipped = CONFIGS / "market.ini"
+    assert parse_market_config(with_bom(tmp_path, shipped)) == parse_market_config(shipped)
 
 
 def test_readme_config_examples_parse_as_the_shipped_configs(tmp_path):

@@ -384,6 +384,13 @@ class TestThreadMap:
         assert sorted(calls) == sorted(seeds)
         assert all(rep.metrics is not None for node in nodes[:2] for rep in node.reps)
 
+    def test_the_caller_does_item_0(self, cpus):
+        """With two usable CPUs, every map of two trivial items runs item 0 on the caller."""
+        cpus(2)
+        firsts = [run_many(range(2), lambda item: threading.current_thread())[0]
+                  for _ in range(200)]
+        assert firsts == [threading.main_thread()] * 200
+
     CONFIGS = [base_config(horizon=200, seed=seed) for seed in range(4)]
 
     @staticmethod

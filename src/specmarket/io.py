@@ -121,9 +121,12 @@ _MARKET_KEYS = {
     "use_param": _to_float, "epsilon": _to_float, "horizon": _to_int, "seed": _to_int,
 }
 _REQUIRED_MARKET_KEYS = {f.name for f in fields(MarketConfig) if f.default is MISSING}
+#: the [info] keys of each mode besides ``mode``: its fields, a weight vector given as
+#: ``weights`` or as a ``distribution`` with ``states`` and ``rate``, under its prefix
 _INFO_KEYS = {
-    "mode", "memory_bits", "distribution", "states", "rate", "weights",
-    "endo_bits", "exo_bits", "exo_distribution", "exo_states", "exo_rate", "exo_weights",
+    "endogenous": {"memory_bits"},
+    "exogenous": {"weights", "distribution", "states", "rate"},
+    "mixed": {"endo_bits", "exo_bits", "exo_weights", "exo_distribution", "exo_states", "exo_rate"},
 }
 _SWEEP_KEYS = {"repetitions": _to_int, "metrics": _to_words}
 #: the keys whose sum is the agent count that the size cap multiplies by the state count
@@ -136,6 +139,14 @@ def _reject_unknown(parser, section, known):
         raise ConfigError("", "unknown key ", f"{section}.{sorted(unknown)[0]}")
 
 
+def _refuse_unread(section, keys, *why):
+    """Refuse the first of the [info] ``keys`` that the file sets, a key that the rest of the
+    file leaves unread, named with the pieces ``why``."""
+    for key in sorted(keys):
+        if section.get(key) is not None:
+            raise ConfigError(f"info.{key}", *why)
+
+
 def _parse_weights(section, prefix, n_agents, at):
     """Common weight-vector grammar: explicit list or a named distribution."""
     w_key = f"{prefix}weights"
@@ -143,6 +154,8 @@ def _parse_weights(section, prefix, n_agents, at):
     if section.get(w_key) is not None:
         if section.get(d_key) is not None:
             raise ConfigError(f"info.{w_key}", " and ", f"info.{d_key}", " are mutually exclusive")
+        _refuse_unread(section, (f"{prefix}states", f"{prefix}rate"), " is not read beside ",
+                       f"info.{w_key}")
         return _get(section, w_key, _to_floats, "info")
     dist = _get(section, d_key, _to_word, "info", *at)
     states = _get(section, f"{prefix}states", _to_int, "info", *at)
@@ -150,6 +163,8 @@ def _parse_weights(section, prefix, n_agents, at):
         raise ConfigError(f"info.{prefix}states", f" must be >= 1, got {states}")
     check_market_size(states, n_agents, f"info.{prefix}states", " at ", *_AGENT_KEYS)
     if dist == "uniform":
+        _refuse_unread(section, (f"{prefix}rate",), " is not read at ", f"info.{d_key}",
+                       " = uniform")
         return uniform_weights(states)
     if dist == "exp":
         rate = _get(section, f"{prefix}rate", _to_float, "info", *at)
@@ -162,18 +177,19 @@ def parse_info_mode(parser: configparser.ConfigParser, n_agents: int):
     if "info" not in parser:
         raise ConfigError("info", " section is required")
     section = parser["info"]
-    _reject_unknown(parser, "info", _INFO_KEYS)
+    _reject_unknown(parser, "info", {"mode"}.union(*_INFO_KEYS.values()))
     mode = _get(section, "mode", _to_word, "info")
-    at = ("info.mode", f" = {mode}")  # a key the mode calls for is named with the mode of the file
+    if mode not in _INFO_KEYS:
+        raise ConfigError("info.mode", f" must be endogenous, exogenous or mixed, got {mode!r}")
+    at = ("info.mode", f" = {mode}")  # a key the mode calls for or leaves unread is named with it
+    _refuse_unread(section, set(section) - _INFO_KEYS[mode] - {"mode"}, " is not read at ", *at)
     if mode == "endogenous":
         return Endogenous(_get(section, "memory_bits", _to_int, "info", *at))
     if mode == "exogenous":
         return Exogenous(_parse_weights(section, "", n_agents, at))
-    if mode == "mixed":
-        return Mixed(_get(section, "endo_bits", _to_int, "info", *at),
-                     _get(section, "exo_bits", _to_int, "info", *at),
-                     _parse_weights(section, "exo_", n_agents, at))
-    raise ConfigError("info.mode", f" must be endogenous, exogenous or mixed, got {mode!r}")
+    return Mixed(_get(section, "endo_bits", _to_int, "info", *at),
+                 _get(section, "exo_bits", _to_int, "info", *at),
+                 _parse_weights(section, "exo_", n_agents, at))
 
 
 def _market_names(section, mode) -> dict:

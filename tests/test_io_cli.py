@@ -105,6 +105,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="plotting"):
             parse_market_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("line", ["states = 1024", "rate = 2.5", "exo_bits = 3",
+                                      "weights = 0.5, 0.5"])
+    def test_a_key_the_mode_leaves_unread_is_refused(self, tmp_path, line):
+        """[info] takes only ``mode`` and the keys of its mode: a key of another mode beside
+        ``mode = endogenous`` is refused by its name, with the mode."""
+        key = line.split(" = ")[0]
+        text = MINIMAL.replace("memory_bits = 4", f"memory_bits = 4\n{line}")
+        with pytest.raises(ConfigError) as refusal:
+            parse_market_config(write(tmp_path, text))
+        assert str(refusal.value) == f"info.{key} is not read at info.mode = endogenous"
+        assert refusal.value.fields == (f"info.{key}", "info.mode")
+
+    @pytest.mark.parametrize("info, message", [
+        ("mode = exogenous\nweights = 0.5, 0.5\nstates = 2",
+         "info.states is not read beside info.weights"),
+        ("mode = mixed\nendo_bits = 1\nexo_bits = 1\nexo_weights = 0.5, 0.5\nexo_rate = 1",
+         "info.exo_rate is not read beside info.exo_weights"),
+        ("mode = mixed\nendo_bits = 1\nexo_bits = 1\nexo_distribution = uniform\nexo_states = 2\n"
+         "exo_rate = 1", "info.exo_rate is not read at info.exo_distribution = uniform"),
+    ], ids=["states_beside_weights", "exo_rate_beside_exo_weights", "exo_rate_at_uniform"])
+    def test_a_key_the_weights_leave_unread_is_refused(self, tmp_path, info, message):
+        """A weight vector reads ``states`` and ``rate`` only for a distribution that takes them."""
+        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4", info)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_market_config(write(tmp_path, text))
+
+    def test_simulate_refuses_a_rate_beside_uniform(self, tmp_path, capsys):
+        """``distribution = uniform`` reads no rate, so ``simulate`` refuses one by its key and
+        writes nothing."""
+        text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4",
+                               "mode = exogenous\ndistribution = uniform\nstates = 8\nrate = 3")
+        argv = ["simulate", "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: info.rate is not read at "
+                                           "info.distribution = uniform\n")
+        assert not (tmp_path / "out").exists()
+
     def test_exogenous_grammar(self, tmp_path):
         text = MINIMAL.replace("mode = endogenous\nmemory_bits = 4",
                                "mode = exogenous\ndistribution = exp\nstates = 8\nrate = 0.02")
